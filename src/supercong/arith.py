@@ -94,7 +94,13 @@ def vp(x: Rational, p: int) -> Valuation:
     """
     if not is_odd_prime(p):
         raise InvalidPrime(f"vp is defined for odd primes, got {p}")
-    x = Fraction(x)
+    return vp_unchecked(Fraction(x), p)
+
+
+def vp_unchecked(x: Fraction, p: int) -> Valuation:
+    """vp for a p the caller has already validated as an odd prime; the hot
+    loops that evaluate many valuations at one prime use it to skip the
+    repeated primality test."""
     if x == 0:
         return INFINITE
     return _vp_int(x.numerator, p) - _vp_int(x.denominator, p)
@@ -172,9 +178,15 @@ def make_report(
     k: int | None = None,
     informational: bool = False,
 ) -> CongruenceReport:
-    """Build a report, computing the achieved valuation from exact rationals."""
+    """Build a report, computing the achieved valuation from exact rationals.
+
+    p must be an odd prime; every caller in the package has validated it
+    already, so only the cheap parity guard runs here, not the primality test.
+    """
+    if p < 3 or p % 2 == 0:
+        raise InvalidPrime(f"reports need an odd prime, got {p}")
     lhs, rhs = Fraction(lhs), Fraction(rhs)
-    achieved = vp(lhs - rhs, p)
+    achieved = vp_unchecked(lhs - rhs, p)
     passed = None if informational else achieved >= required
     return CongruenceReport(
         check_id, p, lhs, rhs, required, achieved, passed,

@@ -10,19 +10,19 @@ records valuations without pass/fail semantics.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
-from .arith import CongruenceReport, InvalidPrime, is_odd_prime, make_report, vp
+from .arith import CongruenceReport, InvalidPrime, is_odd_prime, make_report, vp_unchecked
 from .series import (
-    SumSpec,
     _poch_neg_half,
     _poch_pos_half,
-    partial_sum,
     pochhammer_ratio_product,
+    summands,
     wz_F,
     wz_G,
 )
@@ -237,49 +237,99 @@ def _sgn(p: int) -> int:
     return -1 if ((p - 1) // 2) % 2 else 1
 
 
+# Running totals of each summand stream, keyed by ("A"|"B"|"V", m) or
+# "central": the sum a check needs at prime p is a prefix of the one it needs
+# at every larger prime, so each stream is summed once per process.
+_PREFIX_SUMS: dict[object, tuple[list[Fraction], Iterator[Fraction]]] = {}
+
+
+def _prefix_sum(key: object, terms: Callable[[], Iterator[Fraction]], upper: int) -> Fraction:
+    """Sum of the first upper + 1 terms of the stream terms() cached under key."""
+    totals, _ = _PREFIX_SUMS.get(key, ((), None))
+    if upper >= len(totals):
+        with _lock:
+            totals, it = _PREFIX_SUMS.setdefault(key, ([], terms()))
+            while len(totals) <= upper:
+                totals.append((totals[-1] if totals else 0) + next(it))
+    return totals[upper]
+
+
+def _family_sum(family: str, m: int, upper: int) -> Fraction:
+    return _prefix_sum((family, m), lambda: summands(family, m), upper)
+
+
 def _sum_a(m: int, p: int) -> Fraction:
-    return partial_sum(SumSpec("A", m, (p + 1) // 2))
+    return _family_sum("A", m, (p + 1) // 2)
 
 
 def _sum_b(m: int, p: int) -> Fraction:
-    return partial_sum(SumSpec("B", m, (p + 1) // 2))
+    return _family_sum("B", m, (p + 1) // 2)
 
 
 def _sum_v(m: int, p: int) -> Fraction:
-    return partial_sum(SumSpec("V", m, (p - 1) // 2))
+    return _family_sum("V", m, (p - 1) // 2)
+
+
+def _central_binomial_terms() -> Iterator[Fraction]:
+    # 0, then 4^k / ((2k-1) C(2k,k)) for k = 1, 2, ..., each from the last:
+    # 4^k/C(2k,k) advances by (2k+2)/(2k+1) and 1/(2k-1) by (2k-1)/(2k+1)
+    yield Fraction(0)
+    t = Fraction(2)
+    for k in itertools.count(1):
+        yield t
+        t *= Fraction((2 * k + 2) * (2 * k - 1), (2 * k + 1) ** 2)
 
 
 def _central_binomial_sum(p: int) -> Fraction:
     # sum_{k=1..(p-1)/2} 4^k / ((2k-1) C(2k,k))
-    total = Fraction(0)
-    for k in range(1, (p - 1) // 2 + 1):
-        total += Fraction(4**k, (2 * k - 1) * math.comb(2 * k, k))
-    return total
+    return _prefix_sum("central", _central_binomial_terms, (p - 1) // 2)
 
 
 def _tail_sum(p: int) -> Fraction:
+    # sum_{k=1..h} G(h+1, k), with G(n, k+1)/G(n, k) = -2(2n+2k-3)(n-k)/(2k-1)^2
     h = (p + 1) // 2
-    return sum((wz_G(h + 1, k) for k in range(1, h + 1)), Fraction(0))
+    n = h + 1
+    g = wz_G(n, 1)
+    total = g
+    for k in range(1, h):
+        g *= Fraction(-2 * (2 * n + 2 * k - 3) * (n - k), (2 * k - 1) ** 2)
+        total += g
+    return total
 
 
-def _worst_lemma_sun3(p: int) -> tuple[Fraction, Fraction, int]:
+def _min_valuation(
+    p: int, instances: Iterable[tuple[int, Fraction, Fraction]]
+) -> tuple[Fraction, Fraction, int]:
+    """(lhs, rhs, k) of the first instance with the smallest v_p(lhs - rhs);
+    p must already be validated as an odd prime."""
     worst = None
-    for k in range(1, (p - 1) // 2 + 1):
-        lhs, rhs = _lemma_sun3_values(p, k)
-        achieved = vp(lhs - rhs, p)
+    for k, lhs, rhs in instances:
+        achieved = vp_unchecked(lhs - rhs, p)
         if worst is None or achieved < worst[0]:
             worst = (achieved, lhs, rhs, k)
     return worst[1], worst[2], worst[3]
 
 
-def _worst_ratio_expansion(p: int, order: int) -> tuple[Fraction, Fraction, int]:
-    worst = None
+def _lemma_sun3_instances(p: int) -> Iterator[tuple[int, Fraction, Fraction]]:
+    # Both sides advance from k to k+1 by exact term ratios:
+    #   lhs by -2(2h+2k+1)(h+1-k)/(2k+1)^2,  rhs by 2k(2k-1)/(2k+1)^2
+    h = (p - 1) // 2
+    lhs, rhs = _lemma_sun3_values(p, 1)
+    for k in range(1, h + 1):
+        yield k, lhs, rhs
+        lhs *= Fraction(-2 * (2 * h + 2 * k + 1) * (h + 1 - k), (2 * k + 1) ** 2)
+        rhs *= Fraction(2 * k * (2 * k - 1), (2 * k + 1) ** 2)
+
+
+def _ratio_expansion_instances(p: int, order: int) -> Iterator[tuple[int, Fraction, Fraction]]:
+    # lhs grows by ((2k-3)^2 - p^2)/((2k)^2 - p^2) and u = (-1/2)_k/k! by (2k-3)/(2k)
+    lhs = u = Fraction(1)
     for k in range(0, (p + 1) // 2 + 1):
-        lhs, rhs = _ratio_expansion_values(p, k, order)
-        achieved = vp(lhs - rhs, p)
-        if worst is None or achieved < worst[0]:
-            worst = (achieved, lhs, rhs, k)
-    return worst[1], worst[2], worst[3]
+        if k:
+            lhs *= Fraction((2 * k - 3) ** 2 - p * p, (2 * k) ** 2 - p * p)
+            u *= Fraction(2 * k - 3, 2 * k)
+        u2 = u * u
+        yield k, lhs, (u2 if order == 2 else u2 * (1 + p * p * _weight(k)))
 
 
 _register("van_hamme", 3, 3, 1, lambda p: (_sum_v(1, p), Fraction(p * _sgn(p)), None))
@@ -326,9 +376,12 @@ for _m in TABLE1_WEIGHTS:
             None,
         ),
     )
-_register("lemma_sun3", 5, 4, None, _worst_lemma_sun3)
-_register("ratio_expansion_mod2", 3, 2, None, lambda p: _worst_ratio_expansion(p, 2))
-_register("ratio_expansion_mod4", 3, 4, None, lambda p: _worst_ratio_expansion(p, 4))
+_register("lemma_sun3", 5, 4, None, lambda p: _min_valuation(p, _lemma_sun3_instances(p)))
+for _order in (2, 4):
+    _register(
+        f"ratio_expansion_mod{_order}", 3, _order, None,
+        lambda p, order=_order: _min_valuation(p, _ratio_expansion_instances(p, order)),
+    )
 
 #: Canonical scan set: every registered check except the erratum documentation id.
 DEFAULT_CHECK_IDS = tuple(sorted(i for i in CHECKS if i != "lemma_sun1_printed"))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -44,6 +45,10 @@ CONGRUENCE_CSV_HEADER = "check_id,p,m,r,lhs,rhs,required_valuation,achieved_valu
 DISCOVERY_CSV_HEADER = "family,m,r,constant,consistent,n_primes,prime_min,prime_max"
 SCAN_CSV_HEADER = "check_id,scope,instances,pass,first_failure"
 TABLE_CSV_HEADER = "m,n,f,g"
+
+#: Largest upper end accepted for --primes and --telescope: the prime sieve
+#: allocates one byte per integer up to it.
+PRIME_CAP = 10**7
 
 DISCOVER_DEFAULT_M = {"C": (1, 3, 5, 7, 9, 11), "D": (1, 3, 5, 7, 9, 11, 13, 15)}
 
@@ -231,6 +236,9 @@ class RunConfig:
             raise ValueError("jobs must be >= 1")
         if self.prime_min > self.prime_max:
             raise ValueError(f"empty prime range {self.prime_min}..{self.prime_max}")
+        for flag, hi in (("--primes", self.prime_max), ("--telescope", self.telescope_max)):
+            if hi > PRIME_CAP:
+                raise ValueError(f"{flag} upper end {hi} exceeds the cap {PRIME_CAP}")
         if self.r < 1:
             raise ValueError("r must be >= 1")
         for m in self.m_values:
@@ -253,7 +261,13 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(",") if x.strip())
 
 
+def _worker_count(jobs: int) -> int:
+    """--jobs clamped to the machine's CPU count."""
+    return min(jobs, os.cpu_count() or 1)
+
+
 def _map_tasks(fn: Callable, tasks: Sequence, jobs: int) -> list:
+    jobs = _worker_count(jobs)
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
     chunk = max(1, len(tasks) // (4 * jobs))
@@ -403,7 +417,8 @@ def _cmd_table(cfg: RunConfig, out: TextIO) -> int:
 
 def _add_output_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=FORMATS, default="text")
-    sub.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    sub.add_argument("--jobs", type=int, default=1,
+                     help="worker processes (default 1; at most the CPU count)")
 
 
 def _build_parser() -> argparse.ArgumentParser:

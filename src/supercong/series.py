@@ -14,10 +14,12 @@ and the result deterministic.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .arith import Rational
 from .special import inv_pochhammer_int, pochhammer
@@ -52,38 +54,51 @@ class SumSpec:
             raise ValueError(f"upper limit must be >= 0, got {self.upper}")
 
 
+@dataclass(frozen=True)
+class _Family:
+    """One summand family: sign (-1)^k if alternating, times (4k + shift)^m u_k^power,
+    where u_k = (half_base/2)_k / k!."""
+
+    half_base: int
+    power: int
+    alternating: bool
+    shift: int
+
+
+_FAMILY = {
+    "A": _Family(-1, 3, True, -1),
+    "B": _Family(-1, 4, False, -1),
+    "V": _Family(1, 3, True, 1),
+}
+
+
 def term_value(spec: SumSpec, k: int) -> Fraction:
     """The exact k-th summand of the family (defined for every k >= 0)."""
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-    fact = Fraction(math.factorial(k))
-    if spec.family == "A":
-        u = pochhammer(Fraction(-1, 2), k) / fact
-        return (-1) ** k * (4 * k - 1) ** spec.m * u**3
-    if spec.family == "B":
-        u = pochhammer(Fraction(-1, 2), k) / fact
-        return (4 * k - 1) ** spec.m * u**4
-    v = pochhammer(Fraction(1, 2), k) / fact
-    return (-1) ** k * (4 * k + 1) ** spec.m * v**3
+    fam = _FAMILY[spec.family]
+    u = pochhammer(Fraction(fam.half_base, 2), k) / math.factorial(k)
+    sign = -1 if fam.alternating and k % 2 else 1
+    return sign * (4 * k + fam.shift) ** spec.m * u**fam.power
+
+
+def summands(family: str, m: int) -> Iterator[Fraction]:
+    """The family's summands for k = 0, 1, 2, ... without end, each from the
+    last by the exact ratio (2k - 2 + half_base)/(2k) of u_k."""
+    fam = _FAMILY[family]
+    u = Fraction(1)
+    sign = 1
+    for k in itertools.count():
+        if k:
+            u *= Fraction(2 * k - 2 + fam.half_base, 2 * k)
+            if fam.alternating:
+                sign = -sign
+        yield sign * (4 * k + fam.shift) ** m * u**fam.power
 
 
 def partial_sum(spec: SumSpec) -> Fraction:
     """Sum of term_value(spec, k) over k = 0..upper, via incremental term ratios."""
-    total = Fraction(0)
-    u = Fraction(1)  # (base)_k / k! for the family's base
-    sign = 1
-    for k in range(spec.upper + 1):
-        if k:
-            # (-1/2)_k/k! and (1/2)_k/k! advance by (2k-3)/(2k) and (2k-1)/(2k)
-            u *= Fraction(2 * k - 3, 2 * k) if spec.family != "V" else Fraction(2 * k - 1, 2 * k)
-        if spec.family == "A":
-            total += sign * (4 * k - 1) ** spec.m * u**3
-        elif spec.family == "B":
-            total += (4 * k - 1) ** spec.m * u**4
-        else:
-            total += sign * (4 * k + 1) ** spec.m * u**3
-        sign = -sign
-    return total
+    return sum(itertools.islice(summands(spec.family, spec.m), spec.upper + 1), Fraction(0))
 
 
 # Prefix-product caches for the two rising-factorial bases the telescoping

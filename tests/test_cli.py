@@ -7,6 +7,7 @@ import pytest
 
 from supercong.arith import make_report
 from supercong.checks import check
+from supercong import cli
 from supercong.cli import (
     CONGRUENCE_CSV_HEADER,
     DISCOVERY_CSV_HEADER,
@@ -139,6 +140,30 @@ class TestVerifyCommand:
         code2, out2, _ = run_cli(capsys, *args, "--jobs", "3")
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_all_checks_identical_at_one_and_two_jobs(self, capsys):
+        args = ("verify", "--primes", "5..61", "--format", "json")
+        code1, out1, _ = run_cli(capsys, *args, "--jobs", "1")
+        code2, out2, _ = run_cli(capsys, *args, "--jobs", "2")
+        assert code1 == code2 == 0
+        assert out1 == out2 and len(out1.splitlines()) == 18 * 16
+
+    def test_jobs_clamped_to_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        assert [cli._worker_count(j) for j in (1, 2, 3, 64)] == [1, 2, 2, 2]
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert cli._worker_count(4) == 1
+
+    def test_prime_range_above_cap_exits_two_before_sieving(self, capsys, monkeypatch):
+        def no_sieve(lo, hi):
+            raise AssertionError(f"sieve asked for {lo}..{hi}")
+
+        monkeypatch.setattr(cli, "primes_in_range", no_sieve)
+        code, out, err = run_cli(capsys, "verify", "--primes", "5..10000000000")
+        assert code == 2 and out == ""
+        assert "--primes upper end 10000000000 exceeds the cap 10000000" in err
+        code, _, err = run_cli(capsys, "wz", "--telescope", "3..10000001")
+        assert code == 2 and "--telescope upper end" in err
 
     def test_default_scan_small_window_text(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--primes", "5..7")
