@@ -167,6 +167,19 @@ class CongruenceReport:
 
 
 def make_report(
+    check_id: str, p: int, lhs: Rational, rhs: Rational, required: int, **fields
+) -> CongruenceReport:
+    """Build a report, computing the achieved valuation from exact rationals.
+
+    p must be an odd prime (InvalidPrime otherwise); the keyword fields m, r,
+    k and informational are those of report_unchecked.
+    """
+    if not is_odd_prime(p):
+        raise InvalidPrime(f"reports need an odd prime, got {p}")
+    return report_unchecked(check_id, p, lhs, rhs, required, **fields)
+
+
+def report_unchecked(
     check_id: str,
     p: int,
     lhs: Rational,
@@ -178,13 +191,8 @@ def make_report(
     k: int | None = None,
     informational: bool = False,
 ) -> CongruenceReport:
-    """Build a report, computing the achieved valuation from exact rationals.
-
-    p must be an odd prime; every caller in the package has validated it
-    already, so only the cheap parity guard runs here, not the primality test.
-    """
-    if p < 3 or p % 2 == 0:
-        raise InvalidPrime(f"reports need an odd prime, got {p}")
+    """make_report for a p the caller has already validated as an odd prime,
+    so that a check tests primality once."""
     lhs, rhs = Fraction(lhs), Fraction(rhs)
     achieved = vp_unchecked(lhs - rhs, p)
     passed = None if informational else achieved >= required

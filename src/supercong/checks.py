@@ -12,23 +12,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from .arith import CongruenceReport, InvalidPrime, is_odd_prime, make_report, vp_unchecked
-from .series import (
-    _poch_neg_half,
-    _poch_pos_half,
-    pochhammer_ratio_product,
-    summands,
-    wz_F,
-    wz_G,
-)
-from .special import euler_number, h2
-
-_lock = threading.Lock()
+from .arith import CongruenceReport, InvalidPrime, is_odd_prime, report_unchecked, vp_unchecked
+from .series import pochhammer_ratio_product, summands, wz_F, wz_G
+from .special import cached, euler_number, h2, poch_neg_half, poch_pos_half
 
 
 class PrimeTooSmall(ValueError):
@@ -85,20 +75,15 @@ def table1_g(m: int, n: int) -> Fraction:
     return rational + coeff * h2(n)
 
 
-# Shared inner weight sum_{j=1..k} (1/(2j)^2 - 1/(2j-3)^2), used by both the
-# weighted lemma sum and the order-4 product expansion.
-_WEIGHTS: list[Fraction] = [Fraction(0)]
+def _weights() -> Iterator[Fraction]:
+    terms = (Fraction(1, 4 * j * j) - Fraction(1, (2 * j - 3) ** 2) for j in itertools.count(1))
+    return itertools.accumulate(terms, initial=Fraction(0))
 
 
 def _weight(k: int) -> Fraction:
-    if k >= len(_WEIGHTS):
-        with _lock:
-            while len(_WEIGHTS) <= k:
-                j = len(_WEIGHTS)
-                _WEIGHTS.append(
-                    _WEIGHTS[-1] + Fraction(1, 4 * j * j) - Fraction(1, (2 * j - 3) ** 2)
-                )
-    return _WEIGHTS[k]
+    """Shared inner weight sum_{j=1..k} (1/(2j)^2 - 1/(2j-3)^2), used by both the
+    weighted lemma sum and the order-4 product expansion."""
+    return cached("weights", _weights, k)
 
 
 def _lemma_terms(m: int, n: int):
@@ -106,8 +91,12 @@ def _lemma_terms(m: int, n: int):
 
         t_k = (4k-1)^m (-1/2)_k^2 (-n)_k (n-1)_k / ((1)_k^2 (n+1/2)_k (3/2-n)_k)
 
-    for k = 0..n, advancing by the exact integer term ratio.
+    for k = 0..n, advancing by the exact integer term ratio.  Defined for m in
+    TABLE1_WEIGHTS and n >= 2; the first next() raises ValueError otherwise.
     """
+    _require_m(m)
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
     t = Fraction(-1)  # k = 0 term: (-1)^m with m odd
     yield 0, t
     for k in range(1, n + 1):
@@ -119,18 +108,12 @@ def _lemma_terms(m: int, n: int):
 
 def check_lemma_f(m: int, n: int) -> bool:
     """Unweighted lemma sum equals its closed form, exactly (not just p-adically)."""
-    _require_m(m)
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
     total = sum((t for _, t in _lemma_terms(m, n)), Fraction(0))
     return total == table1_f(m, n)
 
 
 def check_lemma_g(m: int, n: int) -> bool:
     """Weighted lemma sum equals its closed form, exactly."""
-    _require_m(m)
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
     total = Fraction(0)
     for k, t in _lemma_terms(m, n):
         total += t * _weight(k)
@@ -148,12 +131,12 @@ def _lemma_sun3_values(p: int, k: int) -> tuple[Fraction, Fraction]:
     lhs = (
         sign
         * 2
-        * _poch_pos_half(h + 1) ** 2
-        * _poch_pos_half(h + k)
+        * poch_pos_half(h + 1) ** 2
+        * poch_pos_half(h + k)
         / (
             Fraction(math.factorial(h)) ** 2
             * math.factorial(h + 1 - k)
-            * _poch_pos_half(k) ** 2
+            * poch_pos_half(k) ** 2
         )
     )
     rhs = Fraction(p**3 * 4**k, 2 * k * (2 * k - 1) * math.comb(2 * k, k))
@@ -174,14 +157,7 @@ def check_lemma_sun3(p: int, k: int) -> CongruenceReport:
     if not 1 <= k <= h:
         raise IndexOutOfRange(f"k must lie in [1, {h}], got {k}")
     lhs, rhs = _lemma_sun3_values(p, k)
-    return make_report("lemma_sun3", p, lhs, rhs, 4, k=k)
-
-
-def _ratio_expansion_values(p: int, k: int, order: int) -> tuple[Fraction, Fraction]:
-    lhs = pochhammer_ratio_product(p, k)
-    u2 = (_poch_neg_half(k) / math.factorial(k)) ** 2
-    rhs = u2 if order == 2 else u2 * (1 + p * p * _weight(k))
-    return lhs, rhs
+    return report_unchecked("lemma_sun3", p, lhs, rhs, 4, k=k)
 
 
 def check_ratio_expansion(p: int, k: int, order: int) -> CongruenceReport:
@@ -198,8 +174,10 @@ def check_ratio_expansion(p: int, k: int, order: int) -> CongruenceReport:
     _require_check_prime(p, 3, "ratio_expansion")
     if not 0 <= k <= (p + 1) // 2:
         raise IndexOutOfRange(f"k must lie in [0, {(p + 1) // 2}], got {k}")
-    lhs, rhs = _ratio_expansion_values(p, k, order)
-    return make_report(f"ratio_expansion_mod{order}", p, lhs, rhs, order, k=k)
+    lhs = pochhammer_ratio_product(p, k)
+    u2 = (poch_neg_half(k) / math.factorial(k)) ** 2
+    rhs = u2 if order == 2 else u2 * (1 + p * p * _weight(k))
+    return report_unchecked(f"ratio_expansion_mod{order}", p, lhs, rhs, order, k=k)
 
 
 def _require_check_prime(p: int, floor: int, what: str) -> None:
@@ -237,25 +215,10 @@ def _sgn(p: int) -> int:
     return -1 if ((p - 1) // 2) % 2 else 1
 
 
-# Running totals of each summand stream, keyed by ("A"|"B"|"V", m) or
-# "central": the sum a check needs at prime p is a prefix of the one it needs
-# at every larger prime, so each stream is summed once per process.
-_PREFIX_SUMS: dict[object, tuple[list[Fraction], Iterator[Fraction]]] = {}
-
-
-def _prefix_sum(key: object, terms: Callable[[], Iterator[Fraction]], upper: int) -> Fraction:
-    """Sum of the first upper + 1 terms of the stream terms() cached under key."""
-    totals, _ = _PREFIX_SUMS.get(key, ((), None))
-    if upper >= len(totals):
-        with _lock:
-            totals, it = _PREFIX_SUMS.setdefault(key, ([], terms()))
-            while len(totals) <= upper:
-                totals.append((totals[-1] if totals else 0) + next(it))
-    return totals[upper]
-
-
 def _family_sum(family: str, m: int, upper: int) -> Fraction:
-    return _prefix_sum((family, m), lambda: summands(family, m), upper)
+    # the sum a check needs at prime p is a prefix of the one it needs at every
+    # larger prime, so each stream's running totals are kept per (family, m)
+    return cached((family, m), lambda: itertools.accumulate(summands(family, m)), upper)
 
 
 def _sum_a(m: int, p: int) -> Fraction:
@@ -271,9 +234,8 @@ def _sum_v(m: int, p: int) -> Fraction:
 
 
 def _central_binomial_terms() -> Iterator[Fraction]:
-    # 0, then 4^k / ((2k-1) C(2k,k)) for k = 1, 2, ..., each from the last:
+    # 4^k / ((2k-1) C(2k,k)) for k = 1, 2, ..., each from the last:
     # 4^k/C(2k,k) advances by (2k+2)/(2k+1) and 1/(2k-1) by (2k-1)/(2k+1)
-    yield Fraction(0)
     t = Fraction(2)
     for k in itertools.count(1):
         yield t
@@ -282,7 +244,11 @@ def _central_binomial_terms() -> Iterator[Fraction]:
 
 def _central_binomial_sum(p: int) -> Fraction:
     # sum_{k=1..(p-1)/2} 4^k / ((2k-1) C(2k,k))
-    return _prefix_sum("central", _central_binomial_terms, (p - 1) // 2)
+    return cached(
+        "central",
+        lambda: itertools.accumulate(_central_binomial_terms(), initial=Fraction(0)),
+        (p - 1) // 2,
+    )
 
 
 def _tail_sum(p: int) -> Fraction:
@@ -399,14 +365,9 @@ def check(check_id: str, p: int, *, informational: bool = False) -> CongruenceRe
     spec = CHECKS.get(check_id)
     if spec is None:
         raise ValueError(f"unknown check id {check_id!r}")
-    if not is_odd_prime(p):
-        raise InvalidPrime(f"{check_id} needs an odd prime, got {p}")
-    if p < spec.floor and not informational:
-        raise PrimeTooSmall(
-            f"{check_id} requires p >= {spec.floor}; use informational mode for smaller primes"
-        )
+    _require_check_prime(p, 3 if informational else spec.floor, check_id)
     lhs, rhs, k = spec.values(p)
-    return make_report(
+    return report_unchecked(
         check_id, p, lhs, rhs, spec.required,
         m=spec.m, k=k, informational=informational and p < spec.floor,
     )

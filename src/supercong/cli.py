@@ -11,14 +11,16 @@ Informational rows (pass = null) never fail a run.  Output is sorted by
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import operator
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, TextIO
+from typing import Any, Callable, Iterable, NamedTuple, Sequence, TextIO
 
 from .arith import CongruenceReport, primes_in_range
 from .checks import (
@@ -41,126 +43,11 @@ from .series import boundary_closed_form, check_telescoped_identity, check_wz_re
 
 FORMATS = ("text", "csv", "json")
 
-CONGRUENCE_CSV_HEADER = "check_id,p,m,r,lhs,rhs,required_valuation,achieved_valuation,pass"
-DISCOVERY_CSV_HEADER = "family,m,r,constant,consistent,n_primes,prime_min,prime_max"
-SCAN_CSV_HEADER = "check_id,scope,instances,pass,first_failure"
-TABLE_CSV_HEADER = "m,n,f,g"
-
-#: Largest upper end accepted for --primes and --telescope: the prime sieve
-#: allocates one byte per integer up to it.
+#: Largest upper end accepted for --primes, --telescope and --boundary: the
+#: prime sieve allocates one byte per integer up to it.
 PRIME_CAP = 10**7
 
 DISCOVER_DEFAULT_M = {"C": (1, 3, 5, 7, 9, 11), "D": (1, 3, 5, 7, 9, 11, 13, 15)}
-
-
-def _rat(x: Fraction) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
-
-
-def _valuation_str(v) -> str:
-    return "inf" if math.isinf(v) else str(int(v))
-
-
-def _opt(v) -> str:
-    return "" if v is None else str(v)
-
-
-def _bool_str(v: bool | None) -> str:
-    return "" if v is None else ("true" if v else "false")
-
-
-def _short(s: str, width: int = 30) -> str:
-    if len(s) <= width:
-        return s
-    keep = (width - 2) // 2
-    return f"{s[:keep]}..{s[-keep:]}"
-
-
-def serialize_report(report: CongruenceReport | DiscoveryResult, fmt: str = "json") -> str:
-    """One serialized record, without trailing newline.
-
-    JSON records are single-line objects; rationals render as exact "num/den"
-    strings and an infinite valuation renders as "inf".  CSV and text rows
-    use the same column order as their stream headers (emitted separately).
-    """
-    if fmt not in FORMATS:
-        raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
-    if isinstance(report, CongruenceReport):
-        return _serialize_congruence(report, fmt)
-    return _serialize_discovery(report, fmt)
-
-
-def _serialize_congruence(rep: CongruenceReport, fmt: str) -> str:
-    ach = rep.achieved_valuation
-    if fmt == "json":
-        rec = {
-            "check_id": rep.check_id,
-            "p": rep.p,
-            "m": rep.m,
-            "r": rep.r,
-            "lhs": _rat(rep.lhs),
-            "rhs": _rat(rep.rhs),
-            "required_valuation": rep.required_valuation,
-            "achieved_valuation": "inf" if math.isinf(ach) else int(ach),
-            "pass": rep.passed,
-        }
-        if rep.informational:
-            rec["informational"] = True
-        return json.dumps(rec, separators=(",", ":"))
-    if fmt == "csv":
-        return ",".join(
-            [
-                rep.check_id,
-                str(rep.p),
-                _opt(rep.m),
-                _opt(rep.r),
-                _rat(rep.lhs),
-                _rat(rep.rhs),
-                str(rep.required_valuation),
-                _valuation_str(ach),
-                _bool_str(rep.passed),
-            ]
-        )
-    status = "info" if rep.passed is None else ("pass" if rep.passed else "FAIL")
-    return (
-        f"{rep.check_id:<22} {rep.p:>5} {_opt(rep.m) or '-':>3} {_opt(rep.r) or '-':>3} "
-        f"{_short(_rat(rep.lhs)):<32} {_short(_rat(rep.rhs)):<28} "
-        f"{rep.required_valuation:>3} {_valuation_str(ach):>4} {status}"
-    )
-
-
-def _serialize_discovery(res: DiscoveryResult, fmt: str) -> str:
-    primes = [p for p, _, _ in res.evidence]
-    if fmt == "json":
-        rec = {
-            "family": res.family,
-            "m": res.m,
-            "r": res.r,
-            "constant": res.constant,
-            "consistent": res.consistent,
-            "primes": primes,
-            "evidence": [[p, rem, mod] for p, rem, mod in res.evidence],
-        }
-        return json.dumps(rec, separators=(",", ":"))
-    if fmt == "csv":
-        return ",".join(
-            [
-                res.family,
-                str(res.m),
-                str(res.r),
-                str(res.constant),
-                _bool_str(res.consistent),
-                str(len(primes)),
-                str(min(primes)),
-                str(max(primes)),
-            ]
-        )
-    return (
-        f"family {res.family}  m={res.m:<2} r={res.r}  constant = {res.constant:<10} "
-        f"consistent={'true' if res.consistent else 'FALSE'}  "
-        f"primes {min(primes)}..{max(primes)} ({len(primes)})"
-    )
 
 
 @dataclass(frozen=True)
@@ -174,36 +61,125 @@ class ScanRecord:
     first_failure: str | None
 
 
-def _serialize_scan(rec: ScanRecord, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(
-            {
-                "check_id": rec.check_id,
-                "scope": rec.scope,
-                "instances": rec.instances,
-                "pass": rec.passed,
-                "first_failure": rec.first_failure,
-            },
-            separators=(",", ":"),
-        )
-    if fmt == "csv":
-        return ",".join(
-            [
-                rec.check_id,
-                rec.scope,
-                str(rec.instances),
-                _bool_str(rec.passed),
-                _opt(rec.first_failure),
-            ]
-        )
-    status = "pass" if rec.passed else f"FAIL at {rec.first_failure}"
-    return f"{rec.check_id:<16} {rec.scope:<16} {rec.instances:>6} instances  {status}"
+class _TableRow:
+    """One row of the closed-form table: f and g at weight m and index n."""
+
+    def __init__(self, m: int, n: int, f: Fraction, g: Fraction) -> None:
+        self.m, self.n, self.f, self.g = m, n, f, g
 
 
-CONGRUENCE_TEXT_HEADER = (
-    f"{'check_id':<22} {'p':>5} {'m':>3} {'r':>3} {'lhs':<32} {'rhs':<28} "
-    f"{'req':>3} {'ach':>4} status"
+def _plain(value):
+    """A field value as every format shows it: a rational as exact "num/den",
+    an infinite valuation as "inf"."""
+    if type(value) is Fraction:  # not isinstance: Fraction's ABC check is slow
+        return f"{value.numerator}/{value.denominator}"
+    if type(value) is float and math.isinf(value):
+        return "inf"
+    return value
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def _short(s: str, width: int = 30) -> str:
+    if len(s) <= width:
+        return s
+    keep = (width - 2) // 2
+    return f"{s[:keep]}..{s[-keep:]}"
+
+
+class _Kind(NamedTuple):
+    """How one record kind renders.  Its named fields are the record's own
+    attributes, as _plain shows them, followed by those derived from them;
+    json and csv name the fields each format carries, in order (the JSON
+    object leaves out a json_optional field that is false), and text is the
+    str.format template of a text row, where None shows as "-"."""
+
+    json: tuple[str, ...]
+    csv: tuple[str, ...]
+    text: str
+    derived: Callable[[dict[str, Any]], dict[str, object]] = lambda fields: {}
+    json_optional: frozenset[str] = frozenset()
+
+
+_CONGRUENCE = _Kind(
+    json=("check_id", "p", "m", "r", "lhs", "rhs", "required_valuation",
+          "achieved_valuation", "pass", "informational"),
+    csv=("check_id", "p", "m", "r", "lhs", "rhs", "required_valuation",
+         "achieved_valuation", "pass"),
+    text="{check_id:<22} {p:>5} {m:>3} {r:>3} {lhs_short:<32} {rhs_short:<28} "
+    "{required_valuation:>3} {achieved_valuation:>4} {status}",
+    derived=lambda f: {
+        "pass": f["passed"],
+        "lhs_short": _short(f["lhs"]),
+        "rhs_short": _short(f["rhs"]),
+        "status": "info" if f["passed"] is None else ("pass" if f["passed"] else "FAIL"),
+    },
+    json_optional=frozenset({"informational"}),
 )
+_DISCOVERY = _Kind(
+    json=("family", "m", "r", "constant", "consistent", "primes", "evidence"),
+    csv=("family", "m", "r", "constant", "consistent", "n_primes", "prime_min", "prime_max"),
+    text="family {family}  m={m:<2} r={r}  constant = {constant:<10} "
+    "consistent={consistent_text}  primes {prime_min}..{prime_max} ({n_primes})",
+    derived=lambda f: {
+        "primes": [p for p, _, _ in f["evidence"]],
+        "n_primes": len(f["evidence"]),
+        "prime_min": min(f["evidence"])[0],
+        "prime_max": max(f["evidence"])[0],
+        "consistent_text": "true" if f["consistent"] else "FALSE",
+    },
+)
+_SCAN_COLUMNS = ("check_id", "scope", "instances", "pass", "first_failure")
+_SCAN = _Kind(
+    json=_SCAN_COLUMNS,
+    csv=_SCAN_COLUMNS,
+    text="{check_id:<16} {scope:<16} {instances:>6} instances  {status}",
+    derived=lambda f: {
+        "pass": f["passed"],
+        "status": "pass" if f["passed"] else f"FAIL at {f['first_failure']}",
+    },
+)
+_TABLE_COLUMNS = ("m", "n", "f", "g")
+_TABLE = _Kind(json=_TABLE_COLUMNS, csv=_TABLE_COLUMNS, text="m={m} n={n:<3} f={f:<20} g={g}")
+_KINDS = {
+    CongruenceReport: _CONGRUENCE,
+    DiscoveryResult: _DISCOVERY,
+    ScanRecord: _SCAN,
+    _TableRow: _TABLE,
+}
+
+CONGRUENCE_CSV_HEADER = ",".join(_CONGRUENCE.csv)
+DISCOVERY_CSV_HEADER = ",".join(_DISCOVERY.csv)
+CONGRUENCE_TEXT_HEADER = _CONGRUENCE.text.format(
+    check_id="check_id", p="p", m="m", r="r", lhs_short="lhs", rhs_short="rhs",
+    required_valuation="req", achieved_valuation="ach", status="status",
+)
+
+
+def serialize_report(report: CongruenceReport | DiscoveryResult | ScanRecord, fmt: str = "json") -> str:
+    """One serialized record, without trailing newline.
+
+    JSON records are single-line objects; rationals render as exact "num/den"
+    strings and an infinite valuation renders as "inf".  CSV and text rows
+    use the same column order as their stream headers (emitted separately).
+    """
+    if fmt not in FORMATS:
+        raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
+    kind = _KINDS[type(report)]
+    fields = {name: _plain(value) for name, value in vars(report).items()}
+    fields.update(kind.derived(fields))
+    if fmt == "json":
+        shown = {k: fields[k] for k in kind.json if fields[k] or k not in kind.json_optional}
+        return json.dumps(shown, separators=(",", ":"))
+    if fmt == "csv":
+        return ",".join(_csv_cell(fields[c]) for c in kind.csv)
+    return kind.text.format_map({k: "-" if v is None else v for k, v in fields.items()})
 
 
 @dataclass(frozen=True)
@@ -234,11 +210,19 @@ class RunConfig:
             raise ValueError(f"format must be one of {FORMATS}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.prime_min > self.prime_max:
-            raise ValueError(f"empty prime range {self.prime_min}..{self.prime_max}")
-        for flag, hi in (("--primes", self.prime_max), ("--telescope", self.telescope_max)):
-            if hi > PRIME_CAP:
+        ranges = (
+            ("--primes", "prime", self.prime_min, self.prime_max),
+            ("--telescope", "telescope", self.telescope_min, self.telescope_max),
+            ("--boundary", "boundary", self.boundary_min, self.boundary_max),
+            ("--n", "n", self.n_min, self.n_max),
+        )
+        for flag, name, lo, hi in ranges:
+            if lo > hi:
+                raise ValueError(f"empty {name} range {lo}..{hi}")
+            if flag != "--n" and hi > PRIME_CAP:
                 raise ValueError(f"{flag} upper end {hi} exceeds the cap {PRIME_CAP}")
+        if self.grid_max < 1:
+            raise ValueError(f"--grid must be >= 1, got {self.grid_max}")
         if self.r < 1:
             raise ValueError("r must be >= 1")
         for m in self.m_values:
@@ -285,11 +269,29 @@ def _discover_task(task: tuple[str, int, tuple[int, ...], int, str]) -> Discover
     return discover_constant(family, m, list(primes), r=r, variant=variant)
 
 
-def _emit(out: TextIO, fmt: str, header: str | None, lines: list[str]) -> None:
-    if fmt in ("csv", "text") and header is not None:
+def _emit(
+    out: TextIO, fmt: str, records: list, kind: _Kind, text_header: str | None = None
+) -> None:
+    header = {"csv": ",".join(kind.csv), "text": text_header}.get(fmt)
+    if header is not None:
         out.write(header + "\n")
-    for line in lines:
-        out.write(line + "\n")
+    for record in records:
+        out.write(serialize_report(record, fmt) + "\n")
+
+
+def _scan(
+    check_id: str, scope: str, holds: Callable[..., bool], cases: Iterable[tuple], label: str
+) -> ScanRecord:
+    """One record for holds(*case) over every case.  Every case is counted;
+    evaluation stops at the first failure, named label.format(*case)."""
+    count, first_failure = 0, None
+    for case in cases:
+        count += 1
+        if first_failure is None and not holds(*case):
+            first_failure = label.format(*case)
+    if not count:
+        raise ValueError(f"{check_id}: no instances in {scope}")
+    return ScanRecord(check_id, scope, count, first_failure is None, first_failure)
 
 
 def _cmd_verify(cfg: RunConfig, out: TextIO) -> int:
@@ -302,82 +304,41 @@ def _cmd_verify(cfg: RunConfig, out: TextIO) -> int:
                 tasks.append((check_id, p, False))
             elif cfg.include_p3 and p == 3:
                 tasks.append((check_id, p, True))
+    if not tasks:
+        raise ValueError(
+            f"no selected check applies to a prime in {cfg.prime_min}..{cfg.prime_max}"
+        )
     reports = _map_tasks(_verify_task, tasks, cfg.jobs)
     reports.sort(key=lambda rep: (rep.check_id, rep.p))
-    header = CONGRUENCE_CSV_HEADER if cfg.format == "csv" else CONGRUENCE_TEXT_HEADER
-    _emit(out, cfg.format, header, [serialize_report(rep, cfg.format) for rep in reports])
+    _emit(out, cfg.format, reports, _CONGRUENCE, CONGRUENCE_TEXT_HEADER)
     return 1 if any(rep.passed is False for rep in reports) else 0
 
 
 def _cmd_lemma(cfg: RunConfig, out: TextIO) -> int:
-    records = []
     scope = f"n={cfg.n_min}..{cfg.n_max}"
-    for check_id, fn in (("lemma_f", check_lemma_f), ("lemma_g", check_lemma_g)):
-        for m in sorted(cfg.m_values):
-            first_failure = None
-            count = 0
-            for n in range(cfg.n_min, cfg.n_max + 1):
-                count += 1
-                if first_failure is None and not fn(m, n):
-                    first_failure = f"n={n}"
-            records.append(
-                ScanRecord(check_id, f"m={m},{scope}", count, first_failure is None, first_failure)
-            )
-    _emit(out, cfg.format, SCAN_CSV_HEADER if cfg.format == "csv" else None,
-          [_serialize_scan(rec, cfg.format) for rec in records])
+    records = [
+        _scan(check_id, f"m={m},{scope}", functools.partial(fn, m),
+              ((n,) for n in range(cfg.n_min, cfg.n_max + 1)), "n={}")
+        for check_id, fn in (("lemma_f", check_lemma_f), ("lemma_g", check_lemma_g))
+        for m in sorted(cfg.m_values)
+    ]
+    _emit(out, cfg.format, records, _SCAN)
     return 1 if any(not rec.passed for rec in records) else 0
 
 
 def _cmd_wz(cfg: RunConfig, out: TextIO) -> int:
-    records = []
-
-    first_failure = None
-    count = 0
-    for n in range(1, cfg.grid_max + 1):
-        for k in range(1, n + 1):
-            count += 1
-            if first_failure is None and not check_wz_relation(n, k):
-                first_failure = f"n={n},k={k}"
-    records.append(
-        ScanRecord("wz_relation", f"1<=k<=n<={cfg.grid_max}", count, first_failure is None, first_failure)
-    )
-
-    first_failure = None
+    grid = range(1, cfg.grid_max + 1)
     tele_primes = primes_in_range(cfg.telescope_min, cfg.telescope_max)
-    for p in tele_primes:
-        if first_failure is None and not check_telescoped_identity(p):
-            first_failure = f"p={p}"
-    records.append(
-        ScanRecord(
-            "wz_telescoped",
-            f"primes {cfg.telescope_min}..{cfg.telescope_max}",
-            len(tele_primes),
-            first_failure is None,
-            first_failure,
-        )
-    )
-
-    first_failure = None
-    count = 0
-    for p in range(cfg.boundary_min | 1, cfg.boundary_max + 1, 2):
-        if p < 3:
-            continue
-        count += 1
-        direct, closed = boundary_closed_form(p)
-        if first_failure is None and direct != closed:
-            first_failure = f"p={p}"
-    records.append(
-        ScanRecord(
-            "wz_boundary",
-            f"odd p {cfg.boundary_min}..{cfg.boundary_max}",
-            count,
-            first_failure is None,
-            first_failure,
-        )
-    )
-
-    _emit(out, cfg.format, SCAN_CSV_HEADER if cfg.format == "csv" else None,
-          [_serialize_scan(rec, cfg.format) for rec in records])
+    odd = range(max(cfg.boundary_min | 1, 3), cfg.boundary_max + 1, 2)
+    records = [
+        _scan("wz_relation", f"1<=k<=n<={cfg.grid_max}", check_wz_relation,
+              ((n, k) for n in grid for k in range(1, n + 1)), "n={},k={}"),
+        _scan("wz_telescoped", f"primes {cfg.telescope_min}..{cfg.telescope_max}",
+              check_telescoped_identity, ((p,) for p in tele_primes), "p={}"),
+        _scan("wz_boundary", f"odd p {cfg.boundary_min}..{cfg.boundary_max}",
+              lambda p: operator.eq(*boundary_closed_form(p)), ((p,) for p in odd), "p={}"),
+    ]
+    _emit(out, cfg.format, records, _SCAN)
     return 1 if any(not rec.passed for rec in records) else 0
 
 
@@ -391,27 +352,18 @@ def _cmd_discover(cfg: RunConfig, out: TextIO, err: TextIO) -> int:
     except (ValuationTooLow, InconsistentInput) as exc:
         print(f"counterexample candidate: {exc}", file=err)
         return 1
-    header = DISCOVERY_CSV_HEADER if cfg.format == "csv" else None
-    _emit(out, cfg.format, header, [serialize_report(res, cfg.format) for res in results])
+    _emit(out, cfg.format, results, _DISCOVERY)
     return 1 if any(not res.consistent for res in results) else 0
 
 
 def _cmd_table(cfg: RunConfig, out: TextIO) -> int:
-    lines = []
+    rows = []
     for m in sorted(cfg.m_values):
         if m not in TABLE1_WEIGHTS:
             raise ValueError(f"closed forms exist for m in {TABLE1_WEIGHTS}, got {m}")
         for n in range(max(cfg.n_min, 2), cfg.n_max + 1):
-            f, g = table1_f(m, n), table1_g(m, n)
-            if cfg.format == "json":
-                lines.append(json.dumps(
-                    {"m": m, "n": n, "f": _rat(f), "g": _rat(g)}, separators=(",", ":")
-                ))
-            elif cfg.format == "csv":
-                lines.append(f"{m},{n},{_rat(f)},{_rat(g)}")
-            else:
-                lines.append(f"m={m} n={n:<3} f={_rat(f):<20} g={_rat(g)}")
-    _emit(out, cfg.format, TABLE_CSV_HEADER if cfg.format == "csv" else None, lines)
+            rows.append(_TableRow(m, n, table1_f(m, n), table1_g(m, n)))
+    _emit(out, cfg.format, rows, _TABLE)
     return 0
 
 
@@ -469,7 +421,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         lo, hi = _parse_range(args.primes)
         ids = DEFAULT_CHECK_IDS if args.checks == "all" else _split_ids(args.checks)
         kwargs.update(prime_min=lo, prime_max=hi, check_ids=ids, include_p3=args.include_p3)
-    elif args.command == "lemma":
+    elif args.command in ("lemma", "table"):
         n_lo, n_hi = _parse_range(args.n)
         kwargs.update(m_values=_parse_ints(args.m), n_min=n_lo, n_max=n_hi)
     elif args.command == "wz":
@@ -483,9 +435,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         m_values = DISCOVER_DEFAULT_M[family] if args.m == "all" else _parse_ints(args.m)
         kwargs.update(prime_min=lo, prime_max=hi, family=family, m_values=m_values,
                       r=args.r, variant=args.variant)
-    elif args.command == "table":
-        n_lo, n_hi = _parse_range(args.n)
-        kwargs.update(m_values=_parse_ints(args.m), n_min=n_lo, n_max=n_hi)
     return RunConfig(**kwargs)
 
 
@@ -503,10 +452,6 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = _config_from_args(args)
         cfg.validate()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         if cfg.command == "verify":
             return _cmd_verify(cfg, sys.stdout)
         if cfg.command == "lemma":

@@ -16,17 +16,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 from .arith import Rational
-from .special import inv_pochhammer_int, pochhammer
+from .special import inv_pochhammer_int, poch_neg_half, pochhammer
 
 FAMILIES = ("A", "B", "V")
-
-_lock = threading.Lock()
 
 
 class PreconditionViolated(ValueError):
@@ -101,32 +98,6 @@ def partial_sum(spec: SumSpec) -> Fraction:
     return sum(itertools.islice(summands(spec.family, spec.m), spec.upper + 1), Fraction(0))
 
 
-# Prefix-product caches for the two rising-factorial bases the telescoping
-# pair evaluates over and over: (-1/2)_k and (1/2)_k.
-_POCH_NEG_HALF: list[Fraction] = [Fraction(1)]
-_POCH_POS_HALF: list[Fraction] = [Fraction(1)]
-
-
-def _poch_neg_half(k: int) -> Fraction:
-    """(-1/2)_k from a growing prefix cache."""
-    if k >= len(_POCH_NEG_HALF):
-        with _lock:
-            while len(_POCH_NEG_HALF) <= k:
-                i = len(_POCH_NEG_HALF)
-                _POCH_NEG_HALF.append(_POCH_NEG_HALF[-1] * Fraction(2 * i - 3, 2))
-    return _POCH_NEG_HALF[k]
-
-
-def _poch_pos_half(k: int) -> Fraction:
-    """(1/2)_k from a growing prefix cache."""
-    if k >= len(_POCH_POS_HALF):
-        with _lock:
-            while len(_POCH_POS_HALF) <= k:
-                i = len(_POCH_POS_HALF)
-                _POCH_POS_HALF.append(_POCH_POS_HALF[-1] * Fraction(2 * i - 1, 2))
-    return _POCH_POS_HALF[k]
-
-
 def wz_F(n: int, k: int) -> Fraction:
     """F(n,k) = (-1)^(n+k) (4n-1) (-1/2)_n^2 (-1/2)_(n+k) / ((1)_n^2 (1)_(n-k) (-1/2)_k^2).
 
@@ -138,8 +109,8 @@ def wz_F(n: int, k: int) -> Fraction:
     if inv_tail == 0:
         return Fraction(0)
     sign = -1 if (n + k) % 2 else 1
-    num = (4 * n - 1) * _poch_neg_half(n) ** 2 * _poch_neg_half(n + k) * inv_tail
-    return sign * num / (Fraction(math.factorial(n)) ** 2 * _poch_neg_half(k) ** 2)
+    num = (4 * n - 1) * poch_neg_half(n) ** 2 * poch_neg_half(n + k) * inv_tail
+    return sign * num / (Fraction(math.factorial(n)) ** 2 * poch_neg_half(k) ** 2)
 
 
 def wz_G(n: int, k: int) -> Fraction:
@@ -154,8 +125,8 @@ def wz_G(n: int, k: int) -> Fraction:
     if inv_head == 0 or inv_tail == 0:
         return Fraction(0)
     sign = -1 if (n + k) % 2 else 1
-    num = 2 * _poch_neg_half(n) ** 2 * _poch_neg_half(n + k - 1) * inv_head**2 * inv_tail
-    return sign * num / _poch_neg_half(k) ** 2
+    num = 2 * poch_neg_half(n) ** 2 * poch_neg_half(n + k - 1) * inv_head**2 * inv_tail
+    return sign * num / poch_neg_half(k) ** 2
 
 
 def check_wz_relation(n: int, k: int) -> bool:

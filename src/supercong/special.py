@@ -9,14 +9,44 @@ keeping the whole package in exact rationals.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Iterator
 
-from .arith import CongruenceReport, InvalidPrime, Rational, is_odd_prime, make_report
+from .arith import CongruenceReport, InvalidPrime, Rational, is_odd_prime, report_unchecked
 
+# Every growing exact sequence of the package, keyed by name: the values
+# computed so far and the iterator that yields the rest.
+_CACHE: dict[object, tuple[list, Iterator]] = {}
 _lock = threading.Lock()
+
+
+def cached(key: object, make_iterator: Callable[[], Iterator], k: int):
+    """Value k (from 0) of the sequence make_iterator() yields, kept per key.
+
+    The first call for a key starts the iterator; later calls extend the kept
+    prefix under one lock, and indices already computed are read without it.
+    An exception inside the iterator (an interrupt, say) ends a generator for
+    good, so the key is dropped and the next call starts it again.
+    """
+    entry = _CACHE.get(key)
+    if entry is None or not 0 <= k < len(entry[0]):
+        if k < 0:
+            raise ValueError(f"index must be non-negative, got {k}")
+        with _lock:
+            entry = _CACHE.setdefault(key, ([], make_iterator()))
+            values, it = entry
+            try:
+                while len(values) <= k:
+                    values.append(next(it))
+            except BaseException:
+                del _CACHE[key]
+                raise
+    return entry[0][k]
 
 
 def pochhammer(a: Rational, k: int) -> Fraction:
@@ -30,6 +60,22 @@ def pochhammer(a: Rational, k: int) -> Fraction:
     return out
 
 
+def _rising(a: Fraction) -> Iterator[Fraction]:
+    """(a)_0, (a)_1, (a)_2, ..."""
+    factors = (a + i for i in itertools.count())
+    return itertools.accumulate(factors, operator.mul, initial=Fraction(1))
+
+
+def poch_neg_half(k: int) -> Fraction:
+    """(-1/2)_k, the rising factorial the telescoping pair is built from."""
+    return cached("(-1/2)_k", lambda: _rising(Fraction(-1, 2)), k)
+
+
+def poch_pos_half(k: int) -> Fraction:
+    """(1/2)_k."""
+    return cached("(1/2)_k", lambda: _rising(Fraction(1, 2)), k)
+
+
 def inv_pochhammer_int(m: int) -> Fraction:
     """1/(1)_m = 1/m!, extended by 1/(1)_m = 0 for m = -1, -2, ...
 
@@ -41,36 +87,28 @@ def inv_pochhammer_int(m: int) -> Fraction:
     return Fraction(1, math.factorial(m))
 
 
-_H2: list[Fraction] = [Fraction(0)]
+def _h2_values() -> Iterator[Fraction]:
+    return itertools.accumulate(
+        (Fraction(1, j * j) for j in itertools.count(1)), initial=Fraction(0)
+    )
 
 
 def h2(n: int) -> Fraction:
     """Second-order harmonic number sum_{j=1..n} 1/j^2; zero for n = 0."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    if n >= len(_H2):
-        with _lock:
-            while len(_H2) <= n:
-                j = len(_H2)
-                _H2.append(_H2[-1] + Fraction(1, j * j))
-    return _H2[n]
+    return cached("h2", _h2_values, n)
 
 
-# Even-index Euler numbers E_0, E_2, E_4, ... defined by the recurrence
-# sum_{k=0..n/2} C(n, 2k) E_{2k} = 0 for even n >= 2 (equivalent to the
-# sech-type generating function; odd-index values vanish).
-_EULER_EVEN: list[int] = [1]
-
-
-def _extend_euler(max_index: int) -> None:
-    if 2 * (len(_EULER_EVEN) - 1) >= max_index:
-        return
-    with _lock:
-        while 2 * (len(_EULER_EVEN) - 1) < max_index:
-            n = 2 * len(_EULER_EVEN)
-            _EULER_EVEN.append(
-                -sum(math.comb(n, 2 * k) * e for k, e in enumerate(_EULER_EVEN))
-            )
+def _even_euler_values() -> Iterator[int]:
+    # E_0, E_2, E_4, ... from the recurrence sum_{k=0..n/2} C(n, 2k) E_{2k} = 0
+    # for even n >= 2 (equivalent to the sech-type generating function;
+    # odd-index values vanish)
+    values = [1]
+    yield 1
+    for n in itertools.count(2, 2):
+        values.append(-sum(math.comb(n, 2 * k) * e for k, e in enumerate(values)))
+        yield values[-1]
 
 
 @dataclass(frozen=True)
@@ -91,18 +129,14 @@ def euler_numbers(max_index: int) -> EulerTable:
     """Table of Euler numbers up to the given even index."""
     if max_index < 0 or max_index % 2:
         raise ValueError(f"max_index must be even and >= 0, got {max_index}")
-    _extend_euler(max_index)
-    return EulerTable(max_index, tuple(_EULER_EVEN[: max_index // 2 + 1]))
+    return EulerTable(max_index, tuple(euler_number(n) for n in range(0, max_index + 1, 2)))
 
 
 def euler_number(n: int) -> int:
     """Single Euler number E_n (zero at odd n)."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    if n % 2:
-        return 0
-    _extend_euler(n)
-    return _EULER_EVEN[n // 2]
+    return 0 if n % 2 else cached("E_2j", _even_euler_values, n // 2)
 
 
 def gamma_ratio_half_shift(p: int) -> Fraction:
@@ -125,11 +159,11 @@ def _require_prime_above_3(p: int, what: str) -> None:
 def check_wolstenholme(p: int) -> CongruenceReport:
     """C(2p, p) = 2 (mod p^3) for primes p > 3."""
     _require_prime_above_3(p, "Wolstenholme's congruence")
-    return make_report("wolstenholme", p, math.comb(2 * p, p), 2, 3)
+    return report_unchecked("wolstenholme", p, math.comb(2 * p, p), 2, 3)
 
 
 def check_morley(p: int) -> CongruenceReport:
     """C(p-1, (p-1)/2) = (-1)^((p-1)/2) * 4^(p-1) (mod p^3) for primes p > 3."""
     _require_prime_above_3(p, "Morley's congruence")
     h = (p - 1) // 2
-    return make_report("morley", p, math.comb(p - 1, h), (-1) ** h * 4 ** (p - 1), 3)
+    return report_unchecked("morley", p, math.comb(p - 1, h), (-1) ** h * 4 ** (p - 1), 3)

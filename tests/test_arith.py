@@ -178,3 +178,8 @@ class TestReports:
         rep = make_report("demo", 3, 1, 4, 2, informational=True)
         assert rep.passed is None and rep.informational
         assert rep.achieved_valuation == 1
+
+    @pytest.mark.parametrize("p", [9, 15, 1, 2, 4])
+    def test_rejects_a_p_that_is_not_an_odd_prime(self, p):
+        with pytest.raises(InvalidPrime):
+            make_report("x", p, 0, 27, 2)

@@ -165,6 +165,28 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "wz", "--telescope", "3..10000001")
         assert code == 2 and "--telescope upper end" in err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["verify", "--primes", "200..210"], "no selected check applies"),
+            (["verify", "--checks", "thm1", "--primes", "3..3"], "no selected check applies"),
+            (["wz", "--telescope", "50..10"], "empty telescope range 50..10"),
+            (["wz", "--telescope", "24..28"], "wz_telescoped: no instances"),
+            (["wz", "--boundary", "9..3"], "empty boundary range 9..3"),
+            (["wz", "--boundary", "3..10000001"], "--boundary upper end 10000001 exceeds the cap"),
+            (["wz", "--grid", "0"], "--grid must be >= 1"),
+            (["lemma", "--n", "40..30"], "empty n range 40..30"),
+            (["table", "--n", "9..3"], "empty n range 9..3"),
+        ],
+    )
+    def test_empty_or_unbounded_range_exits_two(self, capsys, monkeypatch, argv, message):
+        def no_boundary_scan(p):
+            raise AssertionError(f"boundary form evaluated at p={p}")
+
+        monkeypatch.setattr(cli, "boundary_closed_form", no_boundary_scan)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and message in err
+
     def test_default_scan_small_window_text(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--primes", "5..7")
         assert code == 0

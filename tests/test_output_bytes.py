@@ -1,0 +1,72 @@
+"""Byte-exact stdout of every command in every format.
+
+Each case pins the exit code and the SHA-256 of stdout, so any change to a
+record's fields, their order, the text layout, the CSV headers or the
+exact `num/den` and `inf` renderings shows up here.  The cases include an
+informational p = 3 row, failing `lemma_sun1_printed` rows, the
+inconsistent family d, m = 15 discovery and a failing identity scan.
+"""
+
+import hashlib
+
+import pytest
+
+from supercong import cli
+
+CASES = {
+    "verify": ["verify", "--checks", "lemma_sun1_printed,thm1,van_hamme", "--primes", "3..7",
+               "--include-p3"],
+    "lemma": ["lemma", "--m", "3,5", "--n", "2..6"],
+    "wz": ["wz", "--grid", "6", "--telescope", "3..13", "--boundary", "3..15"],
+    "discover": ["discover", "--family", "d", "--m", "1,15", "--primes", "5..60"],
+    "table": ["table", "--m", "3,5", "--n", "2..4"],
+}
+
+EXPECTED = {
+    ("verify", "text"): (1, "814eaa597f287cb54193555a9b413b7d1f8301d3cad17eb16d60e4075b20a225"),
+    ("verify", "csv"): (1, "4f4615705dff28a79a4c7ffbdee55b3bbf325af886baae546f6e80afd3e2ccfb"),
+    ("verify", "json"): (1, "09b92a64aa4eb4d5dba8450c9c160c6fa4d8b1b31550f61224fb61336896abcd"),
+    ("lemma", "text"): (0, "43081e03c514c29ee045d85ddd472c371587e377a6c803bf7563d247d40921f0"),
+    ("lemma", "csv"): (0, "f9eeb6a75eb9a66c040508a82a17ec958c941d0d5dd2cf9dbdcaa994a08ffdca"),
+    ("lemma", "json"): (0, "8655d1afb83c104eaa3d4261e090b45bc4a808f48900ed07837fb79ea4c02323"),
+    ("wz", "text"): (0, "384daaa8a8ec5ada974cbb8abf6da5d999d106a787e2852ce5a715884af1f307"),
+    ("wz", "csv"): (0, "2aa1953c62facdc7b70f2bb0c20591b0dced774d98227624d229d6dce28fd3d6"),
+    ("wz", "json"): (0, "99c633ebe5db1dce8416f0c2e7466ddf67527b6ea952fc57c38073324cacae41"),
+    ("discover", "text"): (1, "7fc75cd8024a00834788f2174588d7a91ded837df5386f14cea9b8945eccf7f0"),
+    ("discover", "csv"): (1, "0983800a45c84cbfe726e6332ed76bae68497fbce2d141164a5afd896cfef82a"),
+    ("discover", "json"): (1, "12e6d9bef9bc810549246c8d70fc3bbec9b56651ebaf5b5cd3f49a87349b7934"),
+    ("table", "text"): (0, "c9e32766ebe5d580cfb3e4e8aa821bdab915e0b6dd064a7020dcf3238b33c8f1"),
+    ("table", "csv"): (0, "3b4f69719648ea7a0d9dc5ff6f320bab8f67c6dce14dfe06e8084f0119b5fdeb"),
+    ("table", "json"): (0, "b6cb125c50e9ce0bea192383a809813cc23b4feea5f5a68fa6b4832f34bd9205"),
+}
+
+# `lemma` of CASES with check_lemma_f failing at n = 4.
+FAILING_SCAN = {
+    "text": "3bc36f6e606ca1f9db038767cfcbbe50a556f026af674c1724257341d56f6887",
+    "csv": "b6f3e8f40aed84353bb92a2e4a58b99a27de1338e24958f305fba4c643ab66f4",
+    "json": "5e916ac1e304b67a2827bf0b1e6bc57adc4c13978e0ff310293ed9d74b49a883",
+}
+
+
+def _run(capsys, argv):
+    code = cli.run(argv)
+    return code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command,fmt", sorted(EXPECTED))
+def test_stdout_bytes(capsys, command, fmt):
+    assert _run(capsys, CASES[command] + ["--format", fmt]) == EXPECTED[command, fmt]
+
+
+@pytest.mark.parametrize("fmt", sorted(FAILING_SCAN))
+def test_failing_scan_bytes_and_no_evaluation_after_first_failure(capsys, monkeypatch, fmt):
+    calls = []
+
+    def fails_at_4(m, n):
+        calls.append((m, n))
+        return n != 4
+
+    monkeypatch.setattr(cli, "check_lemma_f", fails_at_4)
+    assert _run(capsys, CASES["lemma"] + ["--format", fmt]) == (1, FAILING_SCAN[fmt])
+    # the rows still count n = 5, 6, but never evaluate them
+    assert calls == [(m, n) for m in (3, 5) for n in (2, 3, 4)]

@@ -13,13 +13,15 @@ import sys
 import threading
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from supercong import arith, checks
+from supercong import arith, checks, special
 from supercong.arith import primes_in_range
 from supercong.checks import check, check_lemma_sun3, check_ratio_expansion
 from supercong.series import SumSpec, partial_sum, summands, term_value, wz_G
+from supercong.special import euler_number, h2, poch_neg_half, poch_pos_half, pochhammer
 
 POOL = primes_in_range(3, 151)
 
@@ -35,7 +37,15 @@ def visit_orders(draw, lo=3, hi=151, width=6):
 
 def _maybe_cold(cold: bool) -> None:
     if cold:
-        checks._PREFIX_SUMS.clear()
+        special._CACHE.clear()
+
+
+def _even_euler_direct(count):
+    """E_0, E_2, ..., E_(2 count - 2) from their recurrence, without the cache."""
+    values = [1]
+    for n in range(2, 2 * count, 2):
+        values.append(-sum(math.comb(n, 2 * k) * e for k, e in enumerate(values)))
+    return values
 
 
 class TestPrefixSums:
@@ -63,30 +73,73 @@ class TestPrefixSums:
             assert checks._central_binomial_sum(p) == direct
 
     def test_threads_share_one_stream_without_lost_updates(self):
-        checks._PREFIX_SUMS.clear()
-        orders = [POOL, POOL[::-1], POOL[1::2], POOL[::-2]]
-        errors = []
+        euler = _even_euler_direct(POOL[-1] // 2)
 
-        def visit(order):
-            try:
-                for p in order:
-                    assert checks._sum_b(5, p) == partial_sum(SumSpec("B", 5, (p + 1) // 2))
-            except AssertionError as exc:
-                errors.append(exc)
+        def direct(p):
+            h = (p + 1) // 2
+            weights = (Fraction(1, 4 * j * j) - Fraction(1, (2 * j - 3) ** 2) for j in range(1, h + 1))
+            return (
+                partial_sum(SumSpec("B", 5, h)),
+                sum((Fraction(1, j * j) for j in range(1, h + 1)), Fraction(0)),
+                euler[(p - 3) // 2],
+                pochhammer(Fraction(-1, 2), h),
+                pochhammer(Fraction(1, 2), h),
+                sum(weights, Fraction(0)),
+            )
 
-        threads = [threading.Thread(target=visit, args=(o,)) for o in orders]
+        def from_cache(p):
+            h = (p + 1) // 2
+            return (checks._sum_b(5, p), h2(h), euler_number(p - 3), poch_neg_half(h),
+                    poch_pos_half(h), checks._weight(h))
+
+        expected = {p: direct(p) for p in POOL}
+        orders = [POOL, POOL[::-1], POOL[1::2], POOL[::-2]] * 2
+        h = (POOL[-1] + 1) // 2
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
+            for _ in range(10):  # each round starts every sequence cold
+                special._CACHE.clear()
+                errors = []
+
+                def visit(order):
+                    try:
+                        for p in order:
+                            assert from_cache(p) == expected[p], p
+                    except Exception as exc:  # a lost update, or two threads in one generator
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=visit, args=(o,)) for o in orders]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads) and errors == []
+                lengths = {key: len(values) for key, (values, _) in special._CACHE.items()}
+                assert lengths == {
+                    ("B", 5): h + 1, "h2": h + 1, "E_2j": (POOL[-1] - 3) // 2 + 1,
+                    "(-1/2)_k": h + 1, "(1/2)_k": h + 1, "weights": h + 1,
+                }
         finally:
             sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads) and errors == []
-        totals, _ = checks._PREFIX_SUMS[("B", 5)]
-        assert len(totals) == (POOL[-1] + 1) // 2 + 1
+
+    def test_error_inside_a_sequence_restarts_it(self):
+        starts = []
+
+        def interrupted_once():
+            starts.append(1)
+            for i in itertools.count():
+                if i == 3 and len(starts) == 1:
+                    raise KeyboardInterrupt
+                yield i
+
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                special.cached("interrupted once", interrupted_once, 5)
+            assert special.cached("interrupted once", interrupted_once, 5) == 5
+            assert len(starts) == 2
+        finally:
+            special._CACHE.pop("interrupted once", None)
 
     @given(family=st.sampled_from("ABV"), m=st.sampled_from((1, 3, 9)), n=st.integers(1, 25))
     def test_summand_stream_matches_term_value(self, family, m, n):
