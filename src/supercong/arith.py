@@ -75,15 +75,18 @@ class PrimePower:
         return self.p**self.t
 
 
-def _vp_int(n: int, p: int) -> Valuation:
-    if n == 0:
-        return INFINITE
-    n = abs(n)
+def split_power(n: int, p: int) -> tuple[int, int]:
+    """(v, u) with n = p^v * u and u not divisible by p, for a nonzero
+    integer n; u keeps the sign of n."""
     v = 0
     while n % p == 0:
         n //= p
         v += 1
-    return v
+    return v, n
+
+
+def _vp_int(n: int, p: int) -> Valuation:
+    return INFINITE if n == 0 else split_power(n, p)[0]
 
 
 def vp(x: Rational, p: int) -> Valuation:

@@ -44,7 +44,8 @@ from .series import boundary_closed_form, check_telescoped_identity, check_wz_re
 FORMATS = ("text", "csv", "json")
 
 #: Largest upper end accepted for --primes, --telescope and --boundary: the
-#: prime sieve allocates one byte per integer up to it.
+#: prime sieve allocates one byte per integer up to it.  It also caps
+#: prime_max^r for discover, the number of summands of one cell.
 PRIME_CAP = 10**7
 
 DISCOVER_DEFAULT_M = {"C": (1, 3, 5, 7, 9, 11), "D": (1, 3, 5, 7, 9, 11, 13, 15)}
@@ -225,6 +226,15 @@ class RunConfig:
             raise ValueError(f"--grid must be >= 1, got {self.grid_max}")
         if self.r < 1:
             raise ValueError("r must be >= 1")
+        # 2^bit_length > PRIME_CAP, so a larger exponent cannot change the verdict.
+        if (self.command == "discover"
+                and max(self.prime_max, 1) ** min(self.r, PRIME_CAP.bit_length()) > PRIME_CAP):
+            raise ValueError(
+                f"--primes upper end {self.prime_max} to the power --r {self.r} "
+                f"exceeds the cap {PRIME_CAP}"
+            )
+        if not self.m_values:
+            raise ValueError("no m values given")
         for m in self.m_values:
             if m < 1 or m % 2 == 0:
                 raise ValueError(f"m values must be odd positive integers, got {m}")
@@ -363,6 +373,8 @@ def _cmd_table(cfg: RunConfig, out: TextIO) -> int:
             raise ValueError(f"closed forms exist for m in {TABLE1_WEIGHTS}, got {m}")
         for n in range(max(cfg.n_min, 2), cfg.n_max + 1):
             rows.append(_TableRow(m, n, table1_f(m, n), table1_g(m, n)))
+    if not rows:
+        raise ValueError(f"no table row for n={cfg.n_min}..{cfg.n_max}: the table starts at n = 2")
     _emit(out, cfg.format, rows, _TABLE)
     return 0
 

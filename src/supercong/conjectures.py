@@ -11,29 +11,30 @@ truncations are claimed to obey the same congruence, so the residues must
 agree between variants.
 
 Terms with index k >= p (which occur for r >= 2 and in full variants) can
-carry p-dividing denominator factors, so this module always evaluates sums on
-the exact-rational path; the modular fast path is only applied to the final
-sum, whose reduced denominator is coprime to p whenever the valuation
-precondition holds.
+carry p-dividing denominator factors.  conj_sum and verify_conjecture
+evaluate the sums exactly.  extract_residue only needs the sum mod
+p^(r+e), so it works in fixed-precision p-adic arithmetic instead: each
+summand is p^v times a p-adic unit, and the units are kept mod a power of p
+fixed by the least v, which keeps the residue exact (conj_sum is its oracle).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .arith import (
     CongruenceReport,
     InconsistentInput,
     InvalidPrime,
-    PrimePower,
     crt_lift,
     is_odd_prime,
-    reduce_mod,
     report_unchecked,
-    vp,
+    split_power,
 )
-from .series import SumSpec, partial_sum
+from .series import SumSpec, partial_sum, summand_factors
 
 FAMILIES = ("C", "D")
 VARIANTS = ("half", "full")
@@ -67,12 +68,15 @@ def _unit_sign(family: str, p: int, r: int) -> int:
     return -1 if (((p - 1) // 2) * r) % 2 else 1
 
 
+def _upper(p: int, r: int, variant: str) -> int:
+    return (p**r + 1) // 2 if variant == "half" else p**r - 1
+
+
 def conj_sum(family: str, m: int, p: int, r: int, variant: str) -> Fraction:
     """Exact truncated sum of the family's summand at prime p and depth r,
     with upper limit (p^r+1)/2 (half) or p^r - 1 (full)."""
     _validate(family, m, p, r, variant)
-    upper = (p**r + 1) // 2 if variant == "half" else p**r - 1
-    return partial_sum(SumSpec(_SUMMAND[family], m, upper))
+    return partial_sum(SumSpec(_SUMMAND[family], m, _upper(p, r, variant)))
 
 
 def verify_conjecture(
@@ -85,20 +89,49 @@ def verify_conjecture(
     return report_unchecked(f"conj_{family.lower()}_{variant}", p, s, rhs, required, m=m, r=r)
 
 
+def _split_summands(
+    family: str, m: int, p: int, count: int
+) -> Iterator[tuple[int, int, int, int, int]]:
+    """The first count summands of the family as (v, sign, w, a, b): summand
+    k is sign * p^v * w^m * A_k with A_k = A_(k-1) * a/b, where w, a and b
+    are the p-free parts of the factors of summand_factors."""
+    v_u = 0
+    for sign, w, a, b in itertools.islice(summand_factors(_SUMMAND[family]), count):
+        v_w, w = split_power(w, p)
+        v_a, a = split_power(a, p)
+        v_b, b = split_power(b, p)
+        v_u += v_a - v_b
+        yield m * v_w + v_u, sign, w, a, b
+
+
 def extract_residue(family: str, m: int, p: int, r: int, variant: str) -> tuple[int, int]:
     """Invert the claimed congruence for the constant at one prime.
 
     Returns (residue, modulus) with residue = (sum * sign / p^r) mod p^e,
     e = 2 for family C and 3 for family D.  Requires v_p(sum) >= r.
+
+    The sum is never formed exactly.  A first pass finds vmin, the least
+    valuation of a summand (at most 0, the valuation of summand 0); a
+    second computes sum / p^vmin with every unit kept mod p^N,
+    N = r + e - vmin, which fixes sum / p^r mod p^e exactly.
     """
-    s = conj_sum(family, m, p, r, variant)
-    if vp(s, p) < r:
+    _validate(family, m, p, r, variant)
+    e = _RESIDUE_EXPONENT[family]
+    count = _upper(p, r, variant) + 1
+    vmin = min(v for v, *_ in _split_summands(family, m, p, count))
+    shift = r - vmin
+    modulus = p ** (shift + e)
+    total, units = 0, 1
+    for v, sign, w, a, b in _split_summands(family, m, p, count):
+        units = units * a * pow(b, -1, modulus) % modulus
+        total += sign * pow(p, v - vmin, modulus) * pow(w, m, modulus) * units
+    total %= modulus
+    if total % p**shift:
         raise ValuationTooLow(
             f"family {family}, m={m}, p={p}, r={r} ({variant}): v_p(sum) < r"
         )
-    pp = PrimePower(p, _RESIDUE_EXPONENT[family])
-    x = s * _unit_sign(family, p, r) / Fraction(p) ** r
-    return reduce_mod(x, pp), pp.modulus
+    pe = p**e
+    return total // p**shift * _unit_sign(family, p, r) % pe, pe
 
 
 @dataclass(frozen=True)

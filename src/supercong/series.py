@@ -79,18 +79,28 @@ def term_value(spec: SumSpec, k: int) -> Fraction:
     return sign * (4 * k + fam.shift) ** spec.m * u**fam.power
 
 
+def summand_factors(family: str) -> Iterator[tuple[int, int, int, int]]:
+    """The integer factors of the family's summands for k = 0, 1, 2, ...
+    without end: (sign, w, a, b) with summand k = sign * w^m * U_k, where
+    U_0 = 1 and U_k = U_(k-1) * a/b = u_k^power.  So w = 4k + shift, and a/b
+    is the step (2k - 2 + half_base)/(2k) of u_k raised to the power."""
+    fam = _FAMILY[family]
+    sign = 1
+    yield sign, fam.shift, 1, 1
+    for k in itertools.count(1):
+        if fam.alternating:
+            sign = -sign
+        a, b = 2 * k - 2 + fam.half_base, 2 * k
+        yield sign, 4 * k + fam.shift, a**fam.power, b**fam.power
+
+
 def summands(family: str, m: int) -> Iterator[Fraction]:
     """The family's summands for k = 0, 1, 2, ... without end, each from the
-    last by the exact ratio (2k - 2 + half_base)/(2k) of u_k."""
-    fam = _FAMILY[family]
+    last by an exact step of summand_factors."""
     u = Fraction(1)
-    sign = 1
-    for k in itertools.count():
-        if k:
-            u *= Fraction(2 * k - 2 + fam.half_base, 2 * k)
-            if fam.alternating:
-                sign = -sign
-        yield sign * (4 * k + fam.shift) ** m * u**fam.power
+    for sign, w, a, b in summand_factors(family):
+        u *= Fraction(a, b)
+        yield sign * w**m * u
 
 
 def partial_sum(spec: SumSpec) -> Fraction:

@@ -7,7 +7,7 @@ import pytest
 
 from supercong.arith import make_report
 from supercong.checks import check
-from supercong import cli
+from supercong import cli, conjectures
 from supercong.cli import (
     CONGRUENCE_CSV_HEADER,
     DISCOVERY_CSV_HEADER,
@@ -177,6 +177,10 @@ class TestVerifyCommand:
             (["wz", "--grid", "0"], "--grid must be >= 1"),
             (["lemma", "--n", "40..30"], "empty n range 40..30"),
             (["table", "--n", "9..3"], "empty n range 9..3"),
+            (["lemma", "--m", "", "--n", "2..5"], "no m values given"),
+            (["table", "--m", ""], "no m values given"),
+            (["discover", "--family", "d", "--m", ""], "no m values given"),
+            (["table", "--n", "0..1", "--format", "csv"], "no table row for n=0..1"),
         ],
     )
     def test_empty_or_unbounded_range_exits_two(self, capsys, monkeypatch, argv, message):
@@ -186,6 +190,18 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli, "boundary_closed_form", no_boundary_scan)
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "") and message in err
+
+    def test_discover_work_above_cap_exits_two_before_any_sum(self, capsys, monkeypatch):
+        def stub(family, m, p, r, variant):
+            raise cli.ValuationTooLow(f"stub reached at p={p}, r={r}")
+
+        monkeypatch.setattr(conjectures, "extract_residue", stub)
+        for primes, r in (("5..3163", "2"), ("5..251", "3"), ("5..7", "1000000000")):
+            code, out, err = run_cli(capsys, "discover", "--family", "c", "--primes", primes, "--r", r)
+            assert (code, out) == (2, "") and "exceeds the cap 10000000" in err
+        # 3162^2 is within the cap: the run gets as far as the first residue.
+        code, _, err = run_cli(capsys, "discover", "--family", "c", "--primes", "5..3162", "--r", "2")
+        assert code == 1 and "stub reached at p=5, r=2" in err
 
     def test_default_scan_small_window_text(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--primes", "5..7")

@@ -1,0 +1,123 @@
+"""The fixed-precision p-adic `extract_residue` against the exact path it
+replaced (`conj_sum`, `vp`, `reduce_mod`), and constant discovery at depth
+2 and 3, which the p-adic path makes cheap."""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from supercong import conjectures, series
+from supercong.arith import PrimePower, primes_in_range, reduce_mod, vp
+from supercong.conjectures import (
+    ValuationTooLow,
+    conj_sum,
+    discover_constant,
+    extract_residue,
+)
+
+C_CONSTANTS = {1: -1, 3: 3, 5: 23, 7: -5, 9: 1647, 11: -96973}
+D_CONSTANTS = {1: 0, 3: 0, 5: 16, 7: 80, 9: 192, 11: 640, 13: -3472, 15: 138480}
+
+
+def exact_residue(family, m, p, r, variant):
+    """The residue from the exact sum, as extract_residue computed it before."""
+    s = conj_sum(family, m, p, r, variant)
+    if vp(s, p) < r:
+        raise ValuationTooLow(
+            f"family {family}, m={m}, p={p}, r={r} ({variant}): v_p(sum) < r"
+        )
+    pp = PrimePower(p, conjectures._RESIDUE_EXPONENT[family])
+    x = s * conjectures._unit_sign(family, p, r) / Fraction(p) ** r
+    return reduce_mod(x, pp), pp.modulus
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from("CD"),
+    m=st.sampled_from(range(1, 16, 2)),
+    p=st.sampled_from(primes_in_range(5, 37)),
+    r=st.sampled_from((1, 2)),
+    variant=st.sampled_from(("half", "full")),
+)
+def test_padic_residue_matches_exact(family, m, p, r, variant):
+    assert outcome(extract_residue, family, m, p, r, variant) == outcome(
+        exact_residue, family, m, p, r, variant
+    )
+
+
+@pytest.mark.parametrize(
+    "family,m,p,r,variant",
+    [
+        ("D", 15, 5, 1, "half"),
+        ("D", 15, 5, 1, "full"),
+        ("C", 1, 5, 3, "half"),
+        ("C", 11, 5, 3, "full"),
+        ("D", 15, 5, 3, "full"),
+        ("C", 9, 7, 3, "half"),
+        ("D", 13, 7, 3, "full"),
+    ],
+)
+def test_pinned_cells_match_exact(family, m, p, r, variant):
+    assert extract_residue(family, m, p, r, variant) == exact_residue(family, m, p, r, variant)
+
+
+def test_d15_anomaly_residue():
+    assert extract_residue("D", 15, 5, 1, "half") == extract_residue("D", 15, 5, 1, "full") == (30, 125)
+
+
+factor = st.builds(
+    lambda sign, unit, v: sign * unit * 5**v,
+    st.sampled_from((1, -1)), st.integers(1, 40), st.integers(0, 3),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    steps=st.lists(st.tuples(st.sampled_from((1, -1)), factor, factor, factor), min_size=1, max_size=5),
+    r=st.sampled_from((1, 2)),
+    variant=st.sampled_from(("half", "full")),
+)
+def test_arbitrary_factor_streams_match_exact(steps, r, variant):
+    """Both paths read the summands from series.summand_factors.  Random
+    streams of factors with powers of p in w, a and b reach what the two
+    families never do at these cells: sums of valuation below r, which must
+    raise the same ValuationTooLow on both paths."""
+
+    def fake_factors(family):
+        return itertools.chain([(1, 1, 1, 1)], itertools.cycle(steps))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "summand_factors", fake_factors)
+        mp.setattr(conjectures, "summand_factors", fake_factors)
+        for family, m in (("C", 1), ("D", 3)):
+            assert outcome(extract_residue, family, m, 5, r, variant) == outcome(
+                exact_residue, family, m, 5, r, variant
+            )
+
+
+@pytest.mark.parametrize(
+    "family,constants,r,primes",
+    [
+        ("C", C_CONSTANTS, 2, primes_in_range(5, 61)),
+        ("D", D_CONSTANTS, 2, primes_in_range(5, 61)),
+        ("C", C_CONSTANTS, 3, primes_in_range(5, 13)),
+        ("D", D_CONSTANTS, 3, primes_in_range(5, 13)),
+    ],
+)
+def test_constants_hold_at_depth_two_and_three(family, constants, r, primes):
+    """Every README constant is recovered and reproduces every residue at
+    r = 2 and r = 3, d_15 = 138480 included: the p = 5 anomaly is r = 1 only."""
+    for m, want in constants.items():
+        res = discover_constant(family, m, primes, r=r)
+        assert (res.constant, res.consistent) == (want, True), (family, m, r)
