@@ -20,13 +20,12 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, NamedTuple, Sequence, TextIO
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from .arith import CongruenceReport, primes_in_range
 from .checks import (
     CHECKS,
     DEFAULT_CHECK_IDS,
-    TABLE1_WEIGHTS,
     check,
     check_lemma_f,
     check_lemma_g,
@@ -84,7 +83,10 @@ def _csv_cell(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    return str(value)
+    text = str(value)
+    if any(c in text for c in ',"\n'):  # RFC 4180: quote only where needed
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _short(s: str, width: int = 30) -> str:
@@ -99,22 +101,33 @@ class _Kind(NamedTuple):
     attributes, as _plain shows them, followed by those derived from them;
     json and csv name the fields each format carries, in order (the JSON
     object leaves out a json_optional field that is false), and text is the
-    str.format template of a text row, where None shows as "-"."""
+    str.format template of a text row, where None shows as "-".  A run's
+    text output starts with text_header, if any, and passes when every
+    record does."""
 
     json: tuple[str, ...]
     csv: tuple[str, ...]
     text: str
     derived: Callable[[dict[str, Any]], dict[str, object]] = lambda fields: {}
     json_optional: frozenset[str] = frozenset()
+    passes: Callable[[Any], bool] = lambda record: True
+    text_header: str | None = None
 
 
+_CONGRUENCE_TEXT = (
+    "{check_id:<22} {p:>5} {m:>3} {r:>3} {lhs_short:<32} {rhs_short:<28} "
+    "{required_valuation:>3} {achieved_valuation:>4} {status}"
+)
+CONGRUENCE_TEXT_HEADER = _CONGRUENCE_TEXT.format(
+    check_id="check_id", p="p", m="m", r="r", lhs_short="lhs", rhs_short="rhs",
+    required_valuation="req", achieved_valuation="ach", status="status",
+)
+_CONGRUENCE_COLUMNS = ("check_id", "p", "m", "r", "lhs", "rhs", "required_valuation",
+                       "achieved_valuation", "pass")
 _CONGRUENCE = _Kind(
-    json=("check_id", "p", "m", "r", "lhs", "rhs", "required_valuation",
-          "achieved_valuation", "pass", "informational"),
-    csv=("check_id", "p", "m", "r", "lhs", "rhs", "required_valuation",
-         "achieved_valuation", "pass"),
-    text="{check_id:<22} {p:>5} {m:>3} {r:>3} {lhs_short:<32} {rhs_short:<28} "
-    "{required_valuation:>3} {achieved_valuation:>4} {status}",
+    json=_CONGRUENCE_COLUMNS + ("informational",),
+    csv=_CONGRUENCE_COLUMNS,
+    text=_CONGRUENCE_TEXT,
     derived=lambda f: {
         "pass": f["passed"],
         "lhs_short": _short(f["lhs"]),
@@ -122,6 +135,8 @@ _CONGRUENCE = _Kind(
         "status": "info" if f["passed"] is None else ("pass" if f["passed"] else "FAIL"),
     },
     json_optional=frozenset({"informational"}),
+    passes=lambda rep: rep.passed is not False,  # informational rows never fail
+    text_header=CONGRUENCE_TEXT_HEADER,
 )
 _DISCOVERY = _Kind(
     json=("family", "m", "r", "constant", "consistent", "primes", "evidence"),
@@ -135,6 +150,7 @@ _DISCOVERY = _Kind(
         "prime_max": max(f["evidence"])[0],
         "consistent_text": "true" if f["consistent"] else "FALSE",
     },
+    passes=lambda res: res.consistent,
 )
 _SCAN_COLUMNS = ("check_id", "scope", "instances", "pass", "first_failure")
 _SCAN = _Kind(
@@ -145,6 +161,7 @@ _SCAN = _Kind(
         "pass": f["passed"],
         "status": "pass" if f["passed"] else f"FAIL at {f['first_failure']}",
     },
+    passes=lambda rec: rec.passed,
 )
 _TABLE_COLUMNS = ("m", "n", "f", "g")
 _TABLE = _Kind(json=_TABLE_COLUMNS, csv=_TABLE_COLUMNS, text="m={m} n={n:<3} f={f:<20} g={g}")
@@ -157,10 +174,6 @@ _KINDS = {
 
 CONGRUENCE_CSV_HEADER = ",".join(_CONGRUENCE.csv)
 DISCOVERY_CSV_HEADER = ",".join(_DISCOVERY.csv)
-CONGRUENCE_TEXT_HEADER = _CONGRUENCE.text.format(
-    check_id="check_id", p="p", m="m", r="r", lhs_short="lhs", rhs_short="rhs",
-    required_valuation="req", achieved_valuation="ach", status="status",
-)
 
 
 def serialize_report(report: CongruenceReport | DiscoveryResult | ScanRecord, fmt: str = "json") -> str:
@@ -168,7 +181,8 @@ def serialize_report(report: CongruenceReport | DiscoveryResult | ScanRecord, fm
 
     JSON records are single-line objects; rationals render as exact "num/den"
     strings and an infinite valuation renders as "inf".  CSV and text rows
-    use the same column order as their stream headers (emitted separately).
+    use the same column order as their stream headers (emitted separately);
+    a CSV field holding a comma, quote or newline is quoted as in RFC 4180.
     """
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
@@ -183,76 +197,63 @@ def serialize_report(report: CongruenceReport | DiscoveryResult | ScanRecord, fm
     return kind.text.format_map({k: "-" if v is None else v for k, v in fields.items()})
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated arguments for one CLI invocation."""
-
-    command: str
-    format: str = "text"
-    jobs: int = 1
-    prime_min: int = 5
-    prime_max: int = 199
-    check_ids: tuple[str, ...] = DEFAULT_CHECK_IDS
-    include_p3: bool = False
-    m_values: tuple[int, ...] = TABLE1_WEIGHTS
-    n_min: int = 2
-    n_max: int = 50
-    family: str = "C"
-    r: int = 1
-    variant: str = "both"
-    grid_max: int = 60
-    telescope_min: int = 3
-    telescope_max: int = 97
-    boundary_min: int = 3
-    boundary_max: int = 199
-
-    def validate(self) -> None:
-        if self.format not in FORMATS:
-            raise ValueError(f"format must be one of {FORMATS}")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        ranges = (
-            ("--primes", "prime", self.prime_min, self.prime_max),
-            ("--telescope", "telescope", self.telescope_min, self.telescope_max),
-            ("--boundary", "boundary", self.boundary_min, self.boundary_max),
-            ("--n", "n", self.n_min, self.n_max),
-        )
-        for flag, name, lo, hi in ranges:
-            if lo > hi:
-                raise ValueError(f"empty {name} range {lo}..{hi}")
-            if flag != "--n" and hi > PRIME_CAP:
-                raise ValueError(f"{flag} upper end {hi} exceeds the cap {PRIME_CAP}")
-        if self.grid_max < 1:
-            raise ValueError(f"--grid must be >= 1, got {self.grid_max}")
-        if self.r < 1:
-            raise ValueError("r must be >= 1")
-        # 2^bit_length > PRIME_CAP, so a larger exponent cannot change the verdict.
-        if (self.command == "discover"
-                and max(self.prime_max, 1) ** min(self.r, PRIME_CAP.bit_length()) > PRIME_CAP):
-            raise ValueError(
-                f"--primes upper end {self.prime_max} to the power --r {self.r} "
-                f"exceeds the cap {PRIME_CAP}"
-            )
-        if not self.m_values:
-            raise ValueError("no m values given")
-        for m in self.m_values:
-            if m < 1 or m % 2 == 0:
-                raise ValueError(f"m values must be odd positive integers, got {m}")
-        unknown = [c for c in self.check_ids if c not in CHECKS]
-        if unknown:
-            raise ValueError(f"unknown check ids: {', '.join(unknown)}")
+def _usage_type(parse: Callable[[str], Any]) -> Callable[[str], Any]:
+    """An argparse type from parse: its ValueError, an int() failure included,
+    becomes the usage error that argparse reports under the flag's name."""
+    def convert(text: str) -> Any:
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    v = int(text)
-    return v, v
+def _int_range(name: str, capped_flag: str | None = None) -> Callable[[str], tuple[int, int]]:
+    """Type of a `lo..hi` (or single integer) flag: rejects lo > hi and, for a
+    capped_flag, an upper end above PRIME_CAP."""
+    def parse(text: str) -> tuple[int, int]:
+        lo, dots, hi = text.partition("..")
+        lo, hi = int(lo), int(hi if dots else lo)
+        if lo > hi:
+            raise ValueError(f"empty {name} range {lo}..{hi}")
+        if capped_flag and hi > PRIME_CAP:
+            raise ValueError(f"{capped_flag} upper end {hi} exceeds the cap {PRIME_CAP}")
+        return lo, hi
+    return _usage_type(parse)
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x.strip())
+def _at_least_one(flag: str) -> Callable[[str], int]:
+    """Type of an integer flag that must be >= 1."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
+        return value
+    return _usage_type(parse)
+
+
+@_usage_type
+def _weights(text: str) -> tuple[int, ...]:
+    """Type of --m: comma-separated odd positive weights, at least one."""
+    m_values = tuple(int(x) for x in text.split(",") if x.strip())
+    if not m_values:
+        raise ValueError("no m values given")
+    for m in m_values:
+        if m < 1 or m % 2 == 0:
+            raise ValueError(f"m values must be odd positive integers, got {m}")
+    return m_values
+
+
+@_usage_type
+def _check_ids(text: str) -> tuple[str, ...]:
+    """Type of --checks: comma-separated registered ids, or 'all'."""
+    if text == "all":
+        return DEFAULT_CHECK_IDS
+    ids = tuple(x.strip() for x in text.split(",") if x.strip())
+    unknown = [c for c in ids if c not in CHECKS]
+    if unknown:
+        raise ValueError(f"unknown check ids: {', '.join(unknown)}")
+    return ids
 
 
 def _worker_count(jobs: int) -> int:
@@ -279,16 +280,6 @@ def _discover_task(task: tuple[str, int, tuple[int, ...], int, str]) -> Discover
     return discover_constant(family, m, list(primes), r=r, variant=variant)
 
 
-def _emit(
-    out: TextIO, fmt: str, records: list, kind: _Kind, text_header: str | None = None
-) -> None:
-    header = {"csv": ",".join(kind.csv), "text": text_header}.get(fmt)
-    if header is not None:
-        out.write(header + "\n")
-    for record in records:
-        out.write(serialize_report(record, fmt) + "\n")
-
-
 def _scan(
     check_id: str, scope: str, holds: Callable[..., bool], cases: Iterable[tuple], label: str
 ) -> ScanRecord:
@@ -304,85 +295,81 @@ def _scan(
     return ScanRecord(check_id, scope, count, first_failure is None, first_failure)
 
 
-def _cmd_verify(cfg: RunConfig, out: TextIO) -> int:
-    primes = primes_in_range(cfg.prime_min, cfg.prime_max)
-    tasks: list[tuple[str, int, bool]] = []
-    for check_id in sorted(cfg.check_ids):
-        floor = CHECKS[check_id].floor
-        for p in primes:
-            if p >= floor:
-                tasks.append((check_id, p, False))
-            elif cfg.include_p3 and p == 3:
-                tasks.append((check_id, p, True))
-    if not tasks:
-        raise ValueError(
-            f"no selected check applies to a prime in {cfg.prime_min}..{cfg.prime_max}"
-        )
-    reports = _map_tasks(_verify_task, tasks, cfg.jobs)
-    reports.sort(key=lambda rep: (rep.check_id, rep.p))
-    _emit(out, cfg.format, reports, _CONGRUENCE, CONGRUENCE_TEXT_HEADER)
-    return 1 if any(rep.passed is False for rep in reports) else 0
-
-
-def _cmd_lemma(cfg: RunConfig, out: TextIO) -> int:
-    scope = f"n={cfg.n_min}..{cfg.n_max}"
-    records = [
-        _scan(check_id, f"m={m},{scope}", functools.partial(fn, m),
-              ((n,) for n in range(cfg.n_min, cfg.n_max + 1)), "n={}")
-        for check_id, fn in (("lemma_f", check_lemma_f), ("lemma_g", check_lemma_g))
-        for m in sorted(cfg.m_values)
+def _cmd_verify(args: argparse.Namespace) -> list[CongruenceReport]:
+    lo, hi = args.primes
+    primes = primes_in_range(lo, hi)
+    # (check_id, p, informational): a p = 3 row below the check's floor is informational.
+    tasks = [
+        (check_id, p, p < CHECKS[check_id].floor)
+        for check_id in sorted(args.checks) for p in primes
+        if p >= CHECKS[check_id].floor or (args.include_p3 and p == 3)
     ]
-    _emit(out, cfg.format, records, _SCAN)
-    return 1 if any(not rec.passed for rec in records) else 0
+    if not tasks:
+        raise ValueError(f"no selected check applies to a prime in {lo}..{hi}")
+    reports = _map_tasks(_verify_task, tasks, args.jobs)
+    return sorted(reports, key=lambda rep: (rep.check_id, rep.p))
 
 
-def _cmd_wz(cfg: RunConfig, out: TextIO) -> int:
-    grid = range(1, cfg.grid_max + 1)
-    tele_primes = primes_in_range(cfg.telescope_min, cfg.telescope_max)
-    odd = range(max(cfg.boundary_min | 1, 3), cfg.boundary_max + 1, 2)
-    records = [
-        _scan("wz_relation", f"1<=k<=n<={cfg.grid_max}", check_wz_relation,
+def _cmd_lemma(args: argparse.Namespace) -> list[ScanRecord]:
+    lo, hi = args.n
+    return [
+        _scan(check_id, f"m={m},n={lo}..{hi}", functools.partial(fn, m),
+              ((n,) for n in range(lo, hi + 1)), "n={}")
+        for check_id, fn in (("lemma_f", check_lemma_f), ("lemma_g", check_lemma_g))
+        for m in sorted(args.m)
+    ]
+
+
+def _cmd_wz(args: argparse.Namespace) -> list[ScanRecord]:
+    (t_lo, t_hi), (b_lo, b_hi) = args.telescope, args.boundary
+    grid = range(1, args.grid + 1)
+    odd = range(max(b_lo | 1, 3), b_hi + 1, 2)
+    return [
+        _scan("wz_relation", f"1<=k<=n<={args.grid}", check_wz_relation,
               ((n, k) for n in grid for k in range(1, n + 1)), "n={},k={}"),
-        _scan("wz_telescoped", f"primes {cfg.telescope_min}..{cfg.telescope_max}",
-              check_telescoped_identity, ((p,) for p in tele_primes), "p={}"),
-        _scan("wz_boundary", f"odd p {cfg.boundary_min}..{cfg.boundary_max}",
+        _scan("wz_telescoped", f"primes {t_lo}..{t_hi}", check_telescoped_identity,
+              ((p,) for p in primes_in_range(t_lo, t_hi)), "p={}"),
+        _scan("wz_boundary", f"odd p {b_lo}..{b_hi}",
               lambda p: operator.eq(*boundary_closed_form(p)), ((p,) for p in odd), "p={}"),
     ]
-    _emit(out, cfg.format, records, _SCAN)
-    return 1 if any(not rec.passed for rec in records) else 0
 
 
-def _cmd_discover(cfg: RunConfig, out: TextIO, err: TextIO) -> int:
-    primes = tuple(primes_in_range(max(cfg.prime_min, 5), cfg.prime_max))
+def _cmd_discover(args: argparse.Namespace) -> list[DiscoveryResult]:
+    lo, hi = args.primes
+    # 2^bit_length > PRIME_CAP, so a larger exponent cannot change the verdict.
+    if max(hi, 1) ** min(args.r, PRIME_CAP.bit_length()) > PRIME_CAP:
+        raise ValueError(
+            f"--primes upper end {hi} to the power --r {args.r} exceeds the cap {PRIME_CAP}"
+        )
+    primes = tuple(primes_in_range(max(lo, 5), hi))
     if not primes:
-        raise ValueError(f"no usable primes in {cfg.prime_min}..{cfg.prime_max}")
-    tasks = [(cfg.family, m, primes, cfg.r, cfg.variant) for m in sorted(cfg.m_values)]
-    try:
-        results = _map_tasks(_discover_task, tasks, cfg.jobs)
-    except (ValuationTooLow, InconsistentInput) as exc:
-        print(f"counterexample candidate: {exc}", file=err)
-        return 1
-    _emit(out, cfg.format, results, _DISCOVERY)
-    return 1 if any(not res.consistent for res in results) else 0
+        raise ValueError(f"no usable primes in {lo}..{hi}")
+    family = args.family.upper()
+    m_values = args.m or DISCOVER_DEFAULT_M[family]  # None: --m all
+    tasks = [(family, m, primes, args.r, args.variant) for m in sorted(m_values)]
+    return _map_tasks(_discover_task, tasks, args.jobs)
 
 
-def _cmd_table(cfg: RunConfig, out: TextIO) -> int:
-    rows = []
-    for m in sorted(cfg.m_values):
-        if m not in TABLE1_WEIGHTS:
-            raise ValueError(f"closed forms exist for m in {TABLE1_WEIGHTS}, got {m}")
-        for n in range(max(cfg.n_min, 2), cfg.n_max + 1):
-            rows.append(_TableRow(m, n, table1_f(m, n), table1_g(m, n)))
+def _cmd_table(args: argparse.Namespace) -> list[_TableRow]:
+    lo, hi = args.n
+    # table1_f rejects an m without a closed form.
+    rows = [_TableRow(m, n, table1_f(m, n), table1_g(m, n))
+            for m in sorted(args.m) for n in range(max(lo, 2), hi + 1)]
     if not rows:
-        raise ValueError(f"no table row for n={cfg.n_min}..{cfg.n_max}: the table starts at n = 2")
-    _emit(out, cfg.format, rows, _TABLE)
-    return 0
+        raise ValueError(f"no table row for n={lo}..{hi}: the table starts at n = 2")
+    return rows
 
 
-def _add_output_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=FORMATS, default="text")
-    sub.add_argument("--jobs", type=int, default=1,
-                     help="worker processes (default 1; at most the CPU count)")
+def _declare(sub, name: str, handler: Callable, help: str, *arguments: tuple[str, dict]) -> None:
+    """One subcommand: its (flag, add_argument options) pairs, then --format
+    and --jobs; run() calls handler(args) for its records."""
+    cmd = sub.add_parser(name, help=help)
+    for flag, options in arguments:
+        cmd.add_argument(flag, **options)
+    cmd.add_argument("--format", choices=FORMATS, default="text")
+    cmd.add_argument("--jobs", type=_at_least_one("--jobs"), default=1,
+                     help="worker processes (default %(default)s; at most the CPU count)")
+    cmd.set_defaults(handler=handler)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -391,91 +378,62 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact-arithmetic congruence verification and constant discovery.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    primes = ("--primes", dict(type=_int_range("prime", "--primes"), default="5..199",
+                               help="prime range lo..hi (default %(default)s)"))
+    weights = ("--m", dict(type=_weights, default="3,5,7",
+                           help="comma-separated weights (subset of 3,5,7)"))
+    n_range = dict(type=_int_range("n"), help="n range lo..hi (default %(default)s)")
 
-    pv = sub.add_parser("verify", help="scan named congruence checks over a prime range")
-    pv.add_argument("--checks", default="all",
-                    help="comma-separated check ids, or 'all' (default; excludes lemma_sun1_printed)")
-    pv.add_argument("--primes", default="5..199", help="prime range lo..hi (default 5..199)")
-    pv.add_argument("--include-p3", action="store_true",
-                    help="emit informational p=3 rows (pass=null) for checks floored at p>=5")
-    _add_output_args(pv)
-
-    pl = sub.add_parser("lemma", help="exact closed-form lemma scans")
-    pl.add_argument("--m", default="3,5,7", help="comma-separated weights (subset of 3,5,7)")
-    pl.add_argument("--n", default="2..50", help="n range lo..hi (default 2..50)")
-    _add_output_args(pl)
-
-    pw = sub.add_parser("wz", help="telescoping pair relation, telescoped identity, boundary form")
-    pw.add_argument("--grid", type=int, default=60, help="check the pair relation for 1<=k<=n<=GRID")
-    pw.add_argument("--telescope", default="3..97", help="prime range for the telescoped identity")
-    pw.add_argument("--boundary", default="3..199", help="odd range for the boundary closed form")
-    _add_output_args(pw)
-
-    pd = sub.add_parser("discover", help="rediscover family constants via CRT over a prime range")
-    pd.add_argument("--family", choices=("c", "d"), required=True)
-    pd.add_argument("--m", default="all", help="comma-separated odd weights, or 'all'")
-    pd.add_argument("--primes", default="5..199", help="prime range lo..hi (default 5..199)")
-    pd.add_argument("--r", type=int, default=1, help="power of p in the truncation depth (default 1)")
-    pd.add_argument("--variant", choices=("half", "full", "both"), default="both")
-    _add_output_args(pd)
-
-    pt = sub.add_parser("table", help="print the closed-form table values")
-    pt.add_argument("--m", default="3,5,7", help="comma-separated weights (subset of 3,5,7)")
-    pt.add_argument("--n", default="2..10", help="n range lo..hi (default 2..10)")
-    _add_output_args(pt)
-
+    _declare(sub, "verify", _cmd_verify, "scan named congruence checks over a prime range",
+             ("--checks", dict(type=_check_ids, default="all", help="comma-separated check ids,"
+                               " or 'all' (default; excludes lemma_sun1_printed)")),
+             primes,
+             ("--include-p3", dict(action="store_true", help="emit informational p=3 rows"
+                                   " (pass=null) for checks floored at p>=5")))
+    _declare(sub, "lemma", _cmd_lemma, "exact closed-form lemma scans",
+             weights, ("--n", dict(n_range, default="2..50")))
+    _declare(sub, "wz", _cmd_wz, "telescoping pair relation, telescoped identity, boundary form",
+             ("--grid", dict(type=_at_least_one("--grid"), default=60,
+                             help="check the pair relation for 1<=k<=n<=GRID")),
+             ("--telescope", dict(type=_int_range("telescope", "--telescope"), default="3..97",
+                                  help="prime range for the telescoped identity")),
+             ("--boundary", dict(type=_int_range("boundary", "--boundary"), default="3..199",
+                                 help="odd range for the boundary closed form")))
+    _declare(sub, "discover", _cmd_discover, "rediscover family constants via CRT over a prime range",
+             ("--family", dict(choices=("c", "d"), required=True)),
+             ("--m", dict(type=lambda text: None if text == "all" else _weights(text),
+                          default="all", help="comma-separated odd weights, or 'all'")),
+             primes,
+             ("--r", dict(type=_at_least_one("--r"), default=1,
+                          help="power of p in the truncation depth (default %(default)s)")),
+             ("--variant", dict(choices=("half", "full", "both"), default="both")))
+    _declare(sub, "table", _cmd_table, "print the closed-form table values",
+             weights, ("--n", dict(n_range, default="2..10")))
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    kwargs = {"command": args.command, "format": args.format, "jobs": args.jobs}
-    if args.command == "verify":
-        lo, hi = _parse_range(args.primes)
-        ids = DEFAULT_CHECK_IDS if args.checks == "all" else _split_ids(args.checks)
-        kwargs.update(prime_min=lo, prime_max=hi, check_ids=ids, include_p3=args.include_p3)
-    elif args.command in ("lemma", "table"):
-        n_lo, n_hi = _parse_range(args.n)
-        kwargs.update(m_values=_parse_ints(args.m), n_min=n_lo, n_max=n_hi)
-    elif args.command == "wz":
-        t_lo, t_hi = _parse_range(args.telescope)
-        b_lo, b_hi = _parse_range(args.boundary)
-        kwargs.update(grid_max=args.grid, telescope_min=t_lo, telescope_max=t_hi,
-                      boundary_min=b_lo, boundary_max=b_hi)
-    elif args.command == "discover":
-        lo, hi = _parse_range(args.primes)
-        family = args.family.upper()
-        m_values = DISCOVER_DEFAULT_M[family] if args.m == "all" else _parse_ints(args.m)
-        kwargs.update(prime_min=lo, prime_max=hi, family=family, m_values=m_values,
-                      r=args.r, variant=args.variant)
-    return RunConfig(**kwargs)
-
-
-def _split_ids(text: str) -> tuple[str, ...]:
-    return tuple(x.strip() for x in text.split(",") if x.strip())
-
-
 def run(argv: Sequence[str] | None = None) -> int:
-    """Parse arguments and run one command; returns the process exit code."""
-    parser = _build_parser()
+    """Parse arguments, run one command and write its records to stdout;
+    returns the process exit code."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse already reported the usage error
         return 0 if exc.code in (0, None) else 2
     try:
-        cfg = _config_from_args(args)
-        cfg.validate()
-        if cfg.command == "verify":
-            return _cmd_verify(cfg, sys.stdout)
-        if cfg.command == "lemma":
-            return _cmd_lemma(cfg, sys.stdout)
-        if cfg.command == "wz":
-            return _cmd_wz(cfg, sys.stdout)
-        if cfg.command == "discover":
-            return _cmd_discover(cfg, sys.stdout, sys.stderr)
-        return _cmd_table(cfg, sys.stdout)
+        records = args.handler(args)
+    except (ValuationTooLow, InconsistentInput) as exc:  # ValueErrors, so caught first
+        print(f"counterexample candidate: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    kind = _KINDS[type(records[0])]  # every handler returns at least one record
+    header = {"csv": ",".join(kind.csv), "text": kind.text_header}.get(args.format)
+    if header is not None:
+        sys.stdout.write(header + "\n")
+    for record in records:
+        sys.stdout.write(serialize_report(record, args.format) + "\n")
+    return 0 if all(map(kind.passes, records)) else 1
 
 
 def main(argv: Sequence[str] | None = None) -> None:

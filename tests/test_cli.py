@@ -132,6 +132,9 @@ class TestVerifyCommand:
     def test_empty_prime_range_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--primes", "11..7")
         assert code == 2 and "empty prime range" in err
+        # argparse reports it after the usage line, under the flag's name
+        assert err.startswith("usage: supercong verify")
+        assert "argument --primes: empty prime range 11..7" in err
 
     def test_output_identical_across_worker_counts(self, capsys):
         args = ("verify", "--checks", "thm2,van_hamme,h2_cong", "--primes", "5..31",
@@ -181,6 +184,14 @@ class TestVerifyCommand:
             (["table", "--m", ""], "no m values given"),
             (["discover", "--family", "d", "--m", ""], "no m values given"),
             (["table", "--n", "0..1", "--format", "csv"], "no table row for n=0..1"),
+            (["verify", "--jobs", "0"], "jobs must be >= 1"),
+            (["discover", "--family", "c", "--r", "0"], "r must be >= 1"),
+            (["lemma", "--m", "3,x"], "invalid literal for int() with base 10: 'x'"),
+            (["verify", "--primes", "5..x"], "invalid literal for int() with base 10: 'x'"),
+            # The cap test squares max(prime_max, 1), never a negative upper end.
+            (["discover", "--family", "c", "--primes=-5000..-1", "--r", "2"], "no usable primes"),
+            (["discover", "--family", "c", "--primes=-5000..-4000", "--r", "2"],
+             "no usable primes in -5000..-4000"),
         ],
     )
     def test_empty_or_unbounded_range_exits_two(self, capsys, monkeypatch, argv, message):
@@ -271,3 +282,30 @@ class TestOtherCommands:
     def test_usage_error_exits_two(self, capsys):
         assert run([]) == 2
         assert run(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["verify", "--checks", "thm1", "--primes", "5..7"], 0),
+            (["verify", "--checks", "lemma_sun1_printed", "--primes", "5..7"], 1),
+            (["verify", "--primes", "11..7"], 2),
+        ],
+    )
+    def test_console_entry_point_exits_with_the_run_code(self, capsys, argv, code):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == code
+
+    @pytest.mark.parametrize(
+        "command,shown",
+        [
+            ("verify", "prime range lo..hi (default 5..199)"),
+            ("verify", "worker processes (default 1; at most the CPU count)"),
+            ("lemma", "n range lo..hi (default 2..50)"),
+            ("table", "n range lo..hi (default 2..10)"),
+            ("discover", "power of p in the truncation depth (default 1)"),
+        ],
+    )
+    def test_help_shows_each_default(self, capsys, command, shown):
+        assert run([command, "--help"]) == 0
+        assert shown in " ".join(capsys.readouterr().out.split())

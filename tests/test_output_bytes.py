@@ -7,7 +7,9 @@ informational p = 3 row, failing `lemma_sun1_printed` rows, the
 inconsistent family d, m = 15 discovery and a failing identity scan.
 """
 
+import csv
 import hashlib
+import io
 
 import pytest
 
@@ -27,7 +29,7 @@ EXPECTED = {
     ("verify", "csv"): (1, "4f4615705dff28a79a4c7ffbdee55b3bbf325af886baae546f6e80afd3e2ccfb"),
     ("verify", "json"): (1, "09b92a64aa4eb4d5dba8450c9c160c6fa4d8b1b31550f61224fb61336896abcd"),
     ("lemma", "text"): (0, "43081e03c514c29ee045d85ddd472c371587e377a6c803bf7563d247d40921f0"),
-    ("lemma", "csv"): (0, "f9eeb6a75eb9a66c040508a82a17ec958c941d0d5dd2cf9dbdcaa994a08ffdca"),
+    ("lemma", "csv"): (0, "c0ea2f91f4b7afdd3de367ed1c6d2fa66ad6f4b6355f807a440f305cc52d4dba"),
     ("lemma", "json"): (0, "8655d1afb83c104eaa3d4261e090b45bc4a808f48900ed07837fb79ea4c02323"),
     ("wz", "text"): (0, "384daaa8a8ec5ada974cbb8abf6da5d999d106a787e2852ce5a715884af1f307"),
     ("wz", "csv"): (0, "2aa1953c62facdc7b70f2bb0c20591b0dced774d98227624d229d6dce28fd3d6"),
@@ -43,7 +45,7 @@ EXPECTED = {
 # `lemma` of CASES with check_lemma_f failing at n = 4.
 FAILING_SCAN = {
     "text": "3bc36f6e606ca1f9db038767cfcbbe50a556f026af674c1724257341d56f6887",
-    "csv": "b6f3e8f40aed84353bb92a2e4a58b99a27de1338e24958f305fba4c643ab66f4",
+    "csv": "b7735ecd494ed05dc9de802a65d579dbb23aa4e0e3ae0f0c37d48b351c0b7d77",
     "json": "5e916ac1e304b67a2827bf0b1e6bc57adc4c13978e0ff310293ed9d74b49a883",
 }
 
@@ -70,3 +72,15 @@ def test_failing_scan_bytes_and_no_evaluation_after_first_failure(capsys, monkey
     assert _run(capsys, CASES["lemma"] + ["--format", fmt]) == (1, FAILING_SCAN[fmt])
     # the rows still count n = 5, 6, but never evaluate them
     assert calls == [(m, n) for m in (3, 5) for n in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("command", sorted(CASES))
+def test_csv_rows_are_as_wide_as_their_header(capsys, monkeypatch, command):
+    # A lemma scope ("m=3,n=2..6") and a failing pair relation ("n=3,k=2")
+    # hold commas, so those fields must be quoted.
+    monkeypatch.setattr(cli, "check_wz_relation", lambda n, k: (n, k) != (3, 2))
+    cli.run(CASES[command] + ["--format", "csv"])
+    header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert rows and all(len(row) == len(header) for row in rows)
+    if command == "wz":
+        assert rows[0][header.index("first_failure")] == "n=3,k=2"
