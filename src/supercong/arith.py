@@ -24,6 +24,11 @@ class InvalidPrime(ValueError):
     """The given modulus base is not an odd prime (or is outside a check's domain)."""
 
 
+class PrimeTooSmall(InvalidPrime):
+    """An odd prime below the domain floor of a check or claim (a check's
+    informational mode bypasses it)."""
+
+
 class NonInvertibleDenominator(ValueError):
     """reduce_mod needs a denominator coprime to p; callers must fall back to
     the exact-rational path when this is raised."""
@@ -43,6 +48,15 @@ def is_odd_prime(p: int) -> bool:
             return False
         d += 2
     return True
+
+
+def require_prime(p: int, what: str, floor: int = 3) -> None:
+    """The one primality guard: InvalidPrime unless p is an odd prime, and
+    PrimeTooSmall if it is one below floor; what names the caller."""
+    if not is_odd_prime(p):
+        raise InvalidPrime(f"{what} needs an odd prime, got {p}")
+    if p < floor:
+        raise PrimeTooSmall(f"{what} requires p >= {floor}, got {p}")
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
@@ -65,8 +79,7 @@ class PrimePower:
     t: int
 
     def __post_init__(self) -> None:
-        if not is_odd_prime(self.p):
-            raise InvalidPrime(f"modulus base must be an odd prime, got {self.p}")
+        require_prime(self.p, "a modulus base")
         if self.t < 1:
             raise ValueError(f"modulus exponent must be >= 1, got {self.t}")
 
@@ -95,8 +108,7 @@ def vp(x: Rational, p: int) -> Valuation:
     Returns INFINITE for x = 0, so "x = 0 (mod p^t)" is expressible for
     every t.
     """
-    if not is_odd_prime(p):
-        raise InvalidPrime(f"vp is defined for odd primes, got {p}")
+    require_prime(p, "vp")
     return vp_unchecked(Fraction(x), p)
 
 
@@ -177,8 +189,7 @@ def make_report(
     p must be an odd prime (InvalidPrime otherwise); the keyword fields m, r,
     k and informational are those of report_unchecked.
     """
-    if not is_odd_prime(p):
-        raise InvalidPrime(f"reports need an odd prime, got {p}")
+    require_prime(p, "make_report")
     return report_unchecked(check_id, p, lhs, rhs, required, **fields)
 
 

@@ -16,13 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from .arith import CongruenceReport, InvalidPrime, is_odd_prime, report_unchecked, vp_unchecked
+from .arith import CongruenceReport, PrimeTooSmall, report_unchecked, require_prime, vp_unchecked
 from .series import pochhammer_ratio_product, summands, wz_F, wz_G
 from .special import cached, euler_number, h2, poch_neg_half, poch_pos_half
-
-
-class PrimeTooSmall(ValueError):
-    """The prime is below the check's domain floor (informational mode bypasses)."""
 
 
 class IndexOutOfRange(ValueError):
@@ -152,7 +148,7 @@ def check_lemma_sun3(p: int, k: int) -> CongruenceReport:
 
     for primes p >= 5 and 1 <= k <= (p-1)/2.
     """
-    _require_check_prime(p, 5, "lemma_sun3")
+    require_prime(p, "lemma_sun3", floor=5)
     h = (p - 1) // 2
     if not 1 <= k <= h:
         raise IndexOutOfRange(f"k must lie in [1, {h}], got {k}")
@@ -171,20 +167,13 @@ def check_ratio_expansion(p: int, k: int, order: int) -> CongruenceReport:
     """
     if order not in (2, 4):
         raise ValueError(f"order must be 2 or 4, got {order}")
-    _require_check_prime(p, 3, "ratio_expansion")
+    require_prime(p, "ratio_expansion")
     if not 0 <= k <= (p + 1) // 2:
         raise IndexOutOfRange(f"k must lie in [0, {(p + 1) // 2}], got {k}")
     lhs = pochhammer_ratio_product(p, k)
     u2 = (poch_neg_half(k) / math.factorial(k)) ** 2
     rhs = u2 if order == 2 else u2 * (1 + p * p * _weight(k))
     return report_unchecked(f"ratio_expansion_mod{order}", p, lhs, rhs, order, k=k)
-
-
-def _require_check_prime(p: int, floor: int, what: str) -> None:
-    if not is_odd_prime(p):
-        raise InvalidPrime(f"{what} needs an odd prime, got {p}")
-    if p < floor:
-        raise PrimeTooSmall(f"{what} requires p >= {floor}, got {p}")
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +354,7 @@ def check(check_id: str, p: int, *, informational: bool = False) -> CongruenceRe
     spec = CHECKS.get(check_id)
     if spec is None:
         raise ValueError(f"unknown check id {check_id!r}")
-    _require_check_prime(p, 3 if informational else spec.floor, check_id)
+    require_prime(p, check_id, floor=3 if informational else spec.floor)
     lhs, rhs, k = spec.values(p)
     return report_unchecked(
         check_id, p, lhs, rhs, spec.required,

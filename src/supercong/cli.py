@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import operator
@@ -42,10 +43,16 @@ from .series import boundary_closed_form, check_telescoped_identity, check_wz_re
 
 FORMATS = ("text", "csv", "json")
 
-#: Largest upper end accepted for --primes, --telescope and --boundary: the
-#: prime sieve allocates one byte per integer up to it.  It also caps
-#: prime_max^r for discover, the number of summands of one cell.
+#: Largest upper end accepted for --primes and --telescope: the prime sieve
+#: allocates one byte per integer up to it.  It also caps discover's work,
+#: the sum of p^r over the window, the summand count of one weight.
 PRIME_CAP = 10**7
+#: Work caps of the exact identity scans, each set where its largest accepted
+#: input takes a few seconds (see the README): `wz --grid`, the upper end of
+#: `lemma`/`table --n` and the upper end of `wz --boundary`.
+GRID_CAP = 200
+N_CAP = 300
+BOUNDARY_CAP = 3001
 
 DISCOVER_DEFAULT_M = {"C": (1, 3, 5, 7, 9, 11), "D": (1, 3, 5, 7, 9, 11, 13, 15)}
 
@@ -208,34 +215,41 @@ def _usage_type(parse: Callable[[str], Any]) -> Callable[[str], Any]:
     return convert
 
 
-def _int_range(name: str, capped_flag: str | None = None) -> Callable[[str], tuple[int, int]]:
-    """Type of a `lo..hi` (or single integer) flag: rejects lo > hi and, for a
-    capped_flag, an upper end above PRIME_CAP."""
+def _int_range(
+    name: str, flag: str, cap: int, least: int | None = None
+) -> Callable[[str], tuple[int, int]]:
+    """Type of a `lo..hi` (or single integer) flag: rejects lo > hi, a lo
+    below least and an upper end above cap."""
     def parse(text: str) -> tuple[int, int]:
         lo, dots, hi = text.partition("..")
         lo, hi = int(lo), int(hi if dots else lo)
         if lo > hi:
             raise ValueError(f"empty {name} range {lo}..{hi}")
-        if capped_flag and hi > PRIME_CAP:
-            raise ValueError(f"{capped_flag} upper end {hi} exceeds the cap {PRIME_CAP}")
+        if least is not None and lo < least:
+            raise ValueError(f"{name} must be >= {least}, got {lo}")
+        if hi > cap:
+            raise ValueError(f"{flag} upper end {hi} exceeds the cap {cap}")
         return lo, hi
     return _usage_type(parse)
 
 
-def _at_least_one(flag: str) -> Callable[[str], int]:
-    """Type of an integer flag that must be >= 1."""
+def _at_least_one(flag: str, cap: int | None = None) -> Callable[[str], int]:
+    """Type of an integer flag that must be >= 1 and at most cap, if any."""
     def parse(text: str) -> int:
         value = int(text)
         if value < 1:
             raise ValueError(f"{flag} must be >= 1, got {value}")
+        if cap is not None and value > cap:
+            raise ValueError(f"{flag} {value} exceeds the cap {cap}")
         return value
     return _usage_type(parse)
 
 
 @_usage_type
 def _weights(text: str) -> tuple[int, ...]:
-    """Type of --m: comma-separated odd positive weights, at least one."""
-    m_values = tuple(int(x) for x in text.split(",") if x.strip())
+    """Type of --m: comma-separated odd positive weights, at least one; a
+    repeated weight counts once."""
+    m_values = tuple(dict.fromkeys(int(x) for x in text.split(",") if x.strip()))
     if not m_values:
         raise ValueError("no m values given")
     for m in m_values:
@@ -246,10 +260,11 @@ def _weights(text: str) -> tuple[int, ...]:
 
 @_usage_type
 def _check_ids(text: str) -> tuple[str, ...]:
-    """Type of --checks: comma-separated registered ids, or 'all'."""
+    """Type of --checks: comma-separated registered ids, or 'all'; a repeated
+    id counts once."""
     if text == "all":
         return DEFAULT_CHECK_IDS
-    ids = tuple(x.strip() for x in text.split(",") if x.strip())
+    ids = tuple(dict.fromkeys(x.strip() for x in text.split(",") if x.strip()))
     unknown = [c for c in ids if c not in CHECKS]
     if unknown:
         raise ValueError(f"unknown check ids: {', '.join(unknown)}")
@@ -336,14 +351,17 @@ def _cmd_wz(args: argparse.Namespace) -> list[ScanRecord]:
 
 def _cmd_discover(args: argparse.Namespace) -> list[DiscoveryResult]:
     lo, hi = args.primes
-    # 2^bit_length > PRIME_CAP, so a larger exponent cannot change the verdict.
-    if max(hi, 1) ** min(args.r, PRIME_CAP.bit_length()) > PRIME_CAP:
-        raise ValueError(
-            f"--primes upper end {hi} to the power --r {args.r} exceeds the cap {PRIME_CAP}"
-        )
     primes = tuple(primes_in_range(max(lo, 5), hi))
     if not primes:
         raise ValueError(f"no usable primes in {lo}..{hi}")
+    # One weight walks p^r summands per prime.  2^bit_length > PRIME_CAP, so a
+    # larger exponent cannot change the verdict, and any() stops at the cap.
+    r = min(args.r, PRIME_CAP.bit_length())
+    if any(total > PRIME_CAP for total in itertools.accumulate(p**r for p in primes)):
+        raise ValueError(
+            f"the summand count of --primes {lo}..{hi} at --r {args.r}, the sum of p^r,"
+            f" exceeds the cap {PRIME_CAP}"
+        )
     family = args.family.upper()
     m_values = args.m or DISCOVER_DEFAULT_M[family]  # None: --m all
     tasks = [(family, m, primes, args.r, args.variant) for m in sorted(m_values)]
@@ -353,22 +371,23 @@ def _cmd_discover(args: argparse.Namespace) -> list[DiscoveryResult]:
 def _cmd_table(args: argparse.Namespace) -> list[_TableRow]:
     lo, hi = args.n
     # table1_f rejects an m without a closed form.
-    rows = [_TableRow(m, n, table1_f(m, n), table1_g(m, n))
-            for m in sorted(args.m) for n in range(max(lo, 2), hi + 1)]
-    if not rows:
-        raise ValueError(f"no table row for n={lo}..{hi}: the table starts at n = 2")
-    return rows
+    return [_TableRow(m, n, table1_f(m, n), table1_g(m, n))
+            for m in sorted(args.m) for n in range(lo, hi + 1)]
 
 
-def _declare(sub, name: str, handler: Callable, help: str, *arguments: tuple[str, dict]) -> None:
+def _declare(
+    sub, name: str, handler: Callable, help: str, *arguments: tuple[str, dict], jobs: bool = False
+) -> None:
     """One subcommand: its (flag, add_argument options) pairs, then --format
-    and --jobs; run() calls handler(args) for its records."""
+    and, for a handler that fans out to processes, --jobs; run() calls
+    handler(args) for its records."""
     cmd = sub.add_parser(name, help=help)
     for flag, options in arguments:
         cmd.add_argument(flag, **options)
     cmd.add_argument("--format", choices=FORMATS, default="text")
-    cmd.add_argument("--jobs", type=_at_least_one("--jobs"), default=1,
-                     help="worker processes (default %(default)s; at most the CPU count)")
+    if jobs:
+        cmd.add_argument("--jobs", type=_at_least_one("--jobs"), default=1,
+                         help="worker processes (default %(default)s; at most the CPU count)")
     cmd.set_defaults(handler=handler)
 
 
@@ -378,26 +397,30 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact-arithmetic congruence verification and constant discovery.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    primes = ("--primes", dict(type=_int_range("prime", "--primes"), default="5..199",
+    primes = ("--primes", dict(type=_int_range("prime", "--primes", PRIME_CAP), default="5..199",
                                help="prime range lo..hi (default %(default)s)"))
     weights = ("--m", dict(type=_weights, default="3,5,7",
                            help="comma-separated weights (subset of 3,5,7)"))
-    n_range = dict(type=_int_range("n"), help="n range lo..hi (default %(default)s)")
+    n_range = dict(type=_int_range("n", "--n", N_CAP, least=2),
+                   help="n range lo..hi (default %(default)s)")
 
     _declare(sub, "verify", _cmd_verify, "scan named congruence checks over a prime range",
              ("--checks", dict(type=_check_ids, default="all", help="comma-separated check ids,"
                                " or 'all' (default; excludes lemma_sun1_printed)")),
              primes,
              ("--include-p3", dict(action="store_true", help="emit informational p=3 rows"
-                                   " (pass=null) for checks floored at p>=5")))
+                                   " (pass=null) for checks floored at p>=5")),
+             jobs=True)
     _declare(sub, "lemma", _cmd_lemma, "exact closed-form lemma scans",
              weights, ("--n", dict(n_range, default="2..50")))
     _declare(sub, "wz", _cmd_wz, "telescoping pair relation, telescoped identity, boundary form",
-             ("--grid", dict(type=_at_least_one("--grid"), default=60,
+             ("--grid", dict(type=_at_least_one("--grid", GRID_CAP), default=60,
                              help="check the pair relation for 1<=k<=n<=GRID")),
-             ("--telescope", dict(type=_int_range("telescope", "--telescope"), default="3..97",
+             ("--telescope", dict(type=_int_range("telescope", "--telescope", PRIME_CAP),
+                                  default="3..97",
                                   help="prime range for the telescoped identity")),
-             ("--boundary", dict(type=_int_range("boundary", "--boundary"), default="3..199",
+             ("--boundary", dict(type=_int_range("boundary", "--boundary", BOUNDARY_CAP),
+                                 default="3..199",
                                  help="odd range for the boundary closed form")))
     _declare(sub, "discover", _cmd_discover, "rediscover family constants via CRT over a prime range",
              ("--family", dict(choices=("c", "d"), required=True)),
@@ -406,7 +429,8 @@ def _build_parser() -> argparse.ArgumentParser:
              primes,
              ("--r", dict(type=_at_least_one("--r"), default=1,
                           help="power of p in the truncation depth (default %(default)s)")),
-             ("--variant", dict(choices=("half", "full", "both"), default="both")))
+             ("--variant", dict(choices=("half", "full", "both"), default="both")),
+             jobs=True)
     _declare(sub, "table", _cmd_table, "print the closed-form table values",
              weights, ("--n", dict(n_range, default="2..10")))
     return parser

@@ -28,10 +28,9 @@ from typing import Iterator
 from .arith import (
     CongruenceReport,
     InconsistentInput,
-    InvalidPrime,
     crt_lift,
-    is_odd_prime,
     report_unchecked,
+    require_prime,
     split_power,
 )
 from .series import SumSpec, partial_sum, summand_factors
@@ -48,17 +47,18 @@ class ValuationTooLow(ValueError):
     fails at this prime (a counterexample candidate)."""
 
 
-def _validate(family: str, m: int, p: int, r: int, variant: str) -> None:
+def _validate(
+    family: str, m: int, p: int, r: int, variant: str, variants: tuple[str, ...] = VARIANTS
+) -> None:
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
     if m < 1 or m % 2 == 0:
         raise ValueError(f"m must be an odd positive integer, got {m}")
-    if not is_odd_prime(p):
-        raise InvalidPrime(f"p must be an odd prime, got {p}")
+    require_prime(p, f"family {family}")
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    if variant not in variants:
+        raise ValueError(f"variant must be one of {variants}, got {variant!r}")
 
 
 def _unit_sign(family: str, p: int, r: int) -> int:
@@ -109,29 +109,39 @@ def extract_residue(family: str, m: int, p: int, r: int, variant: str) -> tuple[
 
     Returns (residue, modulus) with residue = (sum * sign / p^r) mod p^e,
     e = 2 for family C and 3 for family D.  Requires v_p(sum) >= r.
+    variant "both" reads the half and the full truncation and raises
+    InconsistentInput unless their residues agree.
 
     The sum is never formed exactly.  A first pass finds vmin, the least
     valuation of a summand (at most 0, the valuation of summand 0); a
     second computes sum / p^vmin with every unit kept mod p^N,
-    N = r + e - vmin, which fixes sum / p^r mod p^e exactly.
+    N = r + e - vmin, which fixes sum / p^r mod p^e exactly.  The half
+    range is a prefix of the full one and its least valuation is no
+    smaller, so "both" walks the full range once and reads the half
+    truncation off the same running sum at its cut.
     """
-    _validate(family, m, p, r, variant)
+    _validate(family, m, p, r, variant, VARIANTS + ("both",))
     e = _RESIDUE_EXPONENT[family]
-    count = _upper(p, r, variant) + 1
+    cuts = {v: _upper(p, r, v) for v in VARIANTS if variant in (v, "both")}
+    count = max(cuts.values()) + 1
     vmin = min(v for v, *_ in _split_summands(family, m, p, count))
     shift = r - vmin
     modulus = p ** (shift + e)
-    total, units = 0, 1
-    for v, sign, w, a, b in _split_summands(family, m, p, count):
-        units = units * a * pow(b, -1, modulus) % modulus
-        total += sign * pow(p, v - vmin, modulus) * pow(w, m, modulus) * units
-    total %= modulus
-    if total % p**shift:
-        raise ValuationTooLow(
-            f"family {family}, m={m}, p={p}, r={r} ({variant}): v_p(sum) < r"
-        )
-    pe = p**e
-    return total // p**shift * _unit_sign(family, p, r) % pe, pe
+    summands = _split_summands(family, m, p, count)
+    total, units, done, pe, pairs = 0, 1, 0, p**e, []
+    for cut_variant, cut in cuts.items():  # half first: its cut is the smaller
+        for v, sign, w, a, b in itertools.islice(summands, cut + 1 - done):
+            units = units * a * pow(b, -1, modulus) % modulus
+            total += sign * pow(p, v - vmin, modulus) * pow(w, m, modulus) * units
+        done, total = cut + 1, total % modulus
+        if total % p**shift:
+            raise ValuationTooLow(
+                f"family {family}, m={m}, p={p}, r={r} ({cut_variant}): v_p(sum) < r"
+            )
+        pairs.append((total // p**shift * _unit_sign(family, p, r) % pe, pe))
+    if pairs[0] != pairs[-1]:
+        raise InconsistentInput(f"half/full residues disagree at p={p}: {pairs[0]} vs {pairs[-1]}")
+    return pairs[-1]
 
 
 @dataclass(frozen=True)
@@ -186,34 +196,22 @@ def discover_constant(
     """Rediscover the family constant from per-prime residues via CRT.
 
     With variant="both" (the default) the residue is extracted from the half
-    and full truncations independently and the two must agree at every prime;
-    InconsistentInput identifies the offending prime otherwise.  Residues are
-    gathered in ascending prime order, lifted to the symmetric representative
-    (see _stabilized_lift), and `consistent` re-verifies that the lifted
-    constant reproduces every residue.  The output is empirical: it carries
-    no claim beyond the primes listed in the evidence.
+    and full truncations, which must agree at every prime (see
+    extract_residue); InconsistentInput identifies the offending prime
+    otherwise.  Residues are gathered in ascending prime order, lifted to
+    the symmetric representative (see _stabilized_lift), and `consistent`
+    re-verifies that the lifted constant reproduces every residue.  The
+    output is empirical: it carries no claim beyond the primes listed in
+    the evidence.
     """
-    if variant not in VARIANTS + ("both",):
-        raise ValueError(f"variant must be 'half', 'full' or 'both', got {variant!r}")
     if not primes:
         raise ValueError("need at least one prime")
     if len(set(primes)) != len(primes):
         raise ValueError("primes must be distinct")
-    evidence = []
-    for p in sorted(primes):
-        if p < 5 or not is_odd_prime(p):
-            raise InvalidPrime(f"discovery primes must be primes >= 5, got {p}")
-        pair = None
-        if variant in ("half", "both"):
-            pair = extract_residue(family, m, p, r, "half")
-        if variant in ("full", "both"):
-            full_pair = extract_residue(family, m, p, r, "full")
-            if pair is not None and pair != full_pair:
-                raise InconsistentInput(
-                    f"half/full residues disagree at p={p}: {pair} vs {full_pair}"
-                )
-            pair = full_pair
-        evidence.append((p, pair[0], pair[1]))
+    primes = sorted(primes)
+    for p in primes:
+        require_prime(p, "discovery", floor=5)
+    evidence = [(p, *extract_residue(family, m, p, r, variant)) for p in primes]
     constant = _stabilized_lift(evidence)
     consistent = all(constant % mod == res for _, res, mod in evidence)
     return DiscoveryResult(family, m, r, constant, tuple(evidence), consistent)

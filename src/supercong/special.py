@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .arith import CongruenceReport, InvalidPrime, Rational, is_odd_prime, report_unchecked
+from .arith import CongruenceReport, Rational, report_unchecked, require_prime
 
 # Every growing exact sequence of the package, keyed by name: the values
 # computed so far and the iterator that yields the rest.
@@ -151,19 +151,14 @@ def gamma_ratio_half_shift(p: int) -> Fraction:
     return pochhammer(Fraction(3, 2), h) / pochhammer(1 - Fraction(p, 2), h)
 
 
-def _require_prime_above_3(p: int, what: str) -> None:
-    if p <= 3 or not is_odd_prime(p):
-        raise InvalidPrime(f"{what} is stated for primes p > 3, got {p}")
-
-
 def check_wolstenholme(p: int) -> CongruenceReport:
     """C(2p, p) = 2 (mod p^3) for primes p > 3."""
-    _require_prime_above_3(p, "Wolstenholme's congruence")
+    require_prime(p, "Wolstenholme's congruence", floor=5)
     return report_unchecked("wolstenholme", p, math.comb(2 * p, p), 2, 3)
 
 
 def check_morley(p: int) -> CongruenceReport:
     """C(p-1, (p-1)/2) = (-1)^((p-1)/2) * 4^(p-1) (mod p^3) for primes p > 3."""
-    _require_prime_above_3(p, "Morley's congruence")
+    require_prime(p, "Morley's congruence", floor=5)
     h = (p - 1) // 2
     return report_unchecked("morley", p, math.comb(p - 1, h), (-1) ** h * 4 ** (p - 1), 3)

@@ -8,18 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import supercong
+from supercong import checks, conjectures, special
 from supercong.arith import (
     INFINITE,
     InconsistentInput,
     InvalidPrime,
     NonInvertibleDenominator,
     PrimePower,
+    PrimeTooSmall,
     congruent,
     crt_lift,
     is_odd_prime,
     make_report,
     primes_in_range,
     reduce_mod,
+    require_prime,
     vp,
 )
 
@@ -183,3 +187,49 @@ class TestReports:
     def test_rejects_a_p_that_is_not_an_odd_prime(self, p):
         with pytest.raises(InvalidPrime):
             make_report("x", p, 0, 27, 2)
+
+
+class TestRequirePrime:
+    """Every layer validates p through arith.require_prime, so a p below a
+    caller's floor raises PrimeTooSmall, which except InvalidPrime catches."""
+
+    def test_hierarchy_and_reexports(self):
+        assert issubclass(PrimeTooSmall, InvalidPrime)
+        assert checks.PrimeTooSmall is supercong.PrimeTooSmall is PrimeTooSmall
+        require_prime(3, "x")
+        require_prime(5, "x", floor=5)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: require_prime(3, "x", floor=5),
+            lambda: checks.check("thm1", 3),
+            lambda: checks.check_lemma_sun3(3, 1),
+            lambda: special.check_wolstenholme(3),
+            lambda: special.check_morley(3),
+            lambda: conjectures.discover_constant("C", 1, [3, 5, 7]),
+        ],
+    )
+    def test_below_floor_is_prime_too_small(self, call):
+        with pytest.raises(PrimeTooSmall, match="requires p >= 5, got 3"):
+            call()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: require_prime(9, "x"),
+            lambda: vp(3, 9),
+            lambda: PrimePower(2, 1),
+            lambda: make_report("x", 15, 0, 1, 1),
+            lambda: checks.check("thm2", 9),
+            lambda: checks.check_ratio_expansion(1, 0, 2),
+            lambda: special.check_wolstenholme(9),
+            lambda: conjectures.conj_sum("C", 1, 9, 1, "half"),
+            lambda: conjectures.extract_residue("D", 1, 4, 1, "both"),
+            lambda: conjectures.discover_constant("C", 1, [5, 9]),
+        ],
+    )
+    def test_non_prime_is_invalid_prime_only(self, call):
+        with pytest.raises(InvalidPrime, match="needs an odd prime, got") as exc:
+            call()
+        assert type(exc.value) is InvalidPrime

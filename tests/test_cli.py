@@ -183,7 +183,7 @@ class TestVerifyCommand:
             (["lemma", "--m", "", "--n", "2..5"], "no m values given"),
             (["table", "--m", ""], "no m values given"),
             (["discover", "--family", "d", "--m", ""], "no m values given"),
-            (["table", "--n", "0..1", "--format", "csv"], "no table row for n=0..1"),
+            (["table", "--n", "0..1", "--format", "csv"], "argument --n: n must be >= 2, got 0"),
             (["verify", "--jobs", "0"], "jobs must be >= 1"),
             (["discover", "--family", "c", "--r", "0"], "r must be >= 1"),
             (["lemma", "--m", "3,x"], "invalid literal for int() with base 10: 'x'"),
@@ -207,12 +207,57 @@ class TestVerifyCommand:
             raise cli.ValuationTooLow(f"stub reached at p={p}, r={r}")
 
         monkeypatch.setattr(conjectures, "extract_residue", stub)
-        for primes, r in (("5..3163", "2"), ("5..251", "3"), ("5..7", "1000000000")):
+        for primes, r in (("5..3163", "2"), ("5..3162", "2"), ("5..577", "2"), ("5..251", "3"),
+                          ("5..7", "1000000000")):
             code, out, err = run_cli(capsys, "discover", "--family", "c", "--primes", primes, "--r", r)
             assert (code, out) == (2, "") and "exceeds the cap 10000000" in err
-        # 3162^2 is within the cap: the run gets as far as the first residue.
-        code, _, err = run_cli(capsys, "discover", "--family", "c", "--primes", "5..3162", "--r", "2")
+        # The sum of p^2 over 5..571 is 9960943, within the cap (577 adds 332929 more):
+        # the run gets as far as the first residue.
+        code, _, err = run_cli(capsys, "discover", "--family", "c", "--primes", "5..576", "--r", "2")
         assert code == 1 and "stub reached at p=5, r=2" in err
+
+    def test_repeated_check_id_counts_once(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--checks", "thm1,thm1", "--primes", "5..7", "--format", "json"
+        )
+        assert code == 0
+        assert [(r["check_id"], r["p"]) for r in map(json.loads, out.splitlines())] == [
+            ("thm1", 5), ("thm1", 7),
+        ]
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["wz", "--grid", "201"], "argument --grid: --grid 201 exceeds the cap 200"),
+            (["wz", "--boundary", "3..3002"],
+             "argument --boundary: --boundary upper end 3002 exceeds the cap 3001"),
+            (["lemma", "--n", "2..301"], "argument --n: --n upper end 301 exceeds the cap 300"),
+            (["table", "--n", "250..301"], "argument --n: --n upper end 301 exceeds the cap 300"),
+            (["lemma", "--n", "1..5"], "argument --n: n must be >= 2, got 1"),
+            (["table", "--n", "1..3"], "argument --n: n must be >= 2, got 1"),
+            (["lemma", "--jobs", "2"], "unrecognized arguments: --jobs 2"),
+            (["wz", "--jobs", "2"], "unrecognized arguments: --jobs 2"),
+            (["table", "--jobs", "7"], "unrecognized arguments: --jobs 7"),
+        ],
+    )
+    def test_work_caps_and_undeclared_flags_exit_two(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and message in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the benchmark's inputs, then each cap's largest accepted input
+            ["lemma", "--m", "3,5,7", "--n", "2..100"],
+            ["wz", "--grid", "80", "--telescope", "3..199", "--boundary", "3..399"],
+            ["lemma", "--n", "2..300"],
+            ["table", "--n", "2..300"],
+            ["wz", "--grid", "200", "--boundary", "3..3001"],
+        ],
+    )
+    def test_work_caps_admit(self, argv):
+        args = cli._build_parser().parse_args(argv)
+        assert vars(args).keys() >= {"handler", "format"}
 
     def test_default_scan_small_window_text(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--primes", "5..7")
@@ -261,6 +306,27 @@ class TestOtherCommands:
         assert code == 1
         rec = json.loads(out.strip())
         assert rec["constant"] == 138480 and rec["consistent"] is False
+
+    def test_lemma_repeated_weight_counts_once(self, capsys):
+        code, out, _ = run_cli(capsys, "lemma", "--m", "3,3", "--n", "2..4", "--format", "json")
+        assert code == 0
+        assert [(r["check_id"], r["scope"]) for r in map(json.loads, out.splitlines())] == [
+            ("lemma_f", "m=3,n=2..4"), ("lemma_g", "m=3,n=2..4"),
+        ]
+
+    def test_discover_repeated_weight_is_one_cell(self, capsys, monkeypatch):
+        cells = []
+
+        def counting(family, m, primes, **kwargs):
+            cells.append((family, m))
+            return discover_constant(family, m, primes, **kwargs)
+
+        monkeypatch.setattr(cli, "discover_constant", counting)
+        code, out, _ = run_cli(
+            capsys, "discover", "--family", "c", "--m", "5,5", "--primes", "5..13", "--format", "json"
+        )
+        assert code == 0 and cells == [("C", 5)]
+        assert [json.loads(line)["constant"] for line in out.splitlines()] == [23]
 
     def test_discover_csv_header(self, capsys):
         code, out, _ = run_cli(

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from supercong.arith import InvalidPrime, vp
+from supercong.arith import InvalidPrime, primes_in_range, vp
 from supercong.checks import check
 from supercong.conjectures import (
     DiscoveryResult,
@@ -170,6 +170,31 @@ class TestCounterexampleFamilyD15:
     def test_anomaly_does_not_extend_to_r2(self):
         for variant in ("half", "full"):
             assert verify_conjecture("D", 15, 5, 2, 138480, variant).passed
+
+
+@pytest.mark.parametrize(
+    "m,constant,disagreeing",
+    [(19, 421390400, [5, 7]), (21, -36584338320, [7]), (23, 4086574673200, [7])],
+)
+class TestCounterexamplesBeyondReadmeWeights:
+    """The same pattern as m = 15 at the next weights: over primes 5..199 at
+    r = 1 the lifted constant reproduces every residue except at the listed
+    small primes, and at r = 2 (5..61) it reproduces all of them."""
+
+    def test_discovery_pins_the_constant_and_the_disagreeing_primes(self, m, constant, disagreeing):
+        res = discover_constant("D", m, primes_in_range(5, 199))
+        assert (res.constant, res.consistent) == (constant, False)
+        assert [p for p, residue, mod in res.evidence if constant % mod != residue] == disagreeing
+
+    def test_congruence_fails_exactly_at_the_disagreeing_primes(self, m, constant, disagreeing):
+        for p in (5, 7, 11):
+            for variant in ("half", "full"):
+                rep = verify_conjecture("D", m, p, 1, constant, variant)
+                assert rep.passed is (p not in disagreeing), (p, variant)
+
+    def test_anomaly_does_not_extend_to_r2(self, m, constant, disagreeing):
+        res = discover_constant("D", m, primes_in_range(5, 61), r=2)
+        assert (res.constant, res.consistent) == (constant, True)
 
 
 class TestDepthTwo:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from supercong import conjectures, series
 from supercong.arith import PrimePower, primes_in_range, reduce_mod, vp
 from supercong.conjectures import (
+    InconsistentInput,
     ValuationTooLow,
     conj_sum,
     discover_constant,
@@ -121,3 +122,89 @@ def test_constants_hold_at_depth_two_and_three(family, constants, r, primes):
     for m, want in constants.items():
         res = discover_constant(family, m, primes, r=r)
         assert (res.constant, res.consistent) == (want, True), (family, m, r)
+
+
+def exact_both(family, m, p, r):
+    """The half and then the full exact residue, as discover_constant
+    compared them before extract_residue read both off one walk."""
+    half = exact_residue(family, m, p, r, "half")
+    full = exact_residue(family, m, p, r, "full")
+    if half != full:
+        raise InconsistentInput(f"half/full residues disagree at p={p}: {half} vs {full}")
+    return full
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from("CD"),
+    m=st.sampled_from(range(1, 16, 2)),
+    p=st.sampled_from(primes_in_range(5, 37)),
+    r=st.sampled_from((1, 2)),
+)
+def test_both_variants_from_one_walk_match_exact(family, m, p, r):
+    assert outcome(extract_residue, family, m, p, r, "both") == outcome(exact_both, family, m, p, r)
+
+
+@pytest.mark.parametrize("family,m", [("C", 1), ("C", 11), ("D", 3), ("D", 15)])
+def test_both_variants_at_p3_where_the_cuts_coincide(family, m):
+    # (3 + 1)/2 = 3 - 1: one cut serves both truncations
+    assert conjectures._upper(3, 1, "half") == conjectures._upper(3, 1, "full")
+    assert outcome(extract_residue, family, m, 3, 1, "both") == outcome(exact_both, family, m, 3, 1)
+
+
+def substituted_factors(steps):
+    def fake_factors(family):
+        return itertools.chain([(1, 1, 1, 1)], itertools.cycle(steps))
+
+    return fake_factors
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    steps=st.lists(st.tuples(st.sampled_from((1, -1)), factor, factor, factor), min_size=1, max_size=5),
+    r=st.sampled_from((1, 2)),
+)
+def test_both_variants_on_arbitrary_factor_streams_match_exact(steps, r):
+    """Random factor streams reach both exceptions of the shared walk:
+    ValuationTooLow at either cut and half/full residues that disagree."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "summand_factors", substituted_factors(steps))
+        mp.setattr(conjectures, "summand_factors", substituted_factors(steps))
+        for family, m in (("C", 1), ("D", 3)):
+            assert outcome(extract_residue, family, m, 5, r, "both") == outcome(
+                exact_both, family, m, 5, r
+            )
+
+
+@pytest.mark.parametrize(
+    "steps,raised",
+    [
+        # summands 1, -2*3^k: the half sum 1 - 2(3 + 9 + 27) = -77
+        ([(-1, 2, 3, 1)], "ValuationTooLow: family C, m=1, p=5, r=1 (half)"),
+        # summands 1, -2, -2, -2, -2: the half sum is -5, the full one -7
+        ([(-1, 2, 5, 5)], "ValuationTooLow: family C, m=1, p=5, r=1 (full)"),
+        ([(-1, 2, 1, 2), (-1, 1, 5, 1)],
+         "InconsistentInput: half/full residues disagree at p=5: (24, 25) vs (4, 25)"),
+    ],
+)
+def test_both_variants_pinned_factor_streams(steps, raised):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "summand_factors", substituted_factors(steps))
+        mp.setattr(conjectures, "summand_factors", substituted_factors(steps))
+        got = outcome(extract_residue, "C", 1, 5, 1, "both")
+        assert got == outcome(exact_both, "C", 1, 5, 1)
+    assert f"{got[0].__name__}: {got[1]}".startswith(raised)
+
+
+def test_default_discovery_cell_walks_the_summands_twice(monkeypatch):
+    """One pass for vmin and one for the units, both over the full range;
+    the half truncation is read off the second at its cut."""
+    walks = []
+
+    def counting(family, _real=series.summand_factors):
+        walks.append(family)
+        return _real(family)
+
+    monkeypatch.setattr(conjectures, "summand_factors", counting)
+    assert discover_constant("C", 5, [7]).constant == 23
+    assert walks == ["A", "A"]

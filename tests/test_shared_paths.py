@@ -189,7 +189,6 @@ def test_check_tests_primality_once(monkeypatch):
         return _real(p)
 
     monkeypatch.setattr(arith, "is_odd_prime", counting)
-    monkeypatch.setattr(checks, "is_odd_prime", counting)
     for check_id in ("ratio_expansion_mod4", "lemma_sun3", "thm1"):
         calls.clear()
         check(check_id, 31)
