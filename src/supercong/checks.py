@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from .arith import CongruenceReport, PrimeTooSmall, report_unchecked, require_prime, vp_unchecked
-from .series import pochhammer_ratio_product, summands, wz_F, wz_G
+from .series import family_sum, pochhammer_ratio_product, wz_F, wz_G_tail
 from .special import cached, euler_number, h2, poch_neg_half, poch_pos_half
 
 
@@ -204,22 +204,16 @@ def _sgn(p: int) -> int:
     return -1 if ((p - 1) // 2) % 2 else 1
 
 
-def _family_sum(family: str, m: int, upper: int) -> Fraction:
-    # the sum a check needs at prime p is a prefix of the one it needs at every
-    # larger prime, so each stream's running totals are kept per (family, m)
-    return cached((family, m), lambda: itertools.accumulate(summands(family, m)), upper)
-
-
 def _sum_a(m: int, p: int) -> Fraction:
-    return _family_sum("A", m, (p + 1) // 2)
+    return family_sum("A", m, (p + 1) // 2)
 
 
 def _sum_b(m: int, p: int) -> Fraction:
-    return _family_sum("B", m, (p + 1) // 2)
+    return family_sum("B", m, (p + 1) // 2)
 
 
 def _sum_v(m: int, p: int) -> Fraction:
-    return _family_sum("V", m, (p - 1) // 2)
+    return family_sum("V", m, (p - 1) // 2)
 
 
 def _central_binomial_terms() -> Iterator[Fraction]:
@@ -238,18 +232,6 @@ def _central_binomial_sum(p: int) -> Fraction:
         lambda: itertools.accumulate(_central_binomial_terms(), initial=Fraction(0)),
         (p - 1) // 2,
     )
-
-
-def _tail_sum(p: int) -> Fraction:
-    # sum_{k=1..h} G(h+1, k), with G(n, k+1)/G(n, k) = -2(2n+2k-3)(n-k)/(2k-1)^2
-    h = (p + 1) // 2
-    n = h + 1
-    g = wz_G(n, 1)
-    total = g
-    for k in range(1, h):
-        g *= Fraction(-2 * (2 * n + 2 * k - 3) * (n - k), (2 * k - 1) ** 2)
-        total += g
-    return total
 
 
 def _min_valuation(
@@ -315,7 +297,7 @@ _register(
 )
 _register(
     "tail_congruence", 5, 4, None,
-    lambda p: (_tail_sum(p), p**3 * (2 - _sgn(p) - euler_number(p - 3)), None),
+    lambda p: (wz_G_tail((p + 3) // 2), p**3 * (2 - _sgn(p) - euler_number(p - 3)), None),
 )
 _register(
     "boundary_mod", 5, 4, None,

@@ -27,6 +27,7 @@ from .arith import CongruenceReport, primes_in_range
 from .checks import (
     CHECKS,
     DEFAULT_CHECK_IDS,
+    TABLE1_WEIGHTS,
     check,
     check_lemma_f,
     check_lemma_g,
@@ -43,16 +44,17 @@ from .series import boundary_closed_form, check_telescoped_identity, check_wz_re
 
 FORMATS = ("text", "csv", "json")
 
-#: Largest upper end accepted for --primes and --telescope: the prime sieve
-#: allocates one byte per integer up to it.  It also caps discover's work,
-#: the sum of p^r over the window, the summand count of one weight.
+#: Largest upper end accepted for --primes: the prime sieve allocates one
+#: byte per integer up to it.  It also caps discover's work, the sum of p^r
+#: over the window, the summand count of one weight.
 PRIME_CAP = 10**7
 #: Work caps of the exact identity scans, each set where its largest accepted
 #: input takes a few seconds (see the README): `wz --grid`, the upper end of
-#: `lemma`/`table --n` and the upper end of `wz --boundary`.
+#: `lemma`/`table --n`, of `wz --boundary` and of `wz --telescope`.
 GRID_CAP = 200
 N_CAP = 300
 BOUNDARY_CAP = 3001
+TELESCOPE_CAP = 1500
 
 DISCOVER_DEFAULT_M = {"C": (1, 3, 5, 7, 9, 11), "D": (1, 3, 5, 7, 9, 11, 13, 15)}
 
@@ -259,12 +261,24 @@ def _weights(text: str) -> tuple[int, ...]:
 
 
 @_usage_type
+def _table_weights(text: str) -> tuple[int, ...]:
+    """Type of lemma/table --m: _weights with a closed form each."""
+    m_values = _weights(text)
+    for m in m_values:
+        if m not in TABLE1_WEIGHTS:
+            raise ValueError(f"closed forms exist for m in {TABLE1_WEIGHTS}, got {m}")
+    return m_values
+
+
+@_usage_type
 def _check_ids(text: str) -> tuple[str, ...]:
     """Type of --checks: comma-separated registered ids, or 'all'; a repeated
     id counts once."""
     if text == "all":
         return DEFAULT_CHECK_IDS
     ids = tuple(dict.fromkeys(x.strip() for x in text.split(",") if x.strip()))
+    if not ids:
+        raise ValueError("no check ids given")
     unknown = [c for c in ids if c not in CHECKS]
     if unknown:
         raise ValueError(f"unknown check ids: {', '.join(unknown)}")
@@ -370,7 +384,6 @@ def _cmd_discover(args: argparse.Namespace) -> list[DiscoveryResult]:
 
 def _cmd_table(args: argparse.Namespace) -> list[_TableRow]:
     lo, hi = args.n
-    # table1_f rejects an m without a closed form.
     return [_TableRow(m, n, table1_f(m, n), table1_g(m, n))
             for m in sorted(args.m) for n in range(lo, hi + 1)]
 
@@ -399,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     primes = ("--primes", dict(type=_int_range("prime", "--primes", PRIME_CAP), default="5..199",
                                help="prime range lo..hi (default %(default)s)"))
-    weights = ("--m", dict(type=_weights, default="3,5,7",
+    weights = ("--m", dict(type=_table_weights, default="3,5,7",
                            help="comma-separated weights (subset of 3,5,7)"))
     n_range = dict(type=_int_range("n", "--n", N_CAP, least=2),
                    help="n range lo..hi (default %(default)s)")
@@ -416,7 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _declare(sub, "wz", _cmd_wz, "telescoping pair relation, telescoped identity, boundary form",
              ("--grid", dict(type=_at_least_one("--grid", GRID_CAP), default=60,
                              help="check the pair relation for 1<=k<=n<=GRID")),
-             ("--telescope", dict(type=_int_range("telescope", "--telescope", PRIME_CAP),
+             ("--telescope", dict(type=_int_range("telescope", "--telescope", TELESCOPE_CAP),
                                   default="3..97",
                                   help="prime range for the telescoped identity")),
              ("--boundary", dict(type=_int_range("boundary", "--boundary", BOUNDARY_CAP),

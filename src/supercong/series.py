@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .arith import Rational
-from .special import inv_pochhammer_int, poch_neg_half, pochhammer
+from .special import cached, inv_pochhammer_int, poch_neg_half, pochhammer
 
 FAMILIES = ("A", "B", "V")
 
@@ -108,6 +108,12 @@ def partial_sum(spec: SumSpec) -> Fraction:
     return sum(itertools.islice(summands(spec.family, spec.m), spec.upper + 1), Fraction(0))
 
 
+def family_sum(family: str, m: int, upper: int) -> Fraction:
+    """partial_sum(SumSpec(family, m, upper)) read off running totals kept per
+    (family, m): the sum at one upper limit is a prefix of every longer one."""
+    return cached((family, m), lambda: itertools.accumulate(summands(family, m)), upper)
+
+
 def wz_F(n: int, k: int) -> Fraction:
     """F(n,k) = (-1)^(n+k) (4n-1) (-1/2)_n^2 (-1/2)_(n+k) / ((1)_n^2 (1)_(n-k) (-1/2)_k^2).
 
@@ -139,6 +145,18 @@ def wz_G(n: int, k: int) -> Fraction:
     return sign * num / poch_neg_half(k) ** 2
 
 
+def wz_G_tail(n: int) -> Fraction:
+    """sum_{k=1..n-1} G(n, k) for n >= 2, each term from the last by
+    G(n, k+1)/G(n, k) = -2(2n+2k-3)(n-k)/(2k-1)^2."""
+    if n < 2:
+        raise PreconditionViolated(f"the G-tail is stated for n >= 2, got n={n}")
+    g = total = wz_G(n, 1)
+    for k in range(1, n - 1):
+        g *= Fraction(-2 * (2 * n + 2 * k - 3) * (n - k), (2 * k - 1) ** 2)
+        total += g
+    return total
+
+
 def check_wz_relation(n: int, k: int) -> bool:
     """F(n,k-1) - F(n,k) == G(n+1,k) - G(n,k), exactly.  Stated for k >= 1."""
     if k < 1:
@@ -150,13 +168,13 @@ def check_telescoped_identity(p: int) -> bool:
     """Exact telescoped identity for odd p >= 3, with h = (p+1)/2:
 
         sum_{n=0..h} F(n,0) == F(h,h) + sum_{k=1..h} G(h+1, k)
+
+    The terms are the lhs of thm1 (F(n,0): A at m = 1), boundary_mod and tail_congruence.
     """
     if p < 3 or p % 2 == 0:
         raise PreconditionViolated(f"p must be odd and >= 3, got {p}")
     h = (p + 1) // 2
-    lhs = sum((wz_F(n, 0) for n in range(h + 1)), Fraction(0))
-    rhs = wz_F(h, h) + sum((wz_G(h + 1, k) for k in range(1, h + 1)), Fraction(0))
-    return lhs == rhs
+    return family_sum("A", 1, h) == wz_F(h, h) + wz_G_tail(h + 1)
 
 
 def boundary_closed_form(p: int) -> tuple[Fraction, Fraction]:

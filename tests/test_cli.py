@@ -192,6 +192,7 @@ class TestVerifyCommand:
             (["discover", "--family", "c", "--primes=-5000..-1", "--r", "2"], "no usable primes"),
             (["discover", "--family", "c", "--primes=-5000..-4000", "--r", "2"],
              "no usable primes in -5000..-4000"),
+            (["verify", "--checks", ",", "--primes", "5..7"], "argument --checks: no check ids given"),
         ],
     )
     def test_empty_or_unbounded_range_exits_two(self, capsys, monkeypatch, argv, message):
@@ -238,6 +239,12 @@ class TestVerifyCommand:
             (["lemma", "--jobs", "2"], "unrecognized arguments: --jobs 2"),
             (["wz", "--jobs", "2"], "unrecognized arguments: --jobs 2"),
             (["table", "--jobs", "7"], "unrecognized arguments: --jobs 7"),
+            (["wz", "--telescope", "3..1501"],
+             "argument --telescope: --telescope upper end 1501 exceeds the cap 1500"),
+            (["lemma", "--m", "9", "--n", "2..4"],
+             "argument --m: closed forms exist for m in (3, 5, 7), got 9"),
+            (["table", "--m", "3,9", "--n", "2..4"],
+             "argument --m: closed forms exist for m in (3, 5, 7), got 9"),
         ],
     )
     def test_work_caps_and_undeclared_flags_exit_two(self, capsys, argv, message):
@@ -253,6 +260,7 @@ class TestVerifyCommand:
             ["lemma", "--n", "2..300"],
             ["table", "--n", "2..300"],
             ["wz", "--grid", "200", "--boundary", "3..3001"],
+            ["wz", "--telescope", "3..1500"],
         ],
     )
     def test_work_caps_admit(self, argv):

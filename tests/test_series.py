@@ -23,6 +23,7 @@ from supercong.series import (
     whipple_terminating,
     wz_F,
     wz_G,
+    wz_G_tail,
 )
 from supercong.special import pochhammer
 
@@ -146,6 +147,17 @@ class TestWZPair:
             assert partial_sum(SumSpec("A", 1, h)) == sum(
                 (wz_F(n, 0) for n in range(h + 1)), Fraction(0)
             )
+
+    def test_column_is_family_A_summand(self):
+        # the telescoped identity reads its F(n, 0) sum as the A/m=1 prefix sum
+        for n in range(61):
+            assert wz_F(n, 0) == term_value(SumSpec("A", 1, n), n)
+
+    def test_G_tail_needs_two_terms_of_n(self):
+        assert wz_G_tail(2) == wz_G(2, 1)
+        for n in (-1, 0, 1):
+            with pytest.raises(PreconditionViolated):
+                wz_G_tail(n)
 
 
 class TestBoundaryClosedForm:

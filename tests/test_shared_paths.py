@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from supercong import arith, checks, special
+from supercong import arith, checks, series, special
 from supercong.arith import primes_in_range
 from supercong.checks import check, check_lemma_sun3, check_ratio_expansion
 from supercong.series import SumSpec, partial_sum, summands, term_value, wz_G
@@ -178,7 +178,29 @@ class TestWorstK:
         for p in order:
             h = (p + 1) // 2
             direct = sum((wz_G(h + 1, k) for k in range(1, h + 1)), Fraction(0))
-            assert checks._tail_sum(p) == direct
+            assert series.wz_G_tail(h + 1) == direct
+
+
+class TestTelescopedIdentity:
+    """The telescoped identity reads the lhs of thm1, boundary_mod and
+    tail_congruence, so those three must agree with it on every prime."""
+
+    @pytest.mark.parametrize("cold", [True, False])
+    def test_thm1_lhs_is_boundary_plus_tail(self, cold):
+        # descending, so a warm run reads every prime's sum off a longer stream
+        for p in reversed(primes_in_range(5, 97)):
+            _maybe_cold(cold)
+            assert check("thm1", p).lhs == (
+                check("boundary_mod", p).lhs + check("tail_congruence", p).lhs
+            )
+
+    def test_a_tail_without_its_last_term_fails(self, monkeypatch):
+        def short_tail(n, _real=series.wz_G_tail):
+            return _real(n) - wz_G(n, n - 1)
+
+        monkeypatch.setattr(series, "wz_G_tail", short_tail)
+        for p in primes_in_range(3, 31):
+            assert not series.check_telescoped_identity(p)
 
 
 def test_check_tests_primality_once(monkeypatch):
