@@ -50,13 +50,23 @@ def is_odd_prime(p: int) -> bool:
     return True
 
 
-def require_prime(p: int, what: str, floor: int = 3) -> None:
+class _Prime(int):
+    """An odd prime tested by require_prime; vp and make_report trust it."""
+
+    __slots__ = ()
+
+
+def require_prime(p: int, what: str, floor: int = 3) -> _Prime:
     """The one primality guard: InvalidPrime unless p is an odd prime, and
-    PrimeTooSmall if it is one below floor; what names the caller."""
-    if not is_odd_prime(p):
-        raise InvalidPrime(f"{what} needs an odd prime, got {p}")
+    PrimeTooSmall if it is one below floor; what names the caller.  Returns
+    p as a checked prime, which no later guard tests again (floors apply)."""
+    if type(p) is not _Prime:
+        if not is_odd_prime(p):
+            raise InvalidPrime(f"{what} needs an odd prime, got {p}")
+        p = _Prime(p)
     if p < floor:
         raise PrimeTooSmall(f"{what} requires p >= {floor}, got {p}")
+    return p
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
@@ -106,16 +116,9 @@ def vp(x: Rational, p: int) -> Valuation:
     """p-adic valuation of a rational: v_p(numerator) - v_p(denominator).
 
     Returns INFINITE for x = 0, so "x = 0 (mod p^t)" is expressible for
-    every t.
-    """
-    require_prime(p, "vp")
-    return vp_unchecked(Fraction(x), p)
-
-
-def vp_unchecked(x: Fraction, p: int) -> Valuation:
-    """vp for a p the caller has already validated as an odd prime; the hot
-    loops that evaluate many valuations at one prime use it to skip the
-    repeated primality test."""
+    every t.  p is tested unless require_prime returned it."""
+    if type(p) is not _Prime:
+        require_prime(p, "vp")
     if x == 0:
         return INFINITE
     return _vp_int(x.numerator, p) - _vp_int(x.denominator, p)
@@ -182,18 +185,6 @@ class CongruenceReport:
 
 
 def make_report(
-    check_id: str, p: int, lhs: Rational, rhs: Rational, required: int, **fields
-) -> CongruenceReport:
-    """Build a report, computing the achieved valuation from exact rationals.
-
-    p must be an odd prime (InvalidPrime otherwise); the keyword fields m, r,
-    k and informational are those of report_unchecked.
-    """
-    require_prime(p, "make_report")
-    return report_unchecked(check_id, p, lhs, rhs, required, **fields)
-
-
-def report_unchecked(
     check_id: str,
     p: int,
     lhs: Rational,
@@ -205,12 +196,16 @@ def report_unchecked(
     k: int | None = None,
     informational: bool = False,
 ) -> CongruenceReport:
-    """make_report for a p the caller has already validated as an odd prime,
-    so that a check tests primality once."""
+    """Build a report, computing the achieved valuation from exact rationals.
+
+    p must be an odd prime (InvalidPrime otherwise); it is tested unless
+    require_prime returned it.  The report holds p as a plain int.
+    """
+    p = require_prime(p, "make_report")
     lhs, rhs = Fraction(lhs), Fraction(rhs)
-    achieved = vp_unchecked(lhs - rhs, p)
+    achieved = vp(lhs - rhs, p)
     passed = None if informational else achieved >= required
     return CongruenceReport(
-        check_id, p, lhs, rhs, required, achieved, passed,
+        check_id, int(p), lhs, rhs, required, achieved, passed,
         m=m, r=r, k=k, informational=informational,
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from .arith import CongruenceReport, PrimeTooSmall, report_unchecked, require_prime, vp_unchecked
+from .arith import CongruenceReport, PrimeTooSmall, make_report, require_prime, vp
 from .series import family_sum, pochhammer_ratio_product, wz_F, wz_G_tail
 from .special import cached, euler_number, h2, poch_neg_half, poch_pos_half
 
@@ -148,12 +148,12 @@ def check_lemma_sun3(p: int, k: int) -> CongruenceReport:
 
     for primes p >= 5 and 1 <= k <= (p-1)/2.
     """
-    require_prime(p, "lemma_sun3", floor=5)
+    p = require_prime(p, "lemma_sun3", floor=5)
     h = (p - 1) // 2
     if not 1 <= k <= h:
         raise IndexOutOfRange(f"k must lie in [1, {h}], got {k}")
     lhs, rhs = _lemma_sun3_values(p, k)
-    return report_unchecked("lemma_sun3", p, lhs, rhs, 4, k=k)
+    return make_report("lemma_sun3", p, lhs, rhs, 4, k=k)
 
 
 def check_ratio_expansion(p: int, k: int, order: int) -> CongruenceReport:
@@ -167,13 +167,13 @@ def check_ratio_expansion(p: int, k: int, order: int) -> CongruenceReport:
     """
     if order not in (2, 4):
         raise ValueError(f"order must be 2 or 4, got {order}")
-    require_prime(p, "ratio_expansion")
+    p = require_prime(p, "ratio_expansion")
     if not 0 <= k <= (p + 1) // 2:
         raise IndexOutOfRange(f"k must lie in [0, {(p + 1) // 2}], got {k}")
     lhs = pochhammer_ratio_product(p, k)
     u2 = (poch_neg_half(k) / math.factorial(k)) ** 2
     rhs = u2 if order == 2 else u2 * (1 + p * p * _weight(k))
-    return report_unchecked(f"ratio_expansion_mod{order}", p, lhs, rhs, order, k=k)
+    return make_report(f"ratio_expansion_mod{order}", p, lhs, rhs, order, k=k)
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +237,10 @@ def _central_binomial_sum(p: int) -> Fraction:
 def _min_valuation(
     p: int, instances: Iterable[tuple[int, Fraction, Fraction]]
 ) -> tuple[Fraction, Fraction, int]:
-    """(lhs, rhs, k) of the first instance with the smallest v_p(lhs - rhs);
-    p must already be validated as an odd prime."""
+    """(lhs, rhs, k) of the first instance with the smallest v_p(lhs - rhs)."""
     worst = None
     for k, lhs, rhs in instances:
-        achieved = vp_unchecked(lhs - rhs, p)
+        achieved = vp(lhs - rhs, p)
         if worst is None or achieved < worst[0]:
             worst = (achieved, lhs, rhs, k)
     return worst[1], worst[2], worst[3]
@@ -336,9 +335,9 @@ def check(check_id: str, p: int, *, informational: bool = False) -> CongruenceRe
     spec = CHECKS.get(check_id)
     if spec is None:
         raise ValueError(f"unknown check id {check_id!r}")
-    require_prime(p, check_id, floor=3 if informational else spec.floor)
+    p = require_prime(p, check_id, floor=3 if informational else spec.floor)
     lhs, rhs, k = spec.values(p)
-    return report_unchecked(
+    return make_report(
         check_id, p, lhs, rhs, spec.required,
         m=spec.m, k=k, informational=informational and p < spec.floor,
     )

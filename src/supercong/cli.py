@@ -48,13 +48,14 @@ FORMATS = ("text", "csv", "json")
 #: byte per integer up to it.  It also caps discover's work, the sum of p^r
 #: over the window, the summand count of one weight.
 PRIME_CAP = 10**7
-#: Work caps of the exact identity scans, each set where its largest accepted
-#: input takes a few seconds (see the README): `wz --grid`, the upper end of
-#: `lemma`/`table --n`, of `wz --boundary` and of `wz --telescope`.
+#: Work caps, each set where its largest accepted input takes a few seconds
+#: (see the README): `wz --grid`, the upper end of `lemma`/`table --n`, of
+#: `wz --boundary`, of `wz --telescope` and of `verify --primes`.
 GRID_CAP = 200
 N_CAP = 300
 BOUNDARY_CAP = 3001
 TELESCOPE_CAP = 1500
+VERIFY_CAP = 1000
 
 DISCOVER_DEFAULT_M = {"C": (1, 3, 5, 7, 9, 11), "D": (1, 3, 5, 7, 9, 11, 13, 15)}
 
@@ -326,6 +327,8 @@ def _scan(
 
 def _cmd_verify(args: argparse.Namespace) -> list[CongruenceReport]:
     lo, hi = args.primes
+    if hi > VERIFY_CAP:
+        raise ValueError(f"--primes upper end {hi} exceeds the verify cap {VERIFY_CAP}")
     primes = primes_in_range(lo, hi)
     # (check_id, p, informational): a p = 3 row below the check's floor is informational.
     tasks = [

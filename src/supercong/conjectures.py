@@ -29,7 +29,7 @@ from .arith import (
     CongruenceReport,
     InconsistentInput,
     crt_lift,
-    report_unchecked,
+    make_report,
     require_prime,
     split_power,
 )
@@ -49,16 +49,18 @@ class ValuationTooLow(ValueError):
 
 def _validate(
     family: str, m: int, p: int, r: int, variant: str, variants: tuple[str, ...] = VARIANTS
-) -> None:
+) -> int:
+    """The checked prime p, after every argument of a family sum is validated."""
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
     if m < 1 or m % 2 == 0:
         raise ValueError(f"m must be an odd positive integer, got {m}")
-    require_prime(p, f"family {family}")
+    p = require_prime(p, f"family {family}")
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     if variant not in variants:
         raise ValueError(f"variant must be one of {variants}, got {variant!r}")
+    return p
 
 
 def _unit_sign(family: str, p: int, r: int) -> int:
@@ -83,10 +85,11 @@ def verify_conjecture(
     family: str, m: int, p: int, r: int, constant: int, variant: str
 ) -> CongruenceReport:
     """Report on sum = constant * p^r * sign (mod p^(r+2) or p^(r+3))."""
+    p = _validate(family, m, p, r, variant)
     s = conj_sum(family, m, p, r, variant)
     rhs = Fraction(constant * p**r * _unit_sign(family, p, r))
     required = r + _RESIDUE_EXPONENT[family]
-    return report_unchecked(f"conj_{family.lower()}_{variant}", p, s, rhs, required, m=m, r=r)
+    return make_report(f"conj_{family.lower()}_{variant}", p, s, rhs, required, m=m, r=r)
 
 
 def _split_summands(
@@ -120,7 +123,7 @@ def extract_residue(family: str, m: int, p: int, r: int, variant: str) -> tuple[
     smaller, so "both" walks the full range once and reads the half
     truncation off the same running sum at its cut.
     """
-    _validate(family, m, p, r, variant, VARIANTS + ("both",))
+    p = _validate(family, m, p, r, variant, VARIANTS + ("both",))
     e = _RESIDUE_EXPONENT[family]
     cuts = {v: _upper(p, r, v) for v in VARIANTS if variant in (v, "both")}
     count = max(cuts.values()) + 1
@@ -208,10 +211,8 @@ def discover_constant(
         raise ValueError("need at least one prime")
     if len(set(primes)) != len(primes):
         raise ValueError("primes must be distinct")
-    primes = sorted(primes)
-    for p in primes:
-        require_prime(p, "discovery", floor=5)
-    evidence = [(p, *extract_residue(family, m, p, r, variant)) for p in primes]
+    primes = [require_prime(p, "discovery", floor=5) for p in sorted(primes)]
+    evidence = [(int(p), *extract_residue(family, m, p, r, variant)) for p in primes]
     constant = _stabilized_lift(evidence)
     consistent = all(constant % mod == res for _, res, mod in evidence)
     return DiscoveryResult(family, m, r, constant, tuple(evidence), consistent)

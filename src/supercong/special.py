@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .arith import CongruenceReport, Rational, report_unchecked, require_prime
+from .arith import CongruenceReport, Rational, make_report, require_prime
 
 # Every growing exact sequence of the package, keyed by name: the values
 # computed so far and the iterator that yields the rest.
@@ -153,12 +153,12 @@ def gamma_ratio_half_shift(p: int) -> Fraction:
 
 def check_wolstenholme(p: int) -> CongruenceReport:
     """C(2p, p) = 2 (mod p^3) for primes p > 3."""
-    require_prime(p, "Wolstenholme's congruence", floor=5)
-    return report_unchecked("wolstenholme", p, math.comb(2 * p, p), 2, 3)
+    p = require_prime(p, "Wolstenholme's congruence", floor=5)
+    return make_report("wolstenholme", p, math.comb(2 * p, p), 2, 3)
 
 
 def check_morley(p: int) -> CongruenceReport:
     """C(p-1, (p-1)/2) = (-1)^((p-1)/2) * 4^(p-1) (mod p^3) for primes p > 3."""
-    require_prime(p, "Morley's congruence", floor=5)
+    p = require_prime(p, "Morley's congruence", floor=5)
     h = (p - 1) // 2
-    return report_unchecked("morley", p, math.comb(p - 1, h), (-1) ** h * 4 ** (p - 1), 3)
+    return make_report("morley", p, math.comb(p - 1, h), (-1) ** h * 4 ** (p - 1), 3)

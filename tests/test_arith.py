@@ -2,6 +2,7 @@
 symmetric CRT lifting."""
 
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -187,6 +188,48 @@ class TestReports:
     def test_rejects_a_p_that_is_not_an_odd_prime(self, p):
         with pytest.raises(InvalidPrime):
             make_report("x", p, 0, 27, 2)
+
+
+class TestCheckedPrime:
+    """require_prime returns the prime it tested; vp and make_report take
+    that prime without a second test and test any other int once."""
+
+    def test_checked_prime_is_not_tested_again(self, primality_tests):
+        p = require_prime(7, "t")
+        assert p == 7 and primality_tests == [7]
+        primality_tests.clear()
+        assert vp(Fraction(49, 3), p) == 2
+        assert make_report("t", p, 1, 50, 2).achieved_valuation == 2
+        assert require_prime(p, "t", floor=7) == 7
+        assert primality_tests == []
+
+    @pytest.mark.parametrize(
+        "call", [lambda: vp(Fraction(49, 3), 7), lambda: make_report("t", 7, 1, 50, 2)]
+    )
+    def test_plain_int_is_tested_once(self, primality_tests, call):
+        call()
+        assert primality_tests == [7]
+
+    def test_checked_prime_still_meets_the_floor(self):
+        p = require_prime(31, "t")
+        with pytest.raises(PrimeTooSmall, match="t requires p >= 37, got 31"):
+            require_prime(p, "t", floor=37)
+
+    def test_no_checked_prime_escapes(self):
+        reports = [
+            make_report("t", require_prime(7, "t"), Fraction(1, 3), 50, 2, k=1),
+            checks.check("thm1", 5),
+            special.check_wolstenholme(5),
+            conjectures.verify_conjecture("C", 5, 7, 1, 23, "half"),
+        ]
+        assert [type(rep.p) for rep in reports] == [int] * 4
+        evidence = conjectures.discover_constant("C", 5, [7, 11]).evidence
+        assert [type(p) for p, _, _ in evidence] == [int, int]
+
+    def test_report_survives_pickle(self):
+        for rep in (checks.check("thm1", 5), checks.check("lemma_sun3", 31)):
+            back = pickle.loads(pickle.dumps(rep))
+            assert back == rep and type(back.p) is int
 
 
 class TestRequirePrime:

@@ -169,6 +169,28 @@ class TestVerifyCommand:
         assert code == 2 and "--telescope upper end" in err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--primes", "5..1001"],
+            ["verify", "--checks", "h2_cong", "--primes", "1000..1500"],
+            ["verify", "--primes", "3..10000000", "--jobs", "2"],
+        ],
+    )
+    def test_verify_window_above_its_cap_exits_two_before_sieving(self, capsys, monkeypatch, argv):
+        def no_sieve(lo, hi):
+            raise AssertionError(f"sieve asked for {lo}..{hi}")
+
+        monkeypatch.setattr(cli, "primes_in_range", no_sieve)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and "exceeds the verify cap 1000" in err
+
+    def test_verify_window_at_its_cap_runs(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--primes", "990..1000", "--checks", "h2_cong", "--format", "json"
+        )
+        assert code == 0 and [json.loads(line)["p"] for line in out.splitlines()] == [991, 997]
+
+    @pytest.mark.parametrize(
         "argv,message",
         [
             (["verify", "--primes", "200..210"], "no selected check applies"),

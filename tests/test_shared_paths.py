@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from supercong import arith, checks, series, special
 from supercong.arith import primes_in_range
-from supercong.checks import check, check_lemma_sun3, check_ratio_expansion
+from supercong.checks import DEFAULT_CHECK_IDS, check, check_lemma_sun3, check_ratio_expansion
 from supercong.series import SumSpec, partial_sum, summands, term_value, wz_G
 from supercong.special import euler_number, h2, poch_neg_half, poch_pos_half, pochhammer
 
@@ -215,3 +215,17 @@ def test_check_tests_primality_once(monkeypatch):
         calls.clear()
         check(check_id, 31)
         assert calls == [31]
+
+
+def test_each_check_builds_one_report_through_make_report(monkeypatch):
+    built = []
+
+    def counting(check_id, *args, _real=checks.make_report, **kwargs):
+        built.append(check_id)
+        return _real(check_id, *args, **kwargs)
+
+    monkeypatch.setattr(checks, "make_report", counting)
+    for check_id in DEFAULT_CHECK_IDS:
+        built.clear()
+        check(check_id, 31)
+        assert built == [check_id]
