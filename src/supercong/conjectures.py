@@ -10,12 +10,12 @@ with the truncation at (p^r+1)/2 ("half") or p^r - 1 ("full"); both
 truncations are claimed to obey the same congruence, so the residues must
 agree between variants.
 
-Terms with index k >= p (which occur for r >= 2 and in full variants) can
-carry p-dividing denominator factors.  conj_sum and verify_conjecture
-evaluate the sums exactly.  extract_residue only needs the sum mod
-p^(r+e), so it works in fixed-precision p-adic arithmetic instead: each
-summand is p^v times a p-adic unit, and the units are kept mod a power of p
-fixed by the least v, which keeps the residue exact (conj_sum is its oracle).
+Every summand's denominator is a power of 2, yet the exact sums are huge
+rationals (about 22k bits at p = 61, r = 2).  conj_sum and
+verify_conjecture evaluate them exactly.  extract_residue only needs the
+sum mod p^(r+e), so it works in fixed-precision p-adic arithmetic instead:
+each summand is p^v times a p-adic unit, kept mod p^(r+e), which keeps the
+residue exact (conj_sum is its oracle).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .arith import (
     require_prime,
     split_power,
 )
-from .series import SumSpec, partial_sum, summand_factors
+from .series import PreconditionViolated, SumSpec, partial_sum, summand_factors
 
 FAMILIES = ("C", "D")
 VARIANTS = ("half", "full")
@@ -115,33 +115,31 @@ def extract_residue(family: str, m: int, p: int, r: int, variant: str) -> tuple[
     variant "both" reads the half and the full truncation and raises
     InconsistentInput unless their residues agree.
 
-    The sum is never formed exactly.  A first pass finds vmin, the least
-    valuation of a summand (at most 0, the valuation of summand 0); a
-    second computes sum / p^vmin with every unit kept mod p^N,
-    N = r + e - vmin, which fixes sum / p^r mod p^e exactly.  The half
-    range is a prefix of the full one and its least valuation is no
-    smaller, so "both" walks the full range once and reads the half
-    truncation off the same running sum at its cut.
+    The sum is never formed exactly: one walk sums the summands mod p^N,
+    N = r + e, which fixes sum / p^r mod p^e exactly; "both" reads the half
+    truncation, a prefix of the full one, off the same running sum at its
+    cut.  A summand of negative valuation raises PreconditionViolated.
     """
     p = _validate(family, m, p, r, variant, VARIANTS + ("both",))
     e = _RESIDUE_EXPONENT[family]
     cuts = {v: _upper(p, r, v) for v in VARIANTS if variant in (v, "both")}
-    count = max(cuts.values()) + 1
-    vmin = min(v for v, *_ in _split_summands(family, m, p, count))
-    shift = r - vmin
-    modulus = p ** (shift + e)
-    summands = _split_summands(family, m, p, count)
-    total, units, done, pe, pairs = 0, 1, 0, p**e, []
+    # (-1/2)_k/k! = -Cat(k-1)/2^(2k-1), so for odd p every summand is a
+    # p-adic integer, and summand 0 is the unit -1: p^(r+e) is precision enough.
+    modulus, pr, pe = p ** (r + e), p**r, p**e
+    summands = _split_summands(family, m, p, max(cuts.values()) + 1)
+    total, units, done, pairs = 0, 1, 0, []
     for cut_variant, cut in cuts.items():  # half first: its cut is the smaller
-        for v, sign, w, a, b in itertools.islice(summands, cut + 1 - done):
+        for k, (v, sign, w, a, b) in enumerate(itertools.islice(summands, cut + 1 - done), done):
+            if v < 0:
+                raise PreconditionViolated(f"family {family}, m={m}, p={p}: summand {k} has v_p < 0")
             units = units * a * pow(b, -1, modulus) % modulus
-            total += sign * pow(p, v - vmin, modulus) * pow(w, m, modulus) * units
+            total += sign * pow(p, v, modulus) * pow(w, m, modulus) * units
         done, total = cut + 1, total % modulus
-        if total % p**shift:
+        if total % pr:
             raise ValuationTooLow(
                 f"family {family}, m={m}, p={p}, r={r} ({cut_variant}): v_p(sum) < r"
             )
-        pairs.append((total // p**shift * _unit_sign(family, p, r) % pe, pe))
+        pairs.append((total // pr * _unit_sign(family, p, r) % pe, pe))
     if pairs[0] != pairs[-1]:
         raise InconsistentInput(f"half/full residues disagree at p={p}: {pairs[0]} vs {pairs[-1]}")
     return pairs[-1]

@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 from supercong import conjectures, series
 from supercong.arith import PrimePower, primes_in_range, reduce_mod, vp
 from supercong.conjectures import (
+    VARIANTS,
     InconsistentInput,
     ValuationTooLow,
     conj_sum,
     discover_constant,
     extract_residue,
 )
+from supercong.series import PreconditionViolated
 
 C_CONSTANTS = {1: -1, 3: 3, 5: 23, 7: -5, 9: 1647, 11: -96973}
 D_CONSTANTS = {1: 0, 3: 0, 5: 16, 7: 80, 9: 192, 11: 640, 13: -3472, 15: 138480}
@@ -77,6 +79,23 @@ def test_d15_anomaly_residue():
     assert extract_residue("D", 15, 5, 1, "half") == extract_residue("D", 15, 5, 1, "full") == (30, 125)
 
 
+def walks_integral_summands(family, m, p, r, variant):
+    """Whether every summand extract_residue may walk, up to the largest cut
+    of the variant, has v_p >= 0 under the current summand_factors."""
+    count = max(conjectures._upper(p, r, v) for v in VARIANTS if variant in (v, "both")) + 1
+    return all(v >= 0 for v, *_ in conjectures._split_summands(family, m, p, count))
+
+
+def assert_exact_or_refused(got, want, integral):
+    """The p-adic outcome equals the exact one on p-integral summands; on any
+    other stream it may refuse with PreconditionViolated, but it never gives a
+    different residue."""
+    if integral:
+        assert got == want
+    else:
+        assert got == want or got[0] is PreconditionViolated
+
+
 factor = st.builds(
     lambda sign, unit, v: sign * unit * 5**v,
     st.sampled_from((1, -1)), st.integers(1, 40), st.integers(0, 3),
@@ -92,8 +111,9 @@ factor = st.builds(
 def test_arbitrary_factor_streams_match_exact(steps, r, variant):
     """Both paths read the summands from series.summand_factors.  Random
     streams of factors with powers of p in w, a and b reach what the two
-    families never do at these cells: sums of valuation below r, which must
-    raise the same ValuationTooLow on both paths."""
+    families never do: sums of valuation below r, which must raise the same
+    ValuationTooLow on both paths, and summands of negative valuation, which
+    the p-adic path may refuse."""
 
     def fake_factors(family):
         return itertools.chain([(1, 1, 1, 1)], itertools.cycle(steps))
@@ -102,8 +122,10 @@ def test_arbitrary_factor_streams_match_exact(steps, r, variant):
         mp.setattr(series, "summand_factors", fake_factors)
         mp.setattr(conjectures, "summand_factors", fake_factors)
         for family, m in (("C", 1), ("D", 3)):
-            assert outcome(extract_residue, family, m, 5, r, variant) == outcome(
-                exact_residue, family, m, 5, r, variant
+            assert_exact_or_refused(
+                outcome(extract_residue, family, m, 5, r, variant),
+                outcome(exact_residue, family, m, 5, r, variant),
+                walks_integral_summands(family, m, 5, r, variant),
             )
 
 
@@ -166,13 +188,16 @@ def substituted_factors(steps):
 )
 def test_both_variants_on_arbitrary_factor_streams_match_exact(steps, r):
     """Random factor streams reach both exceptions of the shared walk:
-    ValuationTooLow at either cut and half/full residues that disagree."""
+    ValuationTooLow at either cut and half/full residues that disagree, and
+    also summands of negative valuation, which the walk may refuse."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(series, "summand_factors", substituted_factors(steps))
         mp.setattr(conjectures, "summand_factors", substituted_factors(steps))
         for family, m in (("C", 1), ("D", 3)):
-            assert outcome(extract_residue, family, m, 5, r, "both") == outcome(
-                exact_both, family, m, 5, r
+            assert_exact_or_refused(
+                outcome(extract_residue, family, m, 5, r, "both"),
+                outcome(exact_both, family, m, 5, r),
+                walks_integral_summands(family, m, 5, r, "both"),
             )
 
 
@@ -196,9 +221,18 @@ def test_both_variants_pinned_factor_streams(steps, raised):
     assert f"{got[0].__name__}: {got[1]}".startswith(raised)
 
 
-def test_default_discovery_cell_walks_the_summands_twice(monkeypatch):
-    """One pass for vmin and one for the units, both over the full range;
-    the half truncation is read off the second at its cut."""
+@pytest.mark.parametrize("variant", ["half", "full", "both"])
+def test_negative_valuation_summand_is_refused(variant):
+    # summand 1 is 1/5: v_5 = -1, outside the p-integral walk's domain
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conjectures, "summand_factors", substituted_factors([(1, 1, 1, 5)]))
+        with pytest.raises(PreconditionViolated, match="family C, m=1, p=5: summand 1 has v_p < 0"):
+            extract_residue("C", 1, 5, 1, variant)
+
+
+def test_default_discovery_cell_walks_the_summands_once(monkeypatch):
+    """One pass over the full range; the half truncation is read off it at
+    its cut."""
     walks = []
 
     def counting(family, _real=series.summand_factors):
@@ -207,4 +241,4 @@ def test_default_discovery_cell_walks_the_summands_twice(monkeypatch):
 
     monkeypatch.setattr(conjectures, "summand_factors", counting)
     assert discover_constant("C", 5, [7]).constant == 23
-    assert walks == ["A", "A"]
+    assert walks == ["A"]

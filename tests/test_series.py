@@ -25,7 +25,7 @@ from supercong.series import (
     wz_G,
     wz_G_tail,
 )
-from supercong.special import pochhammer
+from supercong.special import poch_neg_half, pochhammer
 
 HALF = Fraction(1, 2)
 
@@ -58,6 +58,18 @@ class TestTermValue:
     @given(st.sampled_from("ABV"), st.sampled_from([1, 3, 5, 7]), st.integers(0, 25))
     def test_matches_direct_definition(self, family, m, k):
         assert term_value(SumSpec(family, m, 0), k) == direct_term(family, m, k)
+
+    def test_neg_half_ratio_is_a_catalan_number_over_a_power_of_two(self):
+        # (-1/2)_k / k! = -Cat(k-1) / 2^(2k-1): no odd prime divides its denominator
+        for k in range(1, 601):
+            catalan = math.comb(2 * k - 2, k - 1) // k
+            assert poch_neg_half(k) / math.factorial(k) == Fraction(-catalan, 2 ** (2 * k - 1))
+
+    @pytest.mark.parametrize("family", ["A", "B"])
+    def test_family_summand_denominators_are_powers_of_two(self, family):
+        for k in range(301):
+            d = term_value(SumSpec(family, 1, k), k).denominator
+            assert d & (d - 1) == 0, k
 
 
 class TestPartialSum:
