@@ -77,8 +77,8 @@ def _weights() -> Iterator[Fraction]:
 
 
 def _weight(k: int) -> Fraction:
-    """Shared inner weight sum_{j=1..k} (1/(2j)^2 - 1/(2j-3)^2), used by both the
-    weighted lemma sum and the order-4 product expansion."""
+    """Inner weight sum_{j=1..k} (1/(2j)^2 - 1/(2j-3)^2) of the order-4 product
+    expansion; the weighted lemma sum carries the same weights as integers."""
     return cached("weights", _weights, k)
 
 
@@ -89,6 +89,7 @@ def _lemma_terms(m: int, n: int):
 
     for k = 0..n, advancing by the exact integer term ratio.  Defined for m in
     TABLE1_WEIGHTS and n >= 2; the first next() raises ValueError otherwise.
+    The exact Fraction oracle of _lemma_sum.
     """
     _require_m(m)
     if n < 2:
@@ -102,18 +103,45 @@ def _lemma_terms(m: int, n: int):
         yield k, t
 
 
+def _lemma_sum(m: int, n: int, weighted: bool) -> tuple[int, int]:
+    """The sum of _lemma_terms(m, n), each term times _weight(k) if weighted,
+    as an unreduced (numerator, denominator) pair from one walk in integers.
+
+    Term k is (4k-1)^m P/Q, where P/Q steps by the integer ratio of
+    _lemma_terms without its (4k-1)^m factor.  Over the common denominator
+    L = lcm of (2j)^2 and (2j-3)^2 for j <= n, weight k is an integer W/L.
+    """
+    _require_m(m)
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    lcm = math.lcm(*range(2, 2 * n + 1, 2), *range(1, 2 * n - 2, 2)) ** 2 if weighted else 1
+    p = q = 1
+    total, w = (0 if weighted else -1), 0  # k = 0: term (-1)^m = -1, weight 0
+    for k in range(1, n + 1):
+        p *= (2 * k - 3) ** 2 * (k - 1 - n) * (n + k - 2)
+        den = k * k * (2 * n + 2 * k - 1) * (2 * k - 2 * n + 1)
+        q *= den
+        term = (4 * k - 1) ** m * p
+        if weighted:
+            w += lcm // (4 * k * k) - lcm // (2 * k - 3) ** 2
+            term *= w
+        total = total * den + term
+    return total, q * lcm
+
+
+def _equals(pair: tuple[int, int], value: Fraction) -> bool:
+    num, den = pair
+    return num * value.denominator == value.numerator * den
+
+
 def check_lemma_f(m: int, n: int) -> bool:
     """Unweighted lemma sum equals its closed form, exactly (not just p-adically)."""
-    total = sum((t for _, t in _lemma_terms(m, n)), Fraction(0))
-    return total == table1_f(m, n)
+    return _equals(_lemma_sum(m, n, weighted=False), table1_f(m, n))
 
 
 def check_lemma_g(m: int, n: int) -> bool:
     """Weighted lemma sum equals its closed form, exactly."""
-    total = Fraction(0)
-    for k, t in _lemma_terms(m, n):
-        total += t * _weight(k)
-    return total == table1_g(m, n)
+    return _equals(_lemma_sum(m, n, weighted=True), table1_g(m, n))
 
 
 # ---------------------------------------------------------------------------

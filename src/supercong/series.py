@@ -14,6 +14,7 @@ and the result deterministic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -145,23 +146,52 @@ def wz_G(n: int, k: int) -> Fraction:
     return sign * num / poch_neg_half(k) ** 2
 
 
+def _wz_F_row(n: int) -> Iterator[Fraction]:
+    """F(n, k) for k = 0, 1, 2, ... without end, each from the last by
+    F(n, k)/F(n, k-1) = -2(2n+2k-3)(n-k+1)/(2k-3)^2 (zero from k = n+1 on)."""
+    f = wz_F(n, 0)
+    for k in itertools.count(1):
+        yield f
+        f *= Fraction(-2 * (2 * n + 2 * k - 3) * (n - k + 1), (2 * k - 3) ** 2)
+
+
+def _wz_G_row(n: int) -> Iterator[Fraction]:
+    """G(n, k) for k = 1, 2, ... without end, each from the last by
+    G(n, k+1)/G(n, k) = -2(2n+2k-3)(n-k)/(2k-1)^2 (zero from k = n+1 on)."""
+    g = wz_G(n, 1)
+    for k in itertools.count(1):
+        yield g
+        g *= Fraction(-2 * (2 * n + 2 * k - 3) * (n - k), (2 * k - 1) ** 2)
+
+
 def wz_G_tail(n: int) -> Fraction:
-    """sum_{k=1..n-1} G(n, k) for n >= 2, each term from the last by
-    G(n, k+1)/G(n, k) = -2(2n+2k-3)(n-k)/(2k-1)^2."""
+    """sum_{k=1..n-1} G(n, k) for n >= 2, read off the G row."""
     if n < 2:
         raise PreconditionViolated(f"the G-tail is stated for n >= 2, got n={n}")
-    g = total = wz_G(n, 1)
-    for k in range(1, n - 1):
-        g *= Fraction(-2 * (2 * n + 2 * k - 3) * (n - k), (2 * k - 1) ** 2)
-        total += g
-    return total
+    return sum(itertools.islice(_wz_G_row(n), n - 1), Fraction(0))
+
+
+@functools.lru_cache(maxsize=2)
+def _wz_rows(n: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """(F(n, 0..n+1), G(n, 1..n+1)): every value of row n that is not zero,
+    then one zero.  A scan over n = 1, 2, ... reads rows n and n+1, so two
+    memoised rows build each row once."""
+    f = tuple(itertools.islice(_wz_F_row(n), n + 2))
+    return f, tuple(itertools.islice(_wz_G_row(n), n + 1))
+
+
+def _at(row: tuple[Fraction, ...], i: int) -> Fraction:
+    # a row ends in its first zero, and every later value is zero too
+    return row[min(i, len(row) - 1)]
 
 
 def check_wz_relation(n: int, k: int) -> bool:
     """F(n,k-1) - F(n,k) == G(n+1,k) - G(n,k), exactly.  Stated for k >= 1."""
     if k < 1:
         raise PreconditionViolated(f"the pair relation is stated for k >= 1, got k={k}")
-    return wz_F(n, k - 1) - wz_F(n, k) == wz_G(n + 1, k) - wz_G(n, k)
+    f, g = _wz_rows(n)
+    g_next = _wz_rows(n + 1)[1]
+    return _at(f, k - 1) - _at(f, k) == _at(g_next, k - 1) - _at(g, k - 1)
 
 
 def check_telescoped_identity(p: int) -> bool:

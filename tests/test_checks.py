@@ -5,6 +5,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from supercong.arith import InvalidPrime, PrimePower, reduce_mod
 from supercong.checks import (
@@ -107,6 +109,34 @@ class TestLemmaClosedForms:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             check_lemma_f(3, 1)
+
+
+class TestLemmaIntegerWalk:
+    """The integer walk behind check_lemma_f/g against the Fraction sums of
+    _lemma_terms, plain and weighted by _weight."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(m=st.sampled_from((3, 5, 7)), n=st.integers(2, 120))
+    @example(m=3, n=2)  # f = 0
+    @example(m=7, n=120)
+    def test_walk_sums_equal_fraction_sums(self, m, n):
+        from supercong.checks import _lemma_sum, _lemma_terms, _weight
+
+        terms = list(_lemma_terms(m, n))
+        assert Fraction(*_lemma_sum(m, n, weighted=False)) == sum(
+            (t for _, t in terms), Fraction(0)
+        )
+        assert Fraction(*_lemma_sum(m, n, weighted=True)) == sum(
+            (t * _weight(k) for k, t in terms), Fraction(0)
+        )
+
+    def test_walk_rejects_what_lemma_terms_rejects(self):
+        from supercong.checks import _lemma_sum
+
+        for m, n in ((3, 1), (4, 5), (9, 2)):
+            for weighted in (False, True):
+                with pytest.raises(ValueError):
+                    _lemma_sum(m, n, weighted)
 
 
 class TestLemmaSun3:

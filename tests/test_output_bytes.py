@@ -13,7 +13,7 @@ import io
 
 import pytest
 
-from supercong import cli
+from supercong import cli, series
 
 CASES = {
     "verify": ["verify", "--checks", "lemma_sun1_printed,thm1,van_hamme", "--primes", "3..7",
@@ -49,6 +49,13 @@ FAILING_SCAN = {
     "json": "5e916ac1e304b67a2827bf0b1e6bc57adc4c13978e0ff310293ed9d74b49a883",
 }
 
+# `wz` of CASES with the pair relation failing at (n, k) = (3, 2).
+FAILING_WZ_SCAN = {
+    "text": "4b6052a408f71d8d7f2a2636127c9092bfec48617d433f9d1525bdf4ebf0978b",
+    "csv": "8babd1d76fe026e72c8546e647265139baff533ba96a14e99f086290cb442bde",
+    "json": "5a9025cb1ba812bbd67c629116376266c9a73f42f6248298f81d242c52b64ebb",
+}
+
 
 def _run(capsys, argv):
     code = cli.run(argv)
@@ -72,6 +79,26 @@ def test_failing_scan_bytes_and_no_evaluation_after_first_failure(capsys, monkey
     assert _run(capsys, CASES["lemma"] + ["--format", fmt]) == (1, FAILING_SCAN[fmt])
     # the rows still count n = 5, 6, but never evaluate them
     assert calls == [(m, n) for m in (3, 5) for n in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("fmt", sorted(FAILING_WZ_SCAN))
+def test_failing_wz_scan_bytes_and_no_row_after_first_failure(capsys, monkeypatch, fmt):
+    built = []
+
+    def recording_f_row(n, _real=series._wz_F_row):
+        built.append(n)
+        return _real(n)
+
+    def fails_at_3_2(n, k, _real=series.check_wz_relation):
+        return (n, k) != (3, 2) and _real(n, k)
+
+    monkeypatch.setattr(series, "_wz_F_row", recording_f_row)
+    monkeypatch.setattr(cli, "check_wz_relation", fails_at_3_2)
+    series._wz_rows.cache_clear()
+    assert _run(capsys, CASES["wz"] + ["--format", fmt]) == (1, FAILING_WZ_SCAN[fmt])
+    # (3, 1) was the last instance evaluated and read rows 3 and 4; each row
+    # was built once and none past row 4
+    assert built == [1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("command", sorted(CASES))

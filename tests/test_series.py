@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supercong import series
 from supercong.series import (
     ParameterSingularity,
     PreconditionViolated,
@@ -170,6 +171,42 @@ class TestWZPair:
         for n in (-1, 0, 1):
             with pytest.raises(PreconditionViolated):
                 wz_G_tail(n)
+
+
+class TestWZRows:
+    """check_wz_relation reads F and G off rows stepped along k, with at most
+    two rows memoised; the direct factorial formulas are the oracle."""
+
+    def test_rows_equal_direct_values(self):
+        series._wz_rows.cache_clear()
+        for n in range(0, 61):
+            f, g = series._wz_rows(n)
+            assert list(f) == [wz_F(n, k) for k in range(0, n + 2)]
+            assert list(g) == [wz_G(n, k) for k in range(1, n + 2)]
+            assert f[-1] == g[-1] == 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(cases=st.lists(
+        st.integers(0, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n + 3))),
+        min_size=1, max_size=30,
+    ))
+    def test_relation_in_any_order_equals_direct(self, cases):
+        series._wz_rows.cache_clear()
+        for n, k in cases + [(n, n + 1) for n, _ in cases]:
+            direct = wz_F(n, k - 1) - wz_F(n, k) == wz_G(n + 1, k) - wz_G(n, k)
+            assert check_wz_relation(n, k) == direct
+            assert series._wz_rows.cache_info().currsize <= 2
+
+    def test_a_row_scan_builds_each_row_once(self):
+        series._wz_rows.cache_clear()
+        assert all(check_wz_relation(n, k) for n in range(1, 31) for k in range(1, n + 1))
+        info = series._wz_rows.cache_info()
+        assert (info.misses, info.currsize) == (31, 2)
+
+    def test_tail_is_a_prefix_of_the_G_row(self):
+        for n in range(2, 40):
+            assert wz_G_tail(n) == sum(series._wz_rows(n)[1][: n - 1], Fraction(0))
+            assert wz_G_tail(n) == sum((wz_G(n, k) for k in range(1, n)), Fraction(0))
 
 
 class TestBoundaryClosedForm:
