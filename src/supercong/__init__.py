@@ -61,11 +61,9 @@ from .series import (
     wz_G,
 )
 from .special import (
-    EulerTable,
     check_morley,
     check_wolstenholme,
     euler_number,
-    euler_numbers,
     gamma_ratio_half_shift,
     h2,
     inv_pochhammer_int,
@@ -119,11 +117,9 @@ __all__ = [
     "whipple_terminating",
     "wz_F",
     "wz_G",
-    "EulerTable",
     "check_morley",
     "check_wolstenholme",
     "euler_number",
-    "euler_numbers",
     "gamma_ratio_half_shift",
     "h2",
     "inv_pochhammer_int",

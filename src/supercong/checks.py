@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from .arith import CongruenceReport, PrimeTooSmall, make_report, require_prime, vp
-from .series import family_sum, pochhammer_ratio_product, wz_F, wz_G_tail
+from .series import family_sum, pochhammer_ratio_product, term_walk, walk_total, wz_F, wz_G_tail
 from .special import cached, euler_number, h2, poch_neg_half, poch_pos_half
 
 
@@ -32,14 +32,18 @@ class IndexOutOfRange(ValueError):
 TABLE1_WEIGHTS = (3, 5, 7)
 
 
-def _require_m(m: int) -> None:
+def require_lemma_args(m: int, n: int = 2) -> None:
+    """Raise ValueError unless m is in TABLE1_WEIGHTS and n >= 2, where the
+    closed forms and the lemma sums are stated; the default n checks m alone."""
     if m not in TABLE1_WEIGHTS:
         raise ValueError(f"closed forms exist for m in {TABLE1_WEIGHTS}, got {m}")
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
 
 
 def table1_f(m: int, n: int) -> Fraction:
     """Closed form of the unweighted lemma sum."""
-    _require_m(m)
+    require_lemma_args(m, n)
     if m == 3:
         return Fraction(0)
     base = -64 * n * (n - 1) * (2 * n - 1)
@@ -50,7 +54,7 @@ def table1_f(m: int, n: int) -> Fraction:
 
 def table1_g_parts(m: int, n: int) -> tuple[Fraction, Fraction]:
     """(rational part, coefficient of H_n^(2)) of the weighted closed form."""
-    _require_m(m)
+    require_lemma_args(m, n)
     den = 4 * n * n * (n - 1) ** 2
     if m == 3:
         return Fraction((2 * n - 1) ** 2 * (7 * n * n - 7 * n + 1), den), Fraction(0)
@@ -91,9 +95,7 @@ def _lemma_terms(m: int, n: int):
     TABLE1_WEIGHTS and n >= 2; the first next() raises ValueError otherwise.
     The exact Fraction oracle of _lemma_sum.
     """
-    _require_m(m)
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    require_lemma_args(m, n)
     t = Fraction(-1)  # k = 0 term: (-1)^m with m odd
     yield 0, t
     for k in range(1, n + 1):
@@ -105,27 +107,24 @@ def _lemma_terms(m: int, n: int):
 
 def _lemma_sum(m: int, n: int, weighted: bool) -> tuple[int, int]:
     """The sum of _lemma_terms(m, n), each term times _weight(k) if weighted,
-    as an unreduced (numerator, denominator) pair from one walk in integers.
+    as an unreduced (numerator, denominator) pair from one walk_total.
 
-    Term k is (4k-1)^m P/Q, where P/Q steps by the integer ratio of
-    _lemma_terms without its (4k-1)^m factor.  Over the common denominator
-    L = lcm of (2j)^2 and (2j-3)^2 for j <= n, weight k is an integer W/L.
+    The walk's term steps by the ratio of _lemma_terms without its (4k-1)^m
+    factor, which its c carries, with weight k as an integer W/L over the
+    common denominator L = lcm of (2j)^2 and (2j-3)^2 for j <= n.
     """
-    _require_m(m)
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    require_lemma_args(m, n)
     lcm = math.lcm(*range(2, 2 * n + 1, 2), *range(1, 2 * n - 2, 2)) ** 2 if weighted else 1
-    p = q = 1
-    total, w = (0 if weighted else -1), 0  # k = 0: term (-1)^m = -1, weight 0
-    for k in range(1, n + 1):
-        p *= (2 * k - 3) ** 2 * (k - 1 - n) * (n + k - 2)
-        den = k * k * (2 * n + 2 * k - 1) * (2 * k - 2 * n + 1)
-        q *= den
-        term = (4 * k - 1) ** m * p
-        if weighted:
-            w += lcm // (4 * k * k) - lcm // (2 * k - 3) ** 2
-            term *= w
-        total = total * den + term
+    def steps():
+        w = 0
+        for k in range(1, n + 1):
+            c = (4 * k - 1) ** m
+            if weighted:
+                w += lcm // (4 * k * k) - lcm // (2 * k - 3) ** 2
+                c *= w
+            num = (2 * k - 3) ** 2 * (k - 1 - n) * (n + k - 2)
+            yield num, k * k * (2 * n + 2 * k - 1) * (2 * k - 2 * n + 1), c
+    total, q = walk_total(steps(), 0 if weighted else -1)  # k = 0: term -1, weight 0
     return total, q * lcm
 
 
@@ -244,22 +243,13 @@ def _sum_v(m: int, p: int) -> Fraction:
     return family_sum("V", m, (p - 1) // 2)
 
 
-def _central_binomial_terms() -> Iterator[Fraction]:
-    # 4^k / ((2k-1) C(2k,k)) for k = 1, 2, ..., each from the last:
-    # 4^k/C(2k,k) advances by (2k+2)/(2k+1) and 1/(2k-1) by (2k-1)/(2k+1)
-    t = Fraction(2)
-    for k in itertools.count(1):
-        yield t
-        t *= Fraction((2 * k + 2) * (2 * k - 1), (2 * k + 1) ** 2)
-
-
 def _central_binomial_sum(p: int) -> Fraction:
-    # sum_{k=1..(p-1)/2} 4^k / ((2k-1) C(2k,k))
-    return cached(
-        "central",
-        lambda: itertools.accumulate(_central_binomial_terms(), initial=Fraction(0)),
-        (p - 1) // 2,
-    )
+    # sum_{k=1..(p-1)/2} 4^k / ((2k-1) C(2k,k)), a running sum whose term is -1
+    # at k = 0: 4^k/C(2k,k) advances by (2k+2)/(2k+1), 1/(2k-1) by (2k-1)/(2k+1)
+    def sums() -> Iterator[Fraction]:
+        steps = (((2 * k + 2) * (2 * k - 1), (2 * k + 1) ** 2, 1) for k in itertools.count())
+        return (Fraction(x, q) for x, _, q in term_walk(steps, 0, -1))
+    return cached("central", sums, (p - 1) // 2)
 
 
 def _min_valuation(

@@ -18,7 +18,6 @@ import math
 import operator
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
@@ -27,10 +26,10 @@ from .arith import CongruenceReport, primes_in_range
 from .checks import (
     CHECKS,
     DEFAULT_CHECK_IDS,
-    TABLE1_WEIGHTS,
     check,
     check_lemma_f,
     check_lemma_g,
+    require_lemma_args,
     table1_f,
     table1_g,
 )
@@ -266,8 +265,7 @@ def _table_weights(text: str) -> tuple[int, ...]:
     """Type of lemma/table --m: _weights with a closed form each."""
     m_values = _weights(text)
     for m in m_values:
-        if m not in TABLE1_WEIGHTS:
-            raise ValueError(f"closed forms exist for m in {TABLE1_WEIGHTS}, got {m}")
+        require_lemma_args(m)
     return m_values
 
 
@@ -295,6 +293,8 @@ def _map_tasks(fn: Callable, tasks: Sequence, jobs: int) -> list:
     jobs = _worker_count(jobs)
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # only a parallel run pays its import
+
     chunk = max(1, len(tasks) // (4 * jobs))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, tasks, chunksize=chunk))

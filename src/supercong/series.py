@@ -14,12 +14,14 @@ and the result deterministic.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .arith import Rational
 from .special import cached, inv_pochhammer_int, poch_neg_half, pochhammer
@@ -109,10 +111,37 @@ def partial_sum(spec: SumSpec) -> Fraction:
     return sum(itertools.islice(summands(spec.family, spec.m), spec.upper + 1), Fraction(0))
 
 
+def term_walk(
+    steps: Iterable[tuple[int, int, int]], x: int = 0, p: int = 1, q: int = 1
+) -> Iterator[tuple[int, int, int]]:
+    """The running sum of a term that steps by exact ratios, in integers with
+    no gcd per term.  Yields the state (x, p, q), where x/q is the sum and p/q
+    the current term over one unreduced denominator q, then the state after
+    each step (a, b, c): the term is multiplied by a/b, and c times the new
+    term is added to the sum."""
+    yield x, p, q
+    for a, b, c in steps:
+        p *= a
+        q *= b
+        x = x * b + c * p
+        yield x, p, q
+
+
+def walk_total(
+    steps: Iterable[tuple[int, int, int]], x: int = 0, p: int = 1, q: int = 1
+) -> tuple[int, int]:
+    """The last sum of term_walk(steps, x, p, q), as the unreduced pair (x, q)."""
+    x, _, q = collections.deque(term_walk(steps, x, p, q), maxlen=1)[0]
+    return x, q
+
+
 def family_sum(family: str, m: int, upper: int) -> Fraction:
     """partial_sum(SumSpec(family, m, upper)) read off running totals kept per
     (family, m): the sum at one upper limit is a prefix of every longer one."""
-    return cached((family, m), lambda: itertools.accumulate(summands(family, m)), upper)
+    def sums() -> Iterator[Fraction]:  # the walk's first state is the empty sum
+        steps = ((a, b, sign * w**m) for sign, w, a, b in summand_factors(family))
+        return (Fraction(x, q) for x, _, q in itertools.islice(term_walk(steps), 1, None))
+    return cached((family, m), sums, upper)
 
 
 def wz_F(n: int, k: int) -> Fraction:
@@ -155,20 +184,24 @@ def _wz_F_row(n: int) -> Iterator[Fraction]:
         f *= Fraction(-2 * (2 * n + 2 * k - 3) * (n - k + 1), (2 * k - 3) ** 2)
 
 
+def _wz_G_ratios(n: int) -> Iterator[tuple[int, int]]:
+    """(a, b) with G(n, k+1)/G(n, k) = a/b, for k = 1, 2, ... (a = 0 from k = n on)."""
+    return ((-2 * (2 * n + 2 * k - 3) * (n - k), (2 * k - 1) ** 2) for k in itertools.count(1))
+
+
 def _wz_G_row(n: int) -> Iterator[Fraction]:
-    """G(n, k) for k = 1, 2, ... without end, each from the last by
-    G(n, k+1)/G(n, k) = -2(2n+2k-3)(n-k)/(2k-1)^2 (zero from k = n+1 on)."""
-    g = wz_G(n, 1)
-    for k in itertools.count(1):
-        yield g
-        g *= Fraction(-2 * (2 * n + 2 * k - 3) * (n - k), (2 * k - 1) ** 2)
+    """G(n, k) for k = 1, 2, ... without end, each from the last by its ratio."""
+    ratios = (Fraction(a, b) for a, b in _wz_G_ratios(n))
+    return itertools.accumulate(ratios, operator.mul, initial=wz_G(n, 1))
 
 
 def wz_G_tail(n: int) -> Fraction:
-    """sum_{k=1..n-1} G(n, k) for n >= 2, read off the G row."""
+    """sum_{k=1..n-1} G(n, k) for n >= 2, one walk along the G ratios."""
     if n < 2:
         raise PreconditionViolated(f"the G-tail is stated for n >= 2, got n={n}")
-    return sum(itertools.islice(_wz_G_row(n), n - 1), Fraction(0))
+    g = wz_G(n, 1)
+    steps = ((a, b, 1) for a, b in itertools.islice(_wz_G_ratios(n), n - 2))
+    return Fraction(*walk_total(steps, g.numerator, g.numerator, g.denominator))
 
 
 @functools.lru_cache(maxsize=2)

@@ -13,7 +13,6 @@ import itertools
 import math
 import operator
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
@@ -109,27 +108,6 @@ def _even_euler_values() -> Iterator[int]:
     for n in itertools.count(2, 2):
         values.append(-sum(math.comb(n, 2 * k) * e for k, e in enumerate(values)))
         yield values[-1]
-
-
-@dataclass(frozen=True)
-class EulerTable:
-    """Euler numbers at even indices 0, 2, ..., max_index."""
-
-    max_index: int
-    values: tuple[int, ...]
-
-    def value(self, n: int) -> int:
-        """E_n for 0 <= n <= max_index; zero at odd n."""
-        if not 0 <= n <= self.max_index:
-            raise IndexError(f"index {n} outside table range [0, {self.max_index}]")
-        return 0 if n % 2 else self.values[n // 2]
-
-
-def euler_numbers(max_index: int) -> EulerTable:
-    """Table of Euler numbers up to the given even index."""
-    if max_index < 0 or max_index % 2:
-        raise ValueError(f"max_index must be even and >= 0, got {max_index}")
-    return EulerTable(max_index, tuple(euler_number(n) for n in range(0, max_index + 1, 2)))
 
 
 def euler_number(n: int) -> int:

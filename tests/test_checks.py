@@ -69,6 +69,12 @@ class TestTable1:
         with pytest.raises(ValueError):
             table1_f(9, 2)
 
+    @pytest.mark.parametrize("table", [table1_f, table1_g, table1_g_parts])
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_rejects_n_below_two(self, table, n):
+        with pytest.raises(ValueError, match=f"n must be >= 2, got {n}"):
+            table(7, n)
+
 
 class TestLemmaClosedForms:
     def test_m3_n2_term_values(self):

@@ -1,10 +1,14 @@
 """Command-line surface: record schemas, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import supercong
 from supercong.arith import make_report
 from supercong.checks import check
 from supercong import cli, conjectures
@@ -405,3 +409,17 @@ class TestOtherCommands:
     def test_help_shows_each_default(self, capsys, command, shown):
         assert run([command, "--help"]) == 0
         assert shown in " ".join(capsys.readouterr().out.split())
+
+
+def test_a_one_worker_run_never_imports_the_process_pool():
+    src = os.path.dirname(os.path.dirname(supercong.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = (
+        "import sys; from supercong import cli; "
+        "code = cli.run(['verify', '--primes', '5..13', '--jobs', '1']); "
+        "print(code, 'concurrent.futures.process' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert done.stdout.splitlines()[-1] == "0 False"

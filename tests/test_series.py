@@ -173,6 +173,30 @@ class TestWZPair:
                 wz_G_tail(n)
 
 
+class TestTermWalk:
+    """term_walk's integer states against plain Fraction stepping of the same
+    term and running sum."""
+
+    @given(
+        start=st.tuples(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50).filter(bool)),
+        steps=st.lists(
+            st.tuples(st.integers(-30, 30), st.integers(-30, 30).filter(bool), st.integers(-30, 30)),
+            max_size=25,
+        ),
+    )
+    def test_every_state_equals_fraction_stepping(self, start, steps):
+        x, p, q = start
+        total, term = Fraction(x, q), Fraction(p, q)
+        expected = [(total, term)]
+        for a, b, c in steps:
+            term *= Fraction(a, b)
+            total += c * term
+            expected.append((total, term))
+        states = list(series.term_walk(steps, *start))
+        assert [(Fraction(x, q), Fraction(p, q)) for x, p, q in states] == expected
+        assert series.walk_total(steps, *start) == states[-1][::2]
+
+
 class TestWZRows:
     """check_wz_relation reads F and G off rows stepped along k, with at most
     two rows memoised; the direct factorial formulas are the oracle."""

@@ -13,7 +13,6 @@ from supercong.special import (
     check_morley,
     check_wolstenholme,
     euler_number,
-    euler_numbers,
     gamma_ratio_half_shift,
     h2,
     inv_pochhammer_int,
@@ -75,9 +74,7 @@ class TestH2:
 
 class TestEulerNumbers:
     def test_tables(self):
-        assert euler_numbers(0).values == (1,)
-        assert euler_numbers(4).values == (1, -1, 5)
-        assert euler_numbers(6).values == (1, -1, 5, -61)
+        assert [euler_number(n) for n in (0, 2, 4, 6)] == [1, -1, 5, -61]
 
     def test_known_larger_values(self):
         assert euler_number(8) == 1385
@@ -85,24 +82,14 @@ class TestEulerNumbers:
         assert euler_number(12) == 2702765
 
     def test_odd_index_is_zero(self):
-        table = euler_numbers(10)
-        assert table.value(7) == 0
+        assert euler_number(7) == 0
         assert euler_number(9) == 0
-
-    def test_out_of_table_range(self):
-        with pytest.raises(IndexError):
-            euler_numbers(4).value(6)
-
-    def test_rejects_odd_max_index(self):
-        with pytest.raises(ValueError):
-            euler_numbers(5)
 
     @given(st.integers(1, 20))
     def test_defining_recurrence(self, half_n):
         # sum_{k=0..n/2} C(n,2k) E_2k == 0 for every even n >= 2
         n = 2 * half_n
-        table = euler_numbers(n)
-        assert sum(math.comb(n, 2 * k) * table.value(2 * k) for k in range(half_n + 1)) == 0
+        assert sum(math.comb(n, 2 * k) * euler_number(2 * k) for k in range(half_n + 1)) == 0
 
 
 class TestGammaRatioHalfShift:
