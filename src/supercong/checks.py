@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from .arith import CongruenceReport, PrimeTooSmall, make_report, require_prime, vp
-from .series import family_sum, pochhammer_ratio_product, term_walk, walk_total, wz_F, wz_G_tail
+from .arith import CongruenceReport, PrimeTooSmall, make_report, require_prime, split_power, vp
+from .series import family_sum, pochhammer_ratio_product, walk_total, wz_F, wz_G_tail
 from .special import cached, euler_number, h2, poch_neg_half, poch_pos_half
 
 
@@ -197,10 +198,14 @@ def check_ratio_expansion(p: int, k: int, order: int) -> CongruenceReport:
     p = require_prime(p, "ratio_expansion")
     if not 0 <= k <= (p + 1) // 2:
         raise IndexOutOfRange(f"k must lie in [0, {(p + 1) // 2}], got {k}")
-    lhs = pochhammer_ratio_product(p, k)
+    lhs, rhs = _ratio_expansion_values(p, k, order)
+    return make_report(f"ratio_expansion_mod{order}", p, lhs, rhs, order, k=k)
+
+
+def _ratio_expansion_values(p: int, k: int, order: int) -> tuple[Fraction, Fraction]:
     u2 = (poch_neg_half(k) / math.factorial(k)) ** 2
     rhs = u2 if order == 2 else u2 * (1 + p * p * _weight(k))
-    return make_report(f"ratio_expansion_mod{order}", p, lhs, rhs, order, k=k)
+    return pochhammer_ratio_product(p, k), rhs
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +249,13 @@ def _sum_v(m: int, p: int) -> Fraction:
 
 
 def _central_binomial_sum(p: int) -> Fraction:
-    # sum_{k=1..(p-1)/2} 4^k / ((2k-1) C(2k,k)), a running sum whose term is -1
-    # at k = 0: 4^k/C(2k,k) advances by (2k+2)/(2k+1), 1/(2k-1) by (2k-1)/(2k+1)
+    # sum_{k=1..(p-1)/2} 4^k / ((2k-1) C(2k,k)) as reduced running totals:
+    # the term is 2 at k = 1, and 4^k/C(2k,k) advances by (2k+2)/(2k+1) and
+    # 1/(2k-1) by (2k-1)/(2k+1)
     def sums() -> Iterator[Fraction]:
-        steps = (((2 * k + 2) * (2 * k - 1), (2 * k + 1) ** 2, 1) for k in itertools.count())
-        return (Fraction(x, q) for x, _, q in term_walk(steps, 0, -1))
+        ratios = (Fraction((2 * k + 2) * (2 * k - 1), (2 * k + 1) ** 2) for k in itertools.count(1))
+        terms = itertools.accumulate(ratios, operator.mul, initial=Fraction(2))
+        return itertools.accumulate(terms, initial=Fraction(0))
     return cached("central", sums, (p - 1) // 2)
 
 
@@ -264,26 +271,111 @@ def _min_valuation(
     return worst[1], worst[2], worst[3]
 
 
-def _lemma_sun3_instances(p: int) -> Iterator[tuple[int, Fraction, Fraction]]:
-    # Both sides advance from k to k+1 by exact term ratios:
-    #   lhs by -2(2h+2k+1)(h+1-k)/(2k+1)^2,  rhs by 2k(2k-1)/(2k+1)^2
+#: The worst-k searches read valuations off residues mod p^WORST_K_DIGITS.
+#: Every value >= 1 gives the same reports: a least valuation below it is
+#: exact, and one at or above it sends the search to the exact walk.
+WORST_K_DIGITS = 12
+
+
+def _least_residue_valuation(
+    p: int, mod: int, residues: Iterable[tuple[int, int, int, int, int]]
+) -> tuple[int, int] | None:
+    """(v, k) of the first k with the least v = v_p(ln rd - rn ld mod p^N)
+    over the residues (k, ln, ld, rn, rd) mod p^N, N = WORST_K_DIGITS, of
+    lhs = ln/ld and rhs = rn/rd.  With ld and rd prime to p, v is the exact
+    v_p(lhs - rhs) wherever v < N.  None when every k reaches N."""
+    worst = None
+    for k, ln, ld, rn, rd in residues:
+        cross = (ln * rd - rn * ld) % mod
+        if cross:
+            v = split_power(cross, p)[0]
+            if worst is None or v < worst[0]:
+                worst = (v, k)
+    return worst
+
+
+def _lemma_sun3_ratios(p: int) -> Iterator[tuple[int, int, int, int]]:
+    # (a, b, c, d) for k = 1..h-1: from k to k+1, lhs advances by
+    # a/b = -2(2h+2k+1)(h+1-k)/(2k+1)^2 and rhs by c/d = 2k(2k-1)/(2k+1)^2
     h = (p - 1) // 2
+    for k in range(1, h):
+        d = (2 * k + 1) ** 2
+        yield -2 * (2 * h + 2 * k + 1) * (h + 1 - k), d, 2 * k * (2 * k - 1), d
+
+
+def _lemma_sun3_instances(p: int) -> Iterator[tuple[int, Fraction, Fraction]]:
     lhs, rhs = _lemma_sun3_values(p, 1)
-    for k in range(1, h + 1):
+    yield 1, lhs, rhs
+    for k, (a, b, c, d) in enumerate(_lemma_sun3_ratios(p), 2):
+        lhs *= Fraction(a, b)
+        rhs *= Fraction(c, d)
         yield k, lhs, rhs
-        lhs *= Fraction(-2 * (2 * h + 2 * k + 1) * (h + 1 - k), (2 * k + 1) ** 2)
-        rhs *= Fraction(2 * k * (2 * k - 1), (2 * k + 1) ** 2)
+
+
+def _lemma_sun3_residues(p: int, mod: int) -> Iterator[tuple[int, int, int, int, int]]:
+    # At k = 1 both sides are p^3 times a ratio of integers below p, and
+    # every ratio's denominator (2k+1)^2 <= (p-2)^2 is prime to p.
+    lhs, rhs = _lemma_sun3_values(p, 1)
+    ln, ld, rn, rd = lhs.numerator, lhs.denominator, rhs.numerator, rhs.denominator
+    yield 1, ln % mod, ld % mod, rn % mod, rd % mod
+    for k, (a, b, c, d) in enumerate(_lemma_sun3_ratios(p), 2):
+        ln, ld, rn, rd = ln * a % mod, ld * b % mod, rn * c % mod, rd * d % mod
+        yield k, ln, ld, rn, rd
+
+
+def _lemma_sun3_worst(p: int) -> tuple[Fraction, Fraction, int]:
+    """_min_valuation over _lemma_sun3_instances(p), with k searched by residues."""
+    mod = p**WORST_K_DIGITS
+    found = _least_residue_valuation(p, mod, _lemma_sun3_residues(p, mod))
+    if found is None:
+        return _min_valuation(p, _lemma_sun3_instances(p))
+    return (*_lemma_sun3_values(p, found[1]), found[1])
+
+
+def _ratio_expansion_ratios(p: int) -> Iterator[tuple[int, int, int, int]]:
+    # (a, b, c, d) for k = 1..(p+1)/2: from k-1 to k, lhs advances by
+    # a/b = ((2k-3)^2 - p^2)/((2k)^2 - p^2) and u = (-1/2)_k/k! by c/d = (2k-3)/(2k)
+    for k in range(1, (p + 1) // 2 + 1):
+        yield (2 * k - 3) ** 2 - p * p, (2 * k) ** 2 - p * p, 2 * k - 3, 2 * k
 
 
 def _ratio_expansion_instances(p: int, order: int) -> Iterator[tuple[int, Fraction, Fraction]]:
-    # lhs grows by ((2k-3)^2 - p^2)/((2k)^2 - p^2) and u = (-1/2)_k/k! by (2k-3)/(2k)
     lhs = u = Fraction(1)
-    for k in range(0, (p + 1) // 2 + 1):
-        if k:
-            lhs *= Fraction((2 * k - 3) ** 2 - p * p, (2 * k) ** 2 - p * p)
-            u *= Fraction(2 * k - 3, 2 * k)
+    yield 0, lhs, u
+    for k, (a, b, c, d) in enumerate(_ratio_expansion_ratios(p), 1):
+        lhs *= Fraction(a, b)
+        u *= Fraction(c, d)
         u2 = u * u
         yield k, lhs, (u2 if order == 2 else u2 * (1 + p * p * _weight(k)))
+
+
+def _ratio_expansion_residues(
+    p: int, order: int, mod: int
+) -> Iterator[tuple[int, int, int, int, int]]:
+    # For k <= (p+1)/2, 2k lies in [2, p+1] and 2k-3 in [-1, p-2], so neither
+    # is 0 mod p: every a, b, c, d is prime to p and both sides are p-adic
+    # units.  The order-4 weight wn/wd adds 1/d^2 - 1/c^2 per step.
+    ln = ld = un = ud = wd = 1
+    wn = 0
+    yield 0, 1, 1, 1, 1
+    for k, (a, b, c, d) in enumerate(_ratio_expansion_ratios(p), 1):
+        ln, ld, un, ud = ln * a % mod, ld * b % mod, un * c % mod, ud * d % mod
+        rn, rd = un * un, ud * ud
+        if order == 4:
+            c2, d2 = c * c, d * d
+            wn, wd = (wn * c2 * d2 + wd * (c2 - d2)) % mod, wd * c2 * d2 % mod
+            rn, rd = rn * (wd + p * p * wn), rd * wd
+        yield k, ln, ld, rn % mod, rd % mod
+
+
+def _ratio_expansion_worst(p: int, order: int) -> tuple[Fraction, Fraction, int]:
+    """_min_valuation over _ratio_expansion_instances(p, order), with k
+    searched by residues."""
+    mod = p**WORST_K_DIGITS
+    found = _least_residue_valuation(p, mod, _ratio_expansion_residues(p, order, mod))
+    if found is None:
+        return _min_valuation(p, _ratio_expansion_instances(p, order))
+    return (*_ratio_expansion_values(p, found[1], order), found[1])
 
 
 _register("van_hamme", 3, 3, 1, lambda p: (_sum_v(1, p), Fraction(p * _sgn(p)), None))
@@ -330,11 +422,11 @@ for _m in TABLE1_WEIGHTS:
             None,
         ),
     )
-_register("lemma_sun3", 5, 4, None, lambda p: _min_valuation(p, _lemma_sun3_instances(p)))
+_register("lemma_sun3", 5, 4, None, _lemma_sun3_worst)
 for _order in (2, 4):
     _register(
         f"ratio_expansion_mod{_order}", 3, _order, None,
-        lambda p, order=_order: _min_valuation(p, _ratio_expansion_instances(p, order)),
+        lambda p, order=_order: _ratio_expansion_worst(p, order),
     )
 
 #: Canonical scan set: every registered check except the erratum documentation id.

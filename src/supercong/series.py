@@ -137,11 +137,10 @@ def walk_total(
 
 def family_sum(family: str, m: int, upper: int) -> Fraction:
     """partial_sum(SumSpec(family, m, upper)) read off running totals kept per
-    (family, m): the sum at one upper limit is a prefix of every longer one."""
-    def sums() -> Iterator[Fraction]:  # the walk's first state is the empty sum
-        steps = ((a, b, sign * w**m) for sign, w, a, b in summand_factors(family))
-        return (Fraction(x, q) for x, _, q in itertools.islice(term_walk(steps), 1, None))
-    return cached((family, m), sums, upper)
+    (family, m): the sum at one upper limit is a prefix of every longer one.
+    The totals are reduced Fractions: their denominators are powers of 2, so
+    reducing each is cheaper than one gcd of term_walk's unreduced numbers."""
+    return cached((family, m), lambda: itertools.accumulate(summands(family, m)), upper)
 
 
 def wz_F(n: int, k: int) -> Fraction:

@@ -100,14 +100,16 @@ def h2(n: int) -> Fraction:
 
 
 def _even_euler_values() -> Iterator[int]:
-    # E_0, E_2, E_4, ... from the recurrence sum_{k=0..n/2} C(n, 2k) E_{2k} = 0
-    # for even n >= 2 (equivalent to the sech-type generating function;
-    # odd-index values vanish)
-    values = [1]
+    # E_0, E_2, E_4, ... by Seidel's boustrophedon, additions only: row n is
+    # the running sums of row n-1 read backwards from 0, and its last entry
+    # is the zigzag number A_n, with E_(2j) = (-1)^j A_(2j) (odd-index Euler
+    # numbers vanish).  Millar, Sloane and Young, J. Combin. Theory A 76 (1996)
+    row = [1]
     yield 1
-    for n in itertools.count(2, 2):
-        values.append(-sum(math.comb(n, 2 * k) * e for k, e in enumerate(values)))
-        yield values[-1]
+    for j in itertools.count(1):
+        for _ in range(2):
+            row = list(itertools.accumulate(reversed(row), initial=0))
+        yield -row[-1] if j % 2 else row[-1]
 
 
 def euler_number(n: int) -> int:

@@ -181,6 +181,65 @@ class TestWorstK:
             assert series.wz_G_tail(h + 1) == direct
 
 
+WORST_K_PRIMES = primes_in_range(3, 401)
+
+
+def _worst_k_cases(p):
+    """(check id, residue walk, exact instances) of each worst-k search at p."""
+    mod = p**checks.WORST_K_DIGITS
+    yield "lemma_sun3", checks._lemma_sun3_residues(p, mod), checks._lemma_sun3_instances(p)
+    for order in (2, 4):
+        yield (
+            f"ratio_expansion_mod{order}",
+            checks._ratio_expansion_residues(p, order, mod),
+            checks._ratio_expansion_instances(p, order),
+        )
+
+
+class TestWorstKResidues:
+    """The residue searches against _min_valuation over the exact instances,
+    which stays as their oracle and fallback."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=st.sampled_from(WORST_K_PRIMES))
+    @example(p=3)
+    @example(p=5)
+    @example(p=397)
+    def test_same_instance_as_exact_search(self, p):
+        for check_id, _, instances in _worst_k_cases(p):
+            assert checks.CHECKS[check_id].values(p) == checks._min_valuation(p, instances)
+
+    def test_lemma_sun3_at_three_in_informational_mode(self):
+        rep = check("lemma_sun3", 3, informational=True)
+        lhs, rhs, k = checks._min_valuation(3, checks._lemma_sun3_instances(3))
+        assert (rep.lhs, rep.rhs, rep.k, rep.passed) == (lhs, rhs, k, None)
+        assert rep.achieved_valuation == arith.vp(lhs - rhs, 3) == 5
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 31, 199, 401])
+    def test_every_k_at_the_precision_falls_back_to_the_exact_search(self, p, monkeypatch):
+        monkeypatch.setattr(checks, "WORST_K_DIGITS", 1)
+        for check_id, residues, instances in _worst_k_cases(p):
+            assert checks._least_residue_valuation(p, p, residues) is None
+            assert checks.CHECKS[check_id].values(p) == checks._min_valuation(p, instances)
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=st.sampled_from(WORST_K_PRIMES))
+    @example(p=3)
+    def test_residue_valuation_is_the_exact_valuation_at_the_chosen_k(self, p):
+        for check_id, residues, _ in _worst_k_cases(p):
+            found = checks._least_residue_valuation(p, p**checks.WORST_K_DIGITS, residues)
+            lhs, rhs, k = checks.CHECKS[check_id].values(p)
+            assert found == (arith.vp(lhs - rhs, p), k)
+
+    @pytest.mark.parametrize("p", [3, 5, 13, 101])
+    def test_lemma_sun3_walk_stops_at_the_last_index(self, p):
+        h = (p - 1) // 2
+        assert len(list(checks._lemma_sun3_ratios(p))) == h - 1
+        instances = list(checks._lemma_sun3_instances(p))
+        assert [k for k, _, _ in instances] == list(range(1, h + 1))
+        assert instances[-1][1:] == checks._lemma_sun3_values(p, h)
+
+
 class TestTelescopedIdentity:
     """The telescoped identity reads the lhs of thm1, boundary_mod and
     tail_congruence, so those three must agree with it on every prime."""

@@ -85,6 +85,13 @@ class TestEulerNumbers:
         assert euler_number(7) == 0
         assert euler_number(9) == 0
 
+    def test_boustrophedon_matches_the_binomial_recurrence(self):
+        # the oracle: E_0, E_2, ... from sum_{k=0..n/2} C(n, 2k) E_(2k) = 0, n even >= 2
+        values = [1]
+        for n in range(2, 600, 2):
+            values.append(-sum(math.comb(n, 2 * k) * e for k, e in enumerate(values)))
+        assert [euler_number(2 * j) for j in range(len(values))] == values
+
     @given(st.integers(1, 20))
     def test_defining_recurrence(self, half_n):
         # sum_{k=0..n/2} C(n,2k) E_2k == 0 for every even n >= 2
