@@ -259,123 +259,68 @@ def _central_binomial_sum(p: int) -> Fraction:
     return cached("central", sums, (p - 1) // 2)
 
 
-def _min_valuation(
-    p: int, instances: Iterable[tuple[int, Fraction, Fraction]]
-) -> tuple[Fraction, Fraction, int]:
-    """(lhs, rhs, k) of the first instance with the smallest v_p(lhs - rhs)."""
-    worst = None
-    for k, lhs, rhs in instances:
-        achieved = vp(lhs - rhs, p)
-        if worst is None or achieved < worst[0]:
-            worst = (achieved, lhs, rhs, k)
-    return worst[1], worst[2], worst[3]
-
-
 #: The worst-k searches read valuations off residues mod p^WORST_K_DIGITS.
 #: Every value >= 1 gives the same reports: a least valuation below it is
-#: exact, and one at or above it sends the search to the exact walk.
+#: exact, and when every k reaches it the exact values decide.
 WORST_K_DIGITS = 12
 
 
-def _least_residue_valuation(
-    p: int, mod: int, residues: Iterable[tuple[int, int, int, int, int]]
-) -> tuple[int, int] | None:
-    """(v, k) of the first k with the least v = v_p(ln rd - rn ld mod p^N)
-    over the residues (k, ln, ld, rn, rd) mod p^N, N = WORST_K_DIGITS, of
-    lhs = ln/ld and rhs = rn/rd.  With ld and rd prime to p, v is the exact
-    v_p(lhs - rhs) wherever v < N.  None when every k reaches N."""
-    worst = None
+def _worst_k(
+    p: int,
+    residues: Iterable[tuple[int, int, int, int, int]],
+    values: Callable[[int], tuple[Fraction, Fraction]],
+) -> tuple[Fraction, Fraction, int]:
+    """(lhs, rhs, k) at the first k with the least v_p(lhs - rhs), where
+    values(k) is the exact (lhs, rhs) and residues walks (k, ln, ld, rn, rd)
+    with lhs = ln/ld and rhs = rn/rd mod p^N, N = WORST_K_DIGITS.  With ld
+    and rd prime to p, v_p(ln rd - rn ld mod p^N) is the exact valuation
+    wherever it is below N; when every k reaches N, values compares them."""
+    mod = p**WORST_K_DIGITS
+    found = []  # (capped valuation, k) in increasing k
     for k, ln, ld, rn, rd in residues:
         cross = (ln * rd - rn * ld) % mod
-        if cross:
-            v = split_power(cross, p)[0]
-            if worst is None or v < worst[0]:
-                worst = (v, k)
-    return worst
+        found.append((split_power(cross, p)[0] if cross else WORST_K_DIGITS, k))
+    v, k = min(found)
+    if v == WORST_K_DIGITS:
+        return min(((*values(k), k) for _, k in found), key=lambda t: vp(t[0] - t[1], p))
+    return (*values(k), k)
 
 
-def _lemma_sun3_ratios(p: int) -> Iterator[tuple[int, int, int, int]]:
-    # (a, b, c, d) for k = 1..h-1: from k to k+1, lhs advances by
-    # a/b = -2(2h+2k+1)(h+1-k)/(2k+1)^2 and rhs by c/d = 2k(2k-1)/(2k+1)^2
-    h = (p - 1) // 2
-    for k in range(1, h):
-        d = (2 * k + 1) ** 2
-        yield -2 * (2 * h + 2 * k + 1) * (h + 1 - k), d, 2 * k * (2 * k - 1), d
-
-
-def _lemma_sun3_instances(p: int) -> Iterator[tuple[int, Fraction, Fraction]]:
+def _lemma_sun3_residues(p: int) -> Iterator[tuple[int, int, int, int, int]]:
+    # At k = 1 both sides are p^3 times a ratio of integers below p.  From
+    # k-1 to k, lhs advances by -2(2h+2k-1)(h+2-k)/(2k-1)^2 and rhs by
+    # (2k-2)(2k-3)/(2k-1)^2, and (2k-1)^2 <= (p-2)^2 is prime to p.
+    mod, h = p**WORST_K_DIGITS, (p - 1) // 2
     lhs, rhs = _lemma_sun3_values(p, 1)
-    yield 1, lhs, rhs
-    for k, (a, b, c, d) in enumerate(_lemma_sun3_ratios(p), 2):
-        lhs *= Fraction(a, b)
-        rhs *= Fraction(c, d)
-        yield k, lhs, rhs
-
-
-def _lemma_sun3_residues(p: int, mod: int) -> Iterator[tuple[int, int, int, int, int]]:
-    # At k = 1 both sides are p^3 times a ratio of integers below p, and
-    # every ratio's denominator (2k+1)^2 <= (p-2)^2 is prime to p.
-    lhs, rhs = _lemma_sun3_values(p, 1)
-    ln, ld, rn, rd = lhs.numerator, lhs.denominator, rhs.numerator, rhs.denominator
-    yield 1, ln % mod, ld % mod, rn % mod, rd % mod
-    for k, (a, b, c, d) in enumerate(_lemma_sun3_ratios(p), 2):
-        ln, ld, rn, rd = ln * a % mod, ld * b % mod, rn * c % mod, rd * d % mod
+    ln, ld = lhs.numerator % mod, lhs.denominator % mod
+    rn, rd = rhs.numerator % mod, rhs.denominator % mod
+    yield 1, ln, ld, rn, rd
+    for k in range(2, h + 1):
+        d = (2 * k - 1) ** 2
+        ln, ld = ln * -2 * (2 * h + 2 * k - 1) * (h + 2 - k) % mod, ld * d % mod
+        rn, rd = rn * (2 * k - 2) * (2 * k - 3) % mod, rd * d % mod
         yield k, ln, ld, rn, rd
 
 
-def _lemma_sun3_worst(p: int) -> tuple[Fraction, Fraction, int]:
-    """_min_valuation over _lemma_sun3_instances(p), with k searched by residues."""
+def _ratio_expansion_residues(p: int, order: int) -> Iterator[tuple[int, int, int, int, int]]:
+    # From k-1 to k, lhs advances by (c^2 - p^2)/(d^2 - p^2) and
+    # u = (-1/2)_k/k! by c/d, where c = 2k-3 and d = 2k; the order-4 weight
+    # wn/wd adds 1/d^2 - 1/c^2.  For k <= (p+1)/2, d lies in [2, p+1] and c
+    # in [-1, p-2], so neither is 0 mod p and both sides are p-adic units.
     mod = p**WORST_K_DIGITS
-    found = _least_residue_valuation(p, mod, _lemma_sun3_residues(p, mod))
-    if found is None:
-        return _min_valuation(p, _lemma_sun3_instances(p))
-    return (*_lemma_sun3_values(p, found[1]), found[1])
-
-
-def _ratio_expansion_ratios(p: int) -> Iterator[tuple[int, int, int, int]]:
-    # (a, b, c, d) for k = 1..(p+1)/2: from k-1 to k, lhs advances by
-    # a/b = ((2k-3)^2 - p^2)/((2k)^2 - p^2) and u = (-1/2)_k/k! by c/d = (2k-3)/(2k)
-    for k in range(1, (p + 1) // 2 + 1):
-        yield (2 * k - 3) ** 2 - p * p, (2 * k) ** 2 - p * p, 2 * k - 3, 2 * k
-
-
-def _ratio_expansion_instances(p: int, order: int) -> Iterator[tuple[int, Fraction, Fraction]]:
-    lhs = u = Fraction(1)
-    yield 0, lhs, u
-    for k, (a, b, c, d) in enumerate(_ratio_expansion_ratios(p), 1):
-        lhs *= Fraction(a, b)
-        u *= Fraction(c, d)
-        u2 = u * u
-        yield k, lhs, (u2 if order == 2 else u2 * (1 + p * p * _weight(k)))
-
-
-def _ratio_expansion_residues(
-    p: int, order: int, mod: int
-) -> Iterator[tuple[int, int, int, int, int]]:
-    # For k <= (p+1)/2, 2k lies in [2, p+1] and 2k-3 in [-1, p-2], so neither
-    # is 0 mod p: every a, b, c, d is prime to p and both sides are p-adic
-    # units.  The order-4 weight wn/wd adds 1/d^2 - 1/c^2 per step.
     ln = ld = un = ud = wd = 1
     wn = 0
     yield 0, 1, 1, 1, 1
-    for k, (a, b, c, d) in enumerate(_ratio_expansion_ratios(p), 1):
-        ln, ld, un, ud = ln * a % mod, ld * b % mod, un * c % mod, ud * d % mod
+    for k in range(1, (p + 1) // 2 + 1):
+        c, d = 2 * k - 3, 2 * k
+        ln, ld = ln * (c * c - p * p) % mod, ld * (d * d - p * p) % mod
+        un, ud = un * c % mod, ud * d % mod
         rn, rd = un * un, ud * ud
         if order == 4:
             c2, d2 = c * c, d * d
             wn, wd = (wn * c2 * d2 + wd * (c2 - d2)) % mod, wd * c2 * d2 % mod
             rn, rd = rn * (wd + p * p * wn), rd * wd
         yield k, ln, ld, rn % mod, rd % mod
-
-
-def _ratio_expansion_worst(p: int, order: int) -> tuple[Fraction, Fraction, int]:
-    """_min_valuation over _ratio_expansion_instances(p, order), with k
-    searched by residues."""
-    mod = p**WORST_K_DIGITS
-    found = _least_residue_valuation(p, mod, _ratio_expansion_residues(p, order, mod))
-    if found is None:
-        return _min_valuation(p, _ratio_expansion_instances(p, order))
-    return (*_ratio_expansion_values(p, found[1], order), found[1])
 
 
 _register("van_hamme", 3, 3, 1, lambda p: (_sum_v(1, p), Fraction(p * _sgn(p)), None))
@@ -422,11 +367,17 @@ for _m in TABLE1_WEIGHTS:
             None,
         ),
     )
-_register("lemma_sun3", 5, 4, None, _lemma_sun3_worst)
+_register(
+    "lemma_sun3", 5, 4, None,
+    lambda p: _worst_k(p, _lemma_sun3_residues(p), lambda k: _lemma_sun3_values(p, k)),
+)
 for _order in (2, 4):
     _register(
         f"ratio_expansion_mod{_order}", 3, _order, None,
-        lambda p, order=_order: _ratio_expansion_worst(p, order),
+        lambda p, order=_order: _worst_k(
+            p, _ratio_expansion_residues(p, order),
+            lambda k: _ratio_expansion_values(p, k, order),
+        ),
     )
 
 #: Canonical scan set: every registered check except the erratum documentation id.

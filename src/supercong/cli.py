@@ -477,7 +477,15 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> None:
-    sys.exit(run(argv))
+    try:
+        code = run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout: point it at devnull so the flush at exit
+        # cannot fail again, and end with exit 1 and no traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ and the result deterministic.
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import math
@@ -111,27 +110,18 @@ def partial_sum(spec: SumSpec) -> Fraction:
     return sum(itertools.islice(summands(spec.family, spec.m), spec.upper + 1), Fraction(0))
 
 
-def term_walk(
+def walk_total(
     steps: Iterable[tuple[int, int, int]], x: int = 0, p: int = 1, q: int = 1
-) -> Iterator[tuple[int, int, int]]:
+) -> tuple[int, int]:
     """The running sum of a term that steps by exact ratios, in integers with
-    no gcd per term.  Yields the state (x, p, q), where x/q is the sum and p/q
-    the current term over one unreduced denominator q, then the state after
-    each step (a, b, c): the term is multiplied by a/b, and c times the new
-    term is added to the sum."""
-    yield x, p, q
+    no gcd per term.  x/q is the starting sum and p/q the starting term over
+    one unreduced denominator q; each step (a, b, c) multiplies the term by
+    a/b and adds c times the new term to the sum.  Returns the last sum as
+    the unreduced pair (x, q)."""
     for a, b, c in steps:
         p *= a
         q *= b
         x = x * b + c * p
-        yield x, p, q
-
-
-def walk_total(
-    steps: Iterable[tuple[int, int, int]], x: int = 0, p: int = 1, q: int = 1
-) -> tuple[int, int]:
-    """The last sum of term_walk(steps, x, p, q), as the unreduced pair (x, q)."""
-    x, _, q = collections.deque(term_walk(steps, x, p, q), maxlen=1)[0]
     return x, q
 
 
@@ -139,7 +129,7 @@ def family_sum(family: str, m: int, upper: int) -> Fraction:
     """partial_sum(SumSpec(family, m, upper)) read off running totals kept per
     (family, m): the sum at one upper limit is a prefix of every longer one.
     The totals are reduced Fractions: their denominators are powers of 2, so
-    reducing each is cheaper than one gcd of term_walk's unreduced numbers."""
+    reducing each is cheaper than one gcd of walk_total's unreduced numbers."""
     return cached((family, m), lambda: itertools.accumulate(summands(family, m)), upper)
 
 
@@ -320,7 +310,7 @@ def pochhammer_ratio_product(p: int, k: int) -> Fraction:
         raise PreconditionViolated(f"p must be odd, got {p}")
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-    out = Fraction(1)
-    for j in range(1, k + 1):
-        out *= Fraction((2 * j - 3) ** 2 - p * p, (2 * j) ** 2 - p * p)
-    return out
+    js = range(1, k + 1)
+    return Fraction(
+        math.prod((2 * j - 3) ** 2 - p * p for j in js), math.prod((2 * j) ** 2 - p * p for j in js)
+    )

@@ -423,3 +423,19 @@ def test_a_one_worker_run_never_imports_the_process_pool():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=60, check=True)
     assert done.stdout.splitlines()[-1] == "0 False"
+
+
+def test_a_closed_stdout_ends_the_run_with_exit_1_and_no_traceback():
+    # the json records of 5..199 (about 270 KB) outgrow a 64 KiB pipe
+    # buffer, so the run is still writing when its reader goes away
+    src = os.path.dirname(os.path.dirname(supercong.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    argv = ["verify", "--primes", "5..199", "--format", "json"]
+    proc = subprocess.Popen([sys.executable, "-m", "supercong.cli", *argv],
+                            env=dict(os.environ, PYTHONPATH=path),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"{")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")

@@ -3,8 +3,9 @@
 Each case pins the exit code and the SHA-256 of stdout, so any change to a
 record's fields, their order, the text layout, the CSV headers or the
 exact `num/den` and `inf` renderings shows up here.  The cases include an
-informational p = 3 row, failing `lemma_sun1_printed` rows, the
-inconsistent family d, m = 15 discovery and a failing identity scan.
+informational p = 3 row, failing `lemma_sun1_printed` rows, the worst-k
+records of the three aggregate checks from p = 3 on, the inconsistent
+family d, m = 15 discovery and a failing identity scan.
 """
 
 import csv
@@ -22,6 +23,8 @@ CASES = {
     "wz": ["wz", "--grid", "6", "--telescope", "3..13", "--boundary", "3..15"],
     "discover": ["discover", "--family", "d", "--m", "1,15", "--primes", "5..60"],
     "table": ["table", "--m", "3,5", "--n", "2..4"],
+    "worst_k": ["verify", "--checks", "lemma_sun3,ratio_expansion_mod2,ratio_expansion_mod4",
+                "--primes", "3..61", "--include-p3"],
 }
 
 EXPECTED = {
@@ -40,6 +43,9 @@ EXPECTED = {
     ("table", "text"): (0, "c9e32766ebe5d580cfb3e4e8aa821bdab915e0b6dd064a7020dcf3238b33c8f1"),
     ("table", "csv"): (0, "3b4f69719648ea7a0d9dc5ff6f320bab8f67c6dce14dfe06e8084f0119b5fdeb"),
     ("table", "json"): (0, "b6cb125c50e9ce0bea192383a809813cc23b4feea5f5a68fa6b4832f34bd9205"),
+    ("worst_k", "text"): (0, "2a8e43d633625d136f695a89251c2ce0b79711b666395cb4f867e973fdcbe7e4"),
+    ("worst_k", "csv"): (0, "16d282bde7d1913a4df03c93bcf7bd39e8558d3d5414ed9df29e9cfa23025344"),
+    ("worst_k", "json"): (0, "6c0debfe216643c14cfc255bc8a3338f669dad3e83388c1e258e56f87ed4946c"),
 }
 
 # `lemma` of CASES with check_lemma_f failing at n = 4.

@@ -174,8 +174,8 @@ class TestWZPair:
 
 
 class TestTermWalk:
-    """term_walk's integer states against plain Fraction stepping of the same
-    term and running sum."""
+    """walk_total's unreduced sum against plain Fraction stepping of the same
+    term and running sum, after every prefix of the steps."""
 
     @given(
         start=st.tuples(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50).filter(bool)),
@@ -187,14 +187,15 @@ class TestTermWalk:
     def test_every_state_equals_fraction_stepping(self, start, steps):
         x, p, q = start
         total, term = Fraction(x, q), Fraction(p, q)
-        expected = [(total, term)]
+        expected = [total]
         for a, b, c in steps:
             term *= Fraction(a, b)
             total += c * term
-            expected.append((total, term))
-        states = list(series.term_walk(steps, *start))
-        assert [(Fraction(x, q), Fraction(p, q)) for x, p, q in states] == expected
-        assert series.walk_total(steps, *start) == states[-1][::2]
+            expected.append(total)
+        for i in range(len(steps) + 1):
+            x, q = series.walk_total(steps[:i], *start)
+            assert Fraction(x, q) == expected[i]
+            assert q == start[2] * math.prod(b for _, b, _ in steps[:i])
 
 
 class TestWZRows:

@@ -185,59 +185,83 @@ WORST_K_PRIMES = primes_in_range(3, 401)
 
 
 def _worst_k_cases(p):
-    """(check id, residue walk, exact instances) of each worst-k search at p."""
-    mod = p**checks.WORST_K_DIGITS
-    yield "lemma_sun3", checks._lemma_sun3_residues(p, mod), checks._lemma_sun3_instances(p)
+    """(check id, residue walk, exact per-index values) of each worst-k search at p."""
+    yield "lemma_sun3", checks._lemma_sun3_residues(p), lambda k: checks._lemma_sun3_values(p, k)
     for order in (2, 4):
         yield (
             f"ratio_expansion_mod{order}",
-            checks._ratio_expansion_residues(p, order, mod),
-            checks._ratio_expansion_instances(p, order),
+            checks._ratio_expansion_residues(p, order),
+            lambda k, order=order: checks._ratio_expansion_values(p, k, order),
         )
 
 
-class TestWorstKResidues:
-    """The residue searches against _min_valuation over the exact instances,
-    which stays as their oracle and fallback."""
+def _per_index_worst(p, ks, values):
+    """(lhs, rhs, k) of the first k with the least exact v_p(lhs - rhs)."""
+    return min(((*values(k), k) for k in ks), key=lambda t: arith.vp(t[0] - t[1], p))
 
-    @settings(max_examples=40, deadline=None)
+
+class TestWorstKResidues:
+    """The residue searches against the per-index closed forms, which are
+    their oracle and, where every k reaches the precision, their fallback."""
+
+    @settings(max_examples=15, deadline=None)
     @given(p=st.sampled_from(WORST_K_PRIMES))
     @example(p=3)
     @example(p=5)
     @example(p=397)
     def test_same_instance_as_exact_search(self, p):
-        for check_id, _, instances in _worst_k_cases(p):
-            assert checks.CHECKS[check_id].values(p) == checks._min_valuation(p, instances)
+        for check_id, residues, values in _worst_k_cases(p):
+            ks = [k for k, *_ in residues]
+            assert checks.CHECKS[check_id].values(p) == _per_index_worst(p, ks, values)
+
+    @settings(max_examples=15, deadline=None)
+    @given(p=st.sampled_from(WORST_K_PRIMES))
+    @example(p=3)
+    @example(p=5)
+    @example(p=397)
+    def test_every_residue_step_equals_the_closed_forms(self, p):
+        modulus = arith.PrimePower(p, checks.WORST_K_DIGITS)
+        mod = modulus.modulus
+        for _, residues, values in _worst_k_cases(p):
+            for k, ln, ld, rn, rd in residues:
+                lhs, rhs = values(k)
+                assert ln * pow(ld, -1, mod) % mod == arith.reduce_mod(lhs, modulus)
+                assert rn * pow(rd, -1, mod) % mod == arith.reduce_mod(rhs, modulus)
 
     def test_lemma_sun3_at_three_in_informational_mode(self):
         rep = check("lemma_sun3", 3, informational=True)
-        lhs, rhs, k = checks._min_valuation(3, checks._lemma_sun3_instances(3))
-        assert (rep.lhs, rep.rhs, rep.k, rep.passed) == (lhs, rhs, k, None)
+        lhs, rhs = checks._lemma_sun3_values(3, 1)
+        assert (rep.lhs, rep.rhs, rep.k, rep.passed) == (lhs, rhs, 1, None)
         assert rep.achieved_valuation == arith.vp(lhs - rhs, 3) == 5
 
     @pytest.mark.parametrize("p", [3, 5, 7, 31, 199, 401])
     def test_every_k_at_the_precision_falls_back_to_the_exact_search(self, p, monkeypatch):
         monkeypatch.setattr(checks, "WORST_K_DIGITS", 1)
-        for check_id, residues, instances in _worst_k_cases(p):
-            assert checks._least_residue_valuation(p, p, residues) is None
-            assert checks.CHECKS[check_id].values(p) == checks._min_valuation(p, instances)
+        for check_id, residues, values in _worst_k_cases(p):
+            walk = list(residues)
+            assert all((ln * rd - rn * ld) % p == 0 for _, ln, ld, rn, rd in walk)
+            ks = [k for k, *_ in walk]
+            assert checks.CHECKS[check_id].values(p) == _per_index_worst(p, ks, values)
 
-    @settings(max_examples=40, deadline=None)
-    @given(p=st.sampled_from(WORST_K_PRIMES))
-    @example(p=3)
-    def test_residue_valuation_is_the_exact_valuation_at_the_chosen_k(self, p):
-        for check_id, residues, _ in _worst_k_cases(p):
-            found = checks._least_residue_valuation(p, p**checks.WORST_K_DIGITS, residues)
-            lhs, rhs, k = checks.CHECKS[check_id].values(p)
-            assert found == (arith.vp(lhs - rhs, p), k)
+    @pytest.mark.parametrize("p", [3, 5, 7, 31, 199, 401])
+    @pytest.mark.parametrize("digits", range(1, 7))
+    def test_every_precision_gives_the_same_record(self, p, digits, monkeypatch):
+        ids = ("lemma_sun3", "ratio_expansion_mod2", "ratio_expansion_mod4")
+        at_twelve = [checks.CHECKS[i].values(p) for i in ids]
+        monkeypatch.setattr(checks, "WORST_K_DIGITS", digits)
+        assert [checks.CHECKS[i].values(p) for i in ids] == at_twelve
+
+    def test_sides_are_compared_across_their_denominators(self):
+        # at k = 1 the sides 2/1 and 4/2 are equal though their numerators
+        # differ; at k = 2, 1/3 and 16/3 differ by 5
+        values = {1: (Fraction(2), Fraction(2)), 2: (Fraction(1, 3), Fraction(16, 3))}
+        residues = [(1, 2, 1, 4, 2), (2, 1, 3, 16, 3)]
+        assert checks._worst_k(5, residues, values.get) == (*values[2], 2)
 
     @pytest.mark.parametrize("p", [3, 5, 13, 101])
     def test_lemma_sun3_walk_stops_at_the_last_index(self, p):
         h = (p - 1) // 2
-        assert len(list(checks._lemma_sun3_ratios(p))) == h - 1
-        instances = list(checks._lemma_sun3_instances(p))
-        assert [k for k, _, _ in instances] == list(range(1, h + 1))
-        assert instances[-1][1:] == checks._lemma_sun3_values(p, h)
+        assert [k for k, *_ in checks._lemma_sun3_residues(p)] == list(range(1, h + 1))
 
 
 class TestTelescopedIdentity:
