@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from .arith import (
     CongruenceReport,
@@ -92,21 +91,6 @@ def verify_conjecture(
     return make_report(f"conj_{family.lower()}_{variant}", p, s, rhs, required, m=m, r=r)
 
 
-def _split_summands(
-    family: str, m: int, p: int, count: int
-) -> Iterator[tuple[int, int, int, int, int]]:
-    """The first count summands of the family as (v, sign, w, a, b): summand
-    k is sign * p^v * w^m * A_k with A_k = A_(k-1) * a/b, where w, a and b
-    are the p-free parts of the factors of summand_factors."""
-    v_u = 0
-    for sign, w, a, b in itertools.islice(summand_factors(_SUMMAND[family]), count):
-        v_w, w = split_power(w, p)
-        v_a, a = split_power(a, p)
-        v_b, b = split_power(b, p)
-        v_u += v_a - v_b
-        yield m * v_w + v_u, sign, w, a, b
-
-
 def extract_residue(family: str, m: int, p: int, r: int, variant: str) -> tuple[int, int]:
     """Invert the claimed congruence for the constant at one prime.
 
@@ -115,10 +99,13 @@ def extract_residue(family: str, m: int, p: int, r: int, variant: str) -> tuple[
     variant "both" reads the half and the full truncation and raises
     InconsistentInput unless their residues agree.
 
-    The sum is never formed exactly: one walk sums the summands mod p^N,
-    N = r + e, which fixes sum / p^r mod p^e exactly; "both" reads the half
-    truncation, a prefix of the full one, off the same running sum at its
-    cut.  A summand of negative valuation raises PreconditionViolated.
+    The sum is never formed exactly: one walk keeps it mod p^N, N = r + e,
+    which fixes sum / p^r mod p^e exactly.  Summand k of summand_factors is
+    sign * p^v * w^m * t/q, with w and the step a/b of t/q split free of p,
+    so the sum is x/q over one unit denominator q (series.walk_total's
+    recurrence), read with one inverse at each cut the walk passes; "both"
+    reads the half truncation, a prefix of the full one, at its cut.  A
+    summand of negative valuation raises PreconditionViolated.
     """
     p = _validate(family, m, p, r, variant, VARIANTS + ("both",))
     e = _RESIDUE_EXPONENT[family]
@@ -126,20 +113,27 @@ def extract_residue(family: str, m: int, p: int, r: int, variant: str) -> tuple[
     # (-1/2)_k/k! = -Cat(k-1)/2^(2k-1), so for odd p every summand is a
     # p-adic integer, and summand 0 is the unit -1: p^(r+e) is precision enough.
     modulus, pr, pe = p ** (r + e), p**r, p**e
-    summands = _split_summands(family, m, p, max(cuts.values()) + 1)
-    total, units, done, pairs = 0, 1, 0, []
-    for cut_variant, cut in cuts.items():  # half first: its cut is the smaller
-        for k, (v, sign, w, a, b) in enumerate(itertools.islice(summands, cut + 1 - done), done):
-            if v < 0:
-                raise PreconditionViolated(f"family {family}, m={m}, p={p}: summand {k} has v_p < 0")
-            units = units * a * pow(b, -1, modulus) % modulus
-            total += sign * pow(p, v, modulus) * pow(w, m, modulus) * units
-        done, total = cut + 1, total % modulus
-        if total % pr:
-            raise ValuationTooLow(
-                f"family {family}, m={m}, p={p}, r={r} ({cut_variant}): v_p(sum) < r"
-            )
-        pairs.append((total // pr * _unit_sign(family, p, r) % pe, pe))
+    factors = itertools.islice(summand_factors(_SUMMAND[family]), max(cuts.values()) + 1)
+    x, t, q, v_t, pairs = 0, 1, 1, 0, []
+    for k, (sign, w, a, b) in enumerate(factors):
+        v_w, w = split_power(w, p)
+        v_a, a = split_power(a, p)
+        v_b, b = split_power(b, p)
+        v_t += v_a - v_b
+        v = m * v_w + v_t
+        if v < 0:
+            raise PreconditionViolated(f"family {family}, m={m}, p={p}: summand {k} has v_p < 0")
+        t, q = t * a % modulus, q * b % modulus
+        x = (x * b + sign * pow(p, v, modulus) * pow(w, m, modulus) * t) % modulus
+        for cut_variant, cut in cuts.items():  # half first, also where the cuts coincide
+            if cut != k:
+                continue
+            total = x * pow(q, -1, modulus) % modulus
+            if total % pr:
+                raise ValuationTooLow(
+                    f"family {family}, m={m}, p={p}, r={r} ({cut_variant}): v_p(sum) < r"
+                )
+            pairs.append((total // pr * _unit_sign(family, p, r) % pe, pe))
     if pairs[0] != pairs[-1]:
         raise InconsistentInput(f"half/full residues disagree at p={p}: {pairs[0]} vs {pairs[-1]}")
     return pairs[-1]

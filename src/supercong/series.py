@@ -251,9 +251,20 @@ def _vanishes_within(base: Fraction, count: int) -> bool:
     return base.denominator == 1 and -(count - 1) <= base.numerator <= 0
 
 
-def whipple_terminating(
-    a: Rational, b: Rational, c: Rational, d: Rational, N: int
-) -> bool:
+def _terminating_sum(
+    tops: tuple[Fraction, ...], bottoms: tuple[Fraction, ...], sign: int, N: int
+) -> Fraction:
+    """sum_{k=0..N} sign^k prod (top)_k / (k! prod (bottom)_k), one walk_total
+    along the term ratios sign prod (top+k) / ((k+1) prod (bottom+k)) for
+    k < N, so no bottom+k past N-1 is ever divided by."""
+    ratios = (
+        sign * math.prod(x + k for x in tops) / ((k + 1) * math.prod(y + k for y in bottoms))
+        for k in range(N)
+    )
+    return Fraction(*walk_total(((t.numerator, t.denominator, 1) for t in ratios), 1, 1, 1))
+
+
+def whipple_terminating(a: Rational, b: Rational, c: Rational, d: Rational, N: int) -> bool:
     """Terminating transform check with e = -N:
 
         sum_{k=0..N} (-1)^k (a)_k (1+a/2)_k (b)_k (c)_k (d)_k (-N)_k
@@ -272,24 +283,10 @@ def whipple_terminating(
     lower = (a / 2, 1 + a - b, 1 + a - c, 1 + a - d, 1 + a - e)
     for base in lower:
         if _vanishes_within(base, N):
-            raise ParameterSingularity(
-                f"denominator factor ({base})_k vanishes for some k <= {N}"
-            )
-    lhs = Fraction(0)
-    for k in range(N + 1):
-        num = Fraction(1)
-        for base in (a, 1 + a / 2, b, c, d, e):
-            num *= pochhammer(base, k)
-        den = Fraction(math.factorial(k))
-        for base in lower:
-            den *= pochhammer(base, k)
-        lhs += (-1) ** k * num / den
+            raise ParameterSingularity(f"denominator factor ({base})_k vanishes for some k <= {N}")
+    lhs = _terminating_sum((a, 1 + a / 2, b, c, d, e), lower, -1, N)
+    rhs = _terminating_sum((1 + a - b - c, d, e), lower[1:3], 1, N)
     prefactor = pochhammer(1 + a, N) / pochhammer(1 + a - d, N)
-    rhs = Fraction(0)
-    for k in range(N + 1):
-        num = pochhammer(1 + a - b - c, k) * pochhammer(d, k) * pochhammer(e, k)
-        den = Fraction(math.factorial(k)) * pochhammer(1 + a - b, k) * pochhammer(1 + a - c, k)
-        rhs += num / den
     return lhs == prefactor * rhs
 
 

@@ -168,6 +168,9 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli, "primes_in_range", no_sieve)
         code, out, err = run_cli(capsys, "verify", "--primes", "5..10000000000")
         assert code == 2 and out == ""
+        assert "--primes upper end 10000000000 exceeds the cap 1000\n" in err
+        code, out, err = run_cli(capsys, "discover", "--family", "c", "--primes", "5..10000000000")
+        assert code == 2 and out == ""
         assert "--primes upper end 10000000000 exceeds the cap 10000000" in err
         code, _, err = run_cli(capsys, "wz", "--telescope", "3..10000001")
         assert code == 2 and "--telescope upper end" in err
@@ -186,7 +189,7 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(cli, "primes_in_range", no_sieve)
         code, out, err = run_cli(capsys, *argv)
-        assert (code, out) == (2, "") and "exceeds the verify cap 1000" in err
+        assert (code, out) == (2, "") and "exceeds the cap 1000" in err
 
     def test_verify_window_at_its_cap_runs(self, capsys):
         code, out, _ = run_cli(

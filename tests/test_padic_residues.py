@@ -81,9 +81,11 @@ def test_d15_anomaly_residue():
 
 def walks_integral_summands(family, m, p, r, variant):
     """Whether every summand extract_residue may walk, up to the largest cut
-    of the variant, has v_p >= 0 under the current summand_factors."""
+    of the variant, has v_p >= 0: the exact summands under the current
+    summand_factors, not the walk's own split."""
     count = max(conjectures._upper(p, r, v) for v in VARIANTS if variant in (v, "both")) + 1
-    return all(v >= 0 for v, *_ in conjectures._split_summands(family, m, p, count))
+    walked = itertools.islice(series.summands(conjectures._SUMMAND[family], m), count)
+    return all(vp(s, p) >= 0 for s in walked)
 
 
 def assert_exact_or_refused(got, want, integral):
@@ -219,6 +221,18 @@ def test_both_variants_pinned_factor_streams(steps, raised):
         got = outcome(extract_residue, "C", 1, 5, 1, "both")
         assert got == outcome(exact_both, "C", 1, 5, 1)
     assert f"{got[0].__name__}: {got[1]}".startswith(raised)
+
+
+def test_coinciding_cuts_name_the_half_truncation_first():
+    # summands 1, 2, 2: at p = 3, r = 1 both truncations end at summand 2,
+    # and their common sum 5 has v_3 = 0 < r
+    assert conjectures._upper(3, 1, "half") == conjectures._upper(3, 1, "full") == 2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "summand_factors", substituted_factors([(1, 2, 1, 1)]))
+        mp.setattr(conjectures, "summand_factors", substituted_factors([(1, 2, 1, 1)]))
+        got = outcome(extract_residue, "C", 1, 3, 1, "both")
+        assert got == outcome(exact_both, "C", 1, 3, 1)
+    assert got == (ValuationTooLow, "family C, m=1, p=3, r=1 (half): v_p(sum) < r")
 
 
 @pytest.mark.parametrize("variant", ["half", "full", "both"])

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from supercong import series
@@ -245,7 +245,56 @@ class TestBoundaryClosedForm:
             assert direct == closed
 
 
+def whipple_sides_per_k(a, b, c, d, N):
+    """The terms k = 0..N of both sums of whipple_terminating, each rebuilt
+    from rising factorials at its own k (no term ratios); a vanishing
+    denominator raises ZeroDivisionError."""
+    e = Fraction(-N)
+
+    def terms(sign, tops, bottoms):
+        return [
+            sign**k * math.prod(pochhammer(x, k) for x in tops)
+            / (math.factorial(k) * math.prod(pochhammer(y, k) for y in bottoms))
+            for k in range(N + 1)
+        ]
+
+    return (
+        terms(-1, (a, 1 + a / 2, b, c, d, e), (a / 2, 1 + a - b, 1 + a - c, 1 + a - d, 1 + a - e)),
+        terms(1, (1 + a - b - c, d, e), (1 + a - b, 1 + a - c)),
+    )
+
+
+whipple_parameter = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
 class TestWhipple:
+    @settings(max_examples=150, deadline=None)
+    @given(a=whipple_parameter, b=whipple_parameter, c=whipple_parameter, d=whipple_parameter,
+           N=st.integers(0, 8))
+    @example(a=Fraction(1, 3), b=Fraction(2, 7), c=Fraction(1, 5), d=Fraction(-2), N=6)
+    # 1+a-d = -N: (1+a-d)_k is not 0 for k <= N, but a step at k = N would divide by 0
+    @example(a=Fraction(1), b=Fraction(1, 3), c=Fraction(2, 5), d=Fraction(5), N=3)
+    def test_stepped_sides_equal_the_per_k_form(self, a, b, c, d, N):
+        try:
+            lhs, rhs = whipple_sides_per_k(a, b, c, d, N)
+        except ZeroDivisionError:
+            with pytest.raises(ParameterSingularity):
+                whipple_terminating(a, b, c, d, N)
+            return
+        e, lower = Fraction(-N), (a / 2, 1 + a - b, 1 + a - c, 1 + a - d, 1 + a + N)
+        assert series._terminating_sum((a, 1 + a / 2, b, c, d, e), lower, -1, N) == sum(lhs)
+        assert series._terminating_sum((1 + a - b - c, d, e), lower[1:3], 1, N) == sum(rhs)
+        prefactor = pochhammer(1 + a, N) / pochhammer(1 + a - d, N)
+        assert sum(lhs) == prefactor * sum(rhs)
+        assert whipple_terminating(a, b, c, d, N)
+
+    def test_a_nonpositive_integer_top_ends_both_sums(self):
+        # d = -2 zeroes every term from k = 3 on, inside the range N = 6
+        a, b, c, d, N = Fraction(1, 3), Fraction(2, 7), Fraction(1, 5), Fraction(-2), 6
+        for terms in whipple_sides_per_k(a, b, c, d, N):
+            assert all(terms[:3]) and terms[3:] == [0] * 4
+        assert whipple_terminating(a, b, c, d, N)
+
     def test_empty_series(self):
         assert whipple_terminating(Fraction(1, 3), Fraction(1, 5), Fraction(2, 7), 4, 0)
 
