@@ -10,8 +10,8 @@ v_p(a - b) >= t.  Everything here is pure; there is no shared mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 #: Valuation of zero.  Compares greater than every finite valuation.
 INFINITE = math.inf
@@ -81,17 +81,16 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     return [p for p in range(max(lo, 3), hi + 1) if flags[p] and p % 2]
 
 
-@dataclass(frozen=True)
-class PrimePower:
+class PrimePower(NamedTuple("PrimePower", [("p", int), ("t", int)])):
     """A modulus p**t with p an odd prime and t >= 1."""
 
-    p: int
-    t: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        require_prime(self.p, "a modulus base")
-        if self.t < 1:
-            raise ValueError(f"modulus exponent must be >= 1, got {self.t}")
+    def __new__(cls, p: int, t: int) -> PrimePower:
+        require_prime(p, "a modulus base")
+        if t < 1:
+            raise ValueError(f"modulus exponent must be >= 1, got {t}")
+        return super().__new__(cls, p, t)
 
     @property
     def modulus(self) -> int:
@@ -162,8 +161,7 @@ def crt_lift(residues: list[tuple[int, int]]) -> int:
     return x if 2 * x <= mod else x - mod
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(NamedTuple):
     """Evidence for one congruence claim: lhs = rhs (mod p**required_valuation).
 
     achieved_valuation is always the exact v_p(lhs - rhs), recorded even on

@@ -13,9 +13,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .arith import CongruenceReport, PrimeTooSmall, make_report, require_prime, split_power, vp
 from .series import family_sum, pochhammer_ratio_product, walk_total, wz_F, wz_G_tail
@@ -215,8 +214,7 @@ def _ratio_expansion_values(p: int, k: int, order: int) -> tuple[Fraction, Fract
 ValuesFn = Callable[[int], tuple[Fraction, Fraction, "int | None"]]
 
 
-@dataclass(frozen=True)
-class CheckDef:
+class CheckDef(NamedTuple):
     check_id: str
     floor: int
     required: int

@@ -18,7 +18,6 @@ import math
 import operator
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
@@ -59,8 +58,7 @@ VERIFY_CAP = 1000
 DISCOVER_DEFAULT_M = {"C": (1, 3, 5, 7, 9, 11), "D": (1, 3, 5, 7, 9, 11, 13, 15)}
 
 
-@dataclass(frozen=True)
-class ScanRecord:
+class ScanRecord(NamedTuple):
     """Summary of an exact-identity scan (lemma / telescoping commands)."""
 
     check_id: str
@@ -70,11 +68,13 @@ class ScanRecord:
     first_failure: str | None
 
 
-class _TableRow:
+class _TableRow(NamedTuple):
     """One row of the closed-form table: f and g at weight m and index n."""
 
-    def __init__(self, m: int, n: int, f: Fraction, g: Fraction) -> None:
-        self.m, self.n, self.f, self.g = m, n, f, g
+    m: int
+    n: int
+    f: Fraction
+    g: Fraction
 
 
 def _plain(value):
@@ -196,7 +196,7 @@ def serialize_report(report: CongruenceReport | DiscoveryResult | ScanRecord, fm
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
     kind = _KINDS[type(report)]
-    fields = {name: _plain(value) for name, value in vars(report).items()}
+    fields = {name: _plain(value) for name, value in report._asdict().items()}
     fields.update(kind.derived(fields))
     if fmt == "json":
         shown = {k: fields[k] for k in kind.json if fields[k] or k not in kind.json_optional}
@@ -284,20 +284,106 @@ def _check_ids(text: str) -> tuple[str, ...]:
     return ids
 
 
-def _worker_count(jobs: int) -> int:
-    """--jobs clamped to the machine's CPU count."""
-    return min(jobs, os.cpu_count() or 1)
+def _worker_count(jobs: int, tasks: int) -> int:
+    """--jobs clamped to the machine's CPU count and to the number of tasks,
+    so no worker is idle; 1 where the platform has no os.fork, so --jobs
+    runs serially there."""
+    if not hasattr(os, "fork"):
+        return 1
+    return max(1, min(jobs, os.cpu_count() or 1, tasks))
 
 
-def _map_tasks(fn: Callable, tasks: Sequence, jobs: int) -> list:
-    jobs = _worker_count(jobs)
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    from concurrent.futures import ProcessPoolExecutor  # only a parallel run pays its import
+def _row(record, fmt: str) -> tuple[str, bool]:
+    """The record's output line in fmt and whether it passes: the one
+    renderer, run by whichever worker made the record."""
+    return serialize_report(record, fmt), _KINDS[type(record)].passes(record)
 
-    chunk = max(1, len(tasks) // (4 * jobs))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunk))
+
+def _rows(records: Iterable, fmt: str) -> list[tuple[str, bool]]:
+    return [_row(record, fmt) for record in records]
+
+
+def _render_share(
+    fn: Callable, tasks: Sequence, start: int, step: int, fmt: str
+) -> tuple[list[tuple[str, bool]], tuple[int, Exception] | None]:
+    """(rows, failure) of the share tasks[start::step]: the row of each task
+    in order up to the first that raises, and failure = (its index, the
+    exception), or None when every task succeeds."""
+    rows = []
+    for i in range(start, len(tasks), step):
+        try:
+            rows.append(_row(fn(tasks[i]), fmt))
+        except Exception as exc:  # re-raised by _map_tasks in the parent
+            return rows, (i, exc)
+    return rows, None
+
+
+def _map_tasks(fn: Callable, tasks: Sequence, jobs: int, fmt: str) -> list[tuple[str, bool]]:
+    """_row(fn(task), fmt) for every task, in task order.
+
+    Up to `jobs` workers share the tasks by stride: this process runs
+    tasks[0::n] and each of n - 1 forked children runs tasks[j::n], renders
+    its rows and pickles them back through its own pipe.  Each worker stops
+    at its first failing task, so the failing task that comes first in task
+    order is the one raised here, as it is at one worker.  Every child is
+    reaped before this returns or raises; on an exception in this process,
+    including KeyboardInterrupt, the children are killed first.
+    """
+    n = _worker_count(jobs, len(tasks))
+    if n > 1:  # only a parallel run pays for these imports
+        import pickle
+        import signal
+    pids, read_ends, payloads = [], [], []
+    try:
+        for j in range(1, n):
+            read_end, write_end = os.pipe()
+            read_ends.append(read_end)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(write_end, fn, tasks, j, n, fmt)
+            finally:
+                os.close(write_end)
+            pids.append(pid)
+        shares = [_render_share(fn, tasks, 0, n, fmt)]
+        for read_end in read_ends:
+            with open(read_end, "rb", closefd=False) as pipe:
+                payloads.append(pipe.read())
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for read_end in read_ends:
+            os.close(read_end)
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for pid, status, payload in zip(pids, statuses, payloads):
+        if status:
+            raise ChildProcessError(f"worker {pid} ended without a result (wait status {status})")
+        shares.append(pickle.loads(payload))
+    failures = [failure for _, failure in shares if failure is not None]
+    if failures:
+        raise min(failures, key=operator.itemgetter(0))[1]
+    rows: list = [None] * len(tasks)
+    for j, (share, _) in enumerate(shares):
+        rows[j::n] = share
+    return rows
+
+
+def _child(write_end: int, fn: Callable, tasks: Sequence, start: int, step: int, fmt: str) -> None:
+    """A forked worker's whole life: pickle _render_share's result for its
+    share into write_end and leave by os._exit, with exit status 0 only if
+    the result was written whole.  os._exit runs none of the parent's
+    cleanup (finally blocks, atexit handlers, buffered stdout) a second time."""
+    import pickle
+
+    status = 1
+    try:
+        with open(write_end, "wb") as pipe:
+            pickle.dump(_render_share(fn, tasks, start, step, fmt), pipe)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _verify_task(task: tuple[str, int, bool]) -> CongruenceReport:
@@ -325,7 +411,7 @@ def _scan(
     return ScanRecord(check_id, scope, count, first_failure is None, first_failure)
 
 
-def _cmd_verify(args: argparse.Namespace) -> list[CongruenceReport]:
+def _cmd_verify(args: argparse.Namespace) -> list[tuple[str, bool]]:
     lo, hi = args.primes
     primes = primes_in_range(lo, hi)
     # (check_id, p, informational): a p = 3 row below the check's floor is informational.
@@ -336,35 +422,35 @@ def _cmd_verify(args: argparse.Namespace) -> list[CongruenceReport]:
     ]
     if not tasks:
         raise ValueError(f"no selected check applies to a prime in {lo}..{hi}")
-    reports = _map_tasks(_verify_task, tasks, args.jobs)
-    return sorted(reports, key=lambda rep: (rep.check_id, rep.p))
+    # tasks run in (check_id, p) order, the order of the output
+    return _map_tasks(_verify_task, tasks, args.jobs, args.format)
 
 
-def _cmd_lemma(args: argparse.Namespace) -> list[ScanRecord]:
+def _cmd_lemma(args: argparse.Namespace) -> list[tuple[str, bool]]:
     lo, hi = args.n
-    return [
+    return _rows([
         _scan(check_id, f"m={m},n={lo}..{hi}", functools.partial(fn, m),
               ((n,) for n in range(lo, hi + 1)), "n={}")
         for check_id, fn in (("lemma_f", check_lemma_f), ("lemma_g", check_lemma_g))
         for m in sorted(args.m)
-    ]
+    ], args.format)
 
 
-def _cmd_wz(args: argparse.Namespace) -> list[ScanRecord]:
+def _cmd_wz(args: argparse.Namespace) -> list[tuple[str, bool]]:
     (t_lo, t_hi), (b_lo, b_hi) = args.telescope, args.boundary
     grid = range(1, args.grid + 1)
     odd = range(max(b_lo | 1, 3), b_hi + 1, 2)
-    return [
+    return _rows([
         _scan("wz_relation", f"1<=k<=n<={args.grid}", check_wz_relation,
               ((n, k) for n in grid for k in range(1, n + 1)), "n={},k={}"),
         _scan("wz_telescoped", f"primes {t_lo}..{t_hi}", check_telescoped_identity,
               ((p,) for p in primes_in_range(t_lo, t_hi)), "p={}"),
         _scan("wz_boundary", f"odd p {b_lo}..{b_hi}",
               lambda p: operator.eq(*boundary_closed_form(p)), ((p,) for p in odd), "p={}"),
-    ]
+    ], args.format)
 
 
-def _cmd_discover(args: argparse.Namespace) -> list[DiscoveryResult]:
+def _cmd_discover(args: argparse.Namespace) -> list[tuple[str, bool]]:
     lo, hi = args.primes
     primes = tuple(primes_in_range(max(lo, 5), hi))
     if not primes:
@@ -380,21 +466,22 @@ def _cmd_discover(args: argparse.Namespace) -> list[DiscoveryResult]:
     family = args.family.upper()
     m_values = args.m or DISCOVER_DEFAULT_M[family]  # None: --m all
     tasks = [(family, m, primes, args.r, args.variant) for m in sorted(m_values)]
-    return _map_tasks(_discover_task, tasks, args.jobs)
+    return _map_tasks(_discover_task, tasks, args.jobs, args.format)
 
 
-def _cmd_table(args: argparse.Namespace) -> list[_TableRow]:
+def _cmd_table(args: argparse.Namespace) -> list[tuple[str, bool]]:
     lo, hi = args.n
-    return [_TableRow(m, n, table1_f(m, n), table1_g(m, n))
-            for m in sorted(args.m) for n in range(lo, hi + 1)]
+    return _rows([_TableRow(m, n, table1_f(m, n), table1_g(m, n))
+                  for m in sorted(args.m) for n in range(lo, hi + 1)], args.format)
 
 
 def _declare(
-    sub, name: str, handler: Callable, help: str, *arguments: tuple[str, dict], jobs: bool = False
+    sub, name: str, handler: Callable, kind: _Kind, help: str, *arguments: tuple[str, dict],
+    jobs: bool = False,
 ) -> None:
     """One subcommand: its (flag, add_argument options) pairs, then --format
     and, for a handler that fans out to processes, --jobs; run() calls
-    handler(args) for its records."""
+    handler(args) for the rendered rows of its records, all of this kind."""
     cmd = sub.add_parser(name, help=help)
     for flag, options in arguments:
         cmd.add_argument(flag, **options)
@@ -402,7 +489,7 @@ def _declare(
     if jobs:
         cmd.add_argument("--jobs", type=_at_least_one("--jobs"), default=1,
                          help="worker processes (default %(default)s; at most the CPU count)")
-    cmd.set_defaults(handler=handler)
+    cmd.set_defaults(handler=handler, kind=kind)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -419,16 +506,18 @@ def _build_parser() -> argparse.ArgumentParser:
     n_range = dict(type=_int_range("n", "--n", N_CAP, least=2),
                    help="n range lo..hi (default %(default)s)")
 
-    _declare(sub, "verify", _cmd_verify, "scan named congruence checks over a prime range",
+    _declare(sub, "verify", _cmd_verify, _CONGRUENCE,
+             "scan named congruence checks over a prime range",
              ("--checks", dict(type=_check_ids, default="all", help="comma-separated check ids,"
                                " or 'all' (default; excludes lemma_sun1_printed)")),
              verify_primes,
              ("--include-p3", dict(action="store_true", help="emit informational p=3 rows"
                                    " (pass=null) for checks floored at p>=5")),
              jobs=True)
-    _declare(sub, "lemma", _cmd_lemma, "exact closed-form lemma scans",
+    _declare(sub, "lemma", _cmd_lemma, _SCAN, "exact closed-form lemma scans",
              weights, ("--n", dict(n_range, default="2..50")))
-    _declare(sub, "wz", _cmd_wz, "telescoping pair relation, telescoped identity, boundary form",
+    _declare(sub, "wz", _cmd_wz, _SCAN,
+             "telescoping pair relation, telescoped identity, boundary form",
              ("--grid", dict(type=_at_least_one("--grid", GRID_CAP), default=60,
                              help="check the pair relation for 1<=k<=n<=GRID")),
              ("--telescope", dict(type=_int_range("telescope", "--telescope", TELESCOPE_CAP),
@@ -437,7 +526,8 @@ def _build_parser() -> argparse.ArgumentParser:
              ("--boundary", dict(type=_int_range("boundary", "--boundary", BOUNDARY_CAP),
                                  default="3..199",
                                  help="odd range for the boundary closed form")))
-    _declare(sub, "discover", _cmd_discover, "rediscover family constants via CRT over a prime range",
+    _declare(sub, "discover", _cmd_discover, _DISCOVERY,
+             "rediscover family constants via CRT over a prime range",
              ("--family", dict(choices=("c", "d"), required=True)),
              ("--m", dict(type=lambda text: None if text == "all" else _weights(text),
                           default="all", help="comma-separated odd weights, or 'all'")),
@@ -446,7 +536,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="power of p in the truncation depth (default %(default)s)")),
              ("--variant", dict(choices=("half", "full", "both"), default="both")),
              jobs=True)
-    _declare(sub, "table", _cmd_table, "print the closed-form table values",
+    _declare(sub, "table", _cmd_table, _TABLE, "print the closed-form table values",
              weights, ("--n", dict(n_range, default="2..10")))
     return parser
 
@@ -459,20 +549,19 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already reported the usage error
         return 0 if exc.code in (0, None) else 2
     try:
-        records = args.handler(args)
+        rows = args.handler(args)
     except (ValuationTooLow, InconsistentInput) as exc:  # ValueErrors, so caught first
         print(f"counterexample candidate: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    kind = _KINDS[type(records[0])]  # every handler returns at least one record
-    header = {"csv": ",".join(kind.csv), "text": kind.text_header}.get(args.format)
+    header = {"csv": ",".join(args.kind.csv), "text": args.kind.text_header}.get(args.format)
     if header is not None:
         sys.stdout.write(header + "\n")
-    for record in records:
-        sys.stdout.write(serialize_report(record, args.format) + "\n")
-    return 0 if all(map(kind.passes, records)) else 1
+    for line, _ in rows:
+        sys.stdout.write(line + "\n")
+    return 0 if all(passes for _, passes in rows) else 1
 
 
 def main(argv: Sequence[str] | None = None) -> None:

@@ -21,8 +21,8 @@ residue exact (conj_sum is its oracle).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import (
     CongruenceReport,
@@ -139,8 +139,7 @@ def extract_residue(family: str, m: int, p: int, r: int, variant: str) -> tuple[
     return pairs[-1]
 
 
-@dataclass(frozen=True)
-class DiscoveryResult:
+class DiscoveryResult(NamedTuple):
     """A reconstructed integer constant with the per-prime evidence behind it.
 
     `consistent` witnesses the invariant "constant reproduces the residue at

@@ -18,9 +18,8 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .arith import Rational
 from .special import cached, inv_pochhammer_int, poch_neg_half, pochhammer
@@ -36,25 +35,22 @@ class ParameterSingularity(ValueError):
     """A denominator rising factorial vanishes for the given parameters."""
 
 
-@dataclass(frozen=True)
-class SumSpec:
+class SumSpec(NamedTuple("SumSpec", [("family", str), ("m", int), ("upper", int)])):
     """One truncated sum: family tag, odd weight exponent, inclusive upper index."""
 
-    family: str
-    m: int
-    upper: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if self.m < 1 or self.m % 2 == 0:
-            raise ValueError(f"weight exponent m must be an odd positive integer, got {self.m}")
-        if self.upper < 0:
-            raise ValueError(f"upper limit must be >= 0, got {self.upper}")
+    def __new__(cls, family: str, m: int, upper: int) -> SumSpec:
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        if m < 1 or m % 2 == 0:
+            raise ValueError(f"weight exponent m must be an odd positive integer, got {m}")
+        if upper < 0:
+            raise ValueError(f"upper limit must be >= 0, got {upper}")
+        return super().__new__(cls, family, m, upper)
 
 
-@dataclass(frozen=True)
-class _Family:
+class _Family(NamedTuple):
     """One summand family: sign (-1)^k if alternating, times (4k + shift)^m u_k^power,
     where u_k = (half_base/2)_k / k!."""
 

@@ -2,8 +2,10 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -157,9 +159,18 @@ class TestVerifyCommand:
 
     def test_jobs_clamped_to_cpu_count(self, monkeypatch):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-        assert [cli._worker_count(j) for j in (1, 2, 3, 64)] == [1, 2, 2, 2]
+        assert [cli._worker_count(j, 100) for j in (1, 2, 3, 64)] == [1, 2, 2, 2]
         monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-        assert cli._worker_count(4) == 1
+        assert cli._worker_count(4, 100) == 1
+
+    def test_jobs_clamped_to_task_count(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        assert [cli._worker_count(6, t) for t in (0, 1, 2, 5, 6, 100)] == [1, 1, 2, 5, 6, 6]
+
+    def test_jobs_run_serially_without_fork(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        monkeypatch.delattr(cli.os, "fork")
+        assert cli._worker_count(4, 100) == 1
 
     def test_prime_range_above_cap_exits_two_before_sieving(self, capsys, monkeypatch):
         def no_sieve(lo, hi):
@@ -414,18 +425,102 @@ class TestOtherCommands:
         assert shown in " ".join(capsys.readouterr().out.split())
 
 
-def test_a_one_worker_run_never_imports_the_process_pool():
+# (check_id, p) tasks in task order: thm2 and van_hamme at 5, 7, 11, 13.
+FORK_ARGV = ["verify", "--checks", "thm2,van_hamme", "--primes", "5..13", "--format", "json"]
+FORK_TASKS = [(c, p) for c in ("thm2", "van_hamme") for p in (5, 7, 11, 13)]
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):  # this process has no child, running or dead
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedWorkers:
+    """At two workers, the parent runs the even tasks and a forked child the
+    odd ones; a monkeypatch made here is inherited by the child."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        yield
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [conjectures.ValuationTooLow, ValueError])
+    @pytest.mark.parametrize("failing", [[0], [1], [5], [2, 5], [3, 6], [1, 2]])
+    def test_earliest_failing_task_decides_stderr_and_exit_code(
+        self, capsys, monkeypatch, error, failing
+    ):
+        def check(check_id, p, informational=False, _real=cli.check):
+            i = FORK_TASKS.index((check_id, p))
+            if i in failing:
+                raise error(f"task {i} fails")
+            return _real(check_id, p, informational=informational)
+
+        monkeypatch.setattr(cli, "check", check)
+        serial = run_cli(capsys, *FORK_ARGV, "--jobs", "1")
+        assert run_cli(capsys, *FORK_ARGV, "--jobs", "2") == serial
+        code, out, err = serial
+        assert (code, out) == ((1 if error is conjectures.ValuationTooLow else 2), "")
+        assert err.endswith(f"task {min(failing)} fails\n")
+
+    @pytest.mark.parametrize("die,status", [
+        (lambda: os._exit(3), 3 << 8),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), signal.SIGKILL),
+    ])
+    def test_a_child_that_dies_without_a_result_names_its_wait_status(
+        self, monkeypatch, die, status
+    ):
+        parent = os.getpid()
+
+        def check(check_id, p, informational=False, _real=cli.check):
+            if os.getpid() != parent:
+                die()
+            return _real(check_id, p, informational=informational)
+
+        monkeypatch.setattr(cli, "check", check)
+        tasks = [(c, p, False) for c, p in FORK_TASKS]
+        with pytest.raises(ChildProcessError, match=f"wait status {status}\\)"):
+            cli._map_tasks(cli._verify_task, tasks, 2, "json")
+
+    def test_an_interrupt_in_the_parent_kills_and_reaps_the_child(self, monkeypatch):
+        parent = os.getpid()
+
+        def check(check_id, p, informational=False):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)  # a child left running would hold up the reaping
+
+        monkeypatch.setattr(cli, "check", check)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            cli._map_tasks(cli._verify_task, [(c, p, False) for c, p in FORK_TASKS], 2, "json")
+        assert time.monotonic() - start < 30
+
+
+def _python(code):
+    """The last stdout line of a fresh interpreter running code with this
+    checkout's supercong importable."""
     src = os.path.dirname(os.path.dirname(supercong.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60, check=True)
+    return done.stdout.splitlines()[-1]
+
+
+def test_importing_the_cli_never_imports_dataclasses_or_inspect():
+    code = ("import sys; import supercong.cli; "
+            "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])")
+    assert _python(code) == "[]"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_run_never_imports_the_process_pool(jobs):
     code = (
-        "import sys; from supercong import cli; "
-        "code = cli.run(['verify', '--primes', '5..13', '--jobs', '1']); "
-        "print(code, 'concurrent.futures.process' in sys.modules)"
+        "import os, sys; from supercong import cli; os.cpu_count = lambda: 2; "
+        f"code = cli.run(['verify', '--primes', '5..13', '--jobs', '{jobs}']); "
+        "print(code, [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
     )
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=60, check=True)
-    assert done.stdout.splitlines()[-1] == "0 False"
+    assert _python(code) == "0 []"
 
 
 def test_a_closed_stdout_ends_the_run_with_exit_1_and_no_traceback():

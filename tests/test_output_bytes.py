@@ -73,6 +73,14 @@ def test_stdout_bytes(capsys, command, fmt):
     assert _run(capsys, CASES[command] + ["--format", fmt]) == EXPECTED[command, fmt]
 
 
+@pytest.mark.parametrize(
+    "command,fmt", [key for key in sorted(EXPECTED) if key[0] in ("verify", "discover", "worst_k")]
+)
+def test_stdout_bytes_at_two_workers(capsys, monkeypatch, command, fmt):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # fork even on a one-CPU host
+    assert _run(capsys, CASES[command] + ["--format", fmt, "--jobs", "2"]) == EXPECTED[command, fmt]
+
+
 @pytest.mark.parametrize("fmt", sorted(FAILING_SCAN))
 def test_failing_scan_bytes_and_no_evaluation_after_first_failure(capsys, monkeypatch, fmt):
     calls = []
