@@ -465,7 +465,7 @@ class TestForkedWorkers:
 
     @pytest.mark.parametrize("die,status", [
         (lambda: os._exit(3), 3 << 8),
-        (lambda: os.kill(os.getpid(), signal.SIGKILL), signal.SIGKILL),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), int(signal.SIGKILL)),
     ])
     def test_a_child_that_dies_without_a_result_names_its_wait_status(
         self, monkeypatch, die, status
