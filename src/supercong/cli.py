@@ -33,6 +33,7 @@ from .checks import (
     table1_g,
 )
 from .conjectures import (
+    FAMILIES,
     DiscoveryResult,
     InconsistentInput,
     ValuationTooLow,
@@ -55,8 +56,6 @@ BOUNDARY_CAP = 3001
 TELESCOPE_CAP = 1500
 VERIFY_CAP = 1000
 
-DISCOVER_DEFAULT_M = {"C": (1, 3, 5, 7, 9, 11), "D": (1, 3, 5, 7, 9, 11, 13, 15)}
-
 
 class ScanRecord(NamedTuple):
     """Summary of an exact-identity scan (lemma / telescoping commands)."""
@@ -75,6 +74,10 @@ class _TableRow(NamedTuple):
     n: int
     f: Fraction
     g: Fraction
+
+
+def _table_row(m: int, n: int) -> _TableRow:
+    return _TableRow(m, n, table1_f(m, n), table1_g(m, n))
 
 
 def _plain(value):
@@ -195,15 +198,22 @@ def serialize_report(report: CongruenceReport | DiscoveryResult | ScanRecord, fm
     """
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
-    kind = _KINDS[type(report)]
-    fields = {name: _plain(value) for name, value in report._asdict().items()}
-    fields.update(kind.derived(fields))
-    if fmt == "json":
-        shown = {k: fields[k] for k in kind.json if fields[k] or k not in kind.json_optional}
-        return json.dumps(shown, separators=(",", ":"))
-    if fmt == "csv":
-        return ",".join(_csv_cell(fields[c]) for c in kind.csv)
-    return kind.text.format_map({k: "-" if v is None else v for k, v in fields.items()})
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:  # lifted so that integers of any length print, and restored on return
+        sys.set_int_max_str_digits(0)
+    try:
+        kind = _KINDS[type(report)]
+        fields = {name: _plain(value) for name, value in report._asdict().items()}
+        fields.update(kind.derived(fields))
+        if fmt == "json":
+            shown = {k: fields[k] for k in kind.json if fields[k] or k not in kind.json_optional}
+            return json.dumps(shown, separators=(",", ":"))
+        if fmt == "csv":
+            return ",".join(_csv_cell(fields[c]) for c in kind.csv)
+        return kind.text.format_map({k: "-" if v is None else v for k, v in fields.items()})
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _usage_type(parse: Callable[[str], Any]) -> Callable[[str], Any]:
@@ -288,45 +298,38 @@ def _worker_count(jobs: int, tasks: int) -> int:
     """--jobs clamped to the machine's CPU count and to the number of tasks,
     so no worker is idle; 1 where the platform has no os.fork, so --jobs
     runs serially there."""
-    if not hasattr(os, "fork"):
-        return 1
-    return max(1, min(jobs, os.cpu_count() or 1, tasks))
+    return max(1, min(jobs, os.cpu_count() or 1, tasks)) if hasattr(os, "fork") else 1
 
 
-def _row(record, fmt: str) -> tuple[str, bool]:
-    """The record's output line in fmt and whether it passes: the one
-    renderer, run by whichever worker made the record."""
+def _row(task: Callable[[], Any], fmt: str) -> tuple[str, bool]:
+    """task()'s record as its output line in fmt and whether it passes: the
+    one renderer, run by whichever worker runs the task."""
+    record = task()
     return serialize_report(record, fmt), _KINDS[type(record)].passes(record)
 
 
-def _rows(records: Iterable, fmt: str) -> list[tuple[str, bool]]:
-    return [_row(record, fmt) for record in records]
-
-
-def _render_share(
-    fn: Callable, tasks: Sequence, start: int, step: int, fmt: str
-) -> tuple[list[tuple[str, bool]], tuple[int, Exception] | None]:
-    """(rows, failure) of the share tasks[start::step]: the row of each task
-    in order up to the first that raises, and failure = (its index, the
+def _share(tasks: Sequence[Callable[[], Any]], start: int, step: int) -> tuple[list, tuple | None]:
+    """(results, failure) of the share tasks[start::step]: the result of each
+    task in order up to the first that raises, and failure = (its index, the
     exception), or None when every task succeeds."""
-    rows = []
+    results = []
     for i in range(start, len(tasks), step):
         try:
-            rows.append(_row(fn(tasks[i]), fmt))
+            results.append(tasks[i]())
         except Exception as exc:  # re-raised by _map_tasks in the parent
-            return rows, (i, exc)
-    return rows, None
+            return results, (i, exc)
+    return results, None
 
 
-def _map_tasks(fn: Callable, tasks: Sequence, jobs: int, fmt: str) -> list[tuple[str, bool]]:
-    """_row(fn(task), fmt) for every task, in task order.
+def _map_tasks(tasks: Sequence[Callable[[], Any]], jobs: int) -> list:
+    """task() for every zero-argument task, in task order.
 
     Up to `jobs` workers share the tasks by stride: this process runs
-    tasks[0::n] and each of n - 1 forked children runs tasks[j::n], renders
-    its rows and pickles them back through its own pipe.  Each worker stops
-    at its first failing task, so the failing task that comes first in task
-    order is the one raised here, as it is at one worker.  Every child is
-    reaped before this returns or raises; on an exception in this process,
+    tasks[0::n] and each of n - 1 forked children runs tasks[j::n] and
+    pickles its results back through its own pipe.  Each worker stops at its
+    first failing task, so the failing task that comes first in task order
+    is the one raised here, as it is at one worker.  Every child is reaped
+    before this returns or raises; on an exception in this process,
     including KeyboardInterrupt, the children are killed first.
     """
     n = _worker_count(jobs, len(tasks))
@@ -341,11 +344,11 @@ def _map_tasks(fn: Callable, tasks: Sequence, jobs: int, fmt: str) -> list[tuple
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _child(write_end, fn, tasks, j, n, fmt)
+                    _child(write_end, tasks, j, n)
             finally:
                 os.close(write_end)
             pids.append(pid)
-        shares = [_render_share(fn, tasks, 0, n, fmt)]
+        shares = [_share(tasks, 0, n)]
         for read_end in read_ends:
             with open(read_end, "rb", closefd=False) as pipe:
                 payloads.append(pipe.read())
@@ -364,36 +367,26 @@ def _map_tasks(fn: Callable, tasks: Sequence, jobs: int, fmt: str) -> list[tuple
     failures = [failure for _, failure in shares if failure is not None]
     if failures:
         raise min(failures, key=operator.itemgetter(0))[1]
-    rows: list = [None] * len(tasks)
+    results: list = [None] * len(tasks)
     for j, (share, _) in enumerate(shares):
-        rows[j::n] = share
-    return rows
+        results[j::n] = share
+    return results
 
 
-def _child(write_end: int, fn: Callable, tasks: Sequence, start: int, step: int, fmt: str) -> None:
-    """A forked worker's whole life: pickle _render_share's result for its
-    share into write_end and leave by os._exit, with exit status 0 only if
-    the result was written whole.  os._exit runs none of the parent's
-    cleanup (finally blocks, atexit handlers, buffered stdout) a second time."""
+def _child(write_end: int, tasks: Sequence[Callable[[], Any]], start: int, step: int) -> None:
+    """A forked worker's whole life: pickle _share's result for its share
+    into write_end and leave by os._exit, with exit status 0 only if the
+    result was written whole.  os._exit runs none of the parent's cleanup
+    (finally blocks, atexit handlers, buffered stdout) a second time."""
     import pickle
 
     status = 1
     try:
         with open(write_end, "wb") as pipe:
-            pickle.dump(_render_share(fn, tasks, start, step, fmt), pipe)
+            pickle.dump(_share(tasks, start, step), pipe)
         status = 0
     finally:
         os._exit(status)
-
-
-def _verify_task(task: tuple[str, int, bool]) -> CongruenceReport:
-    check_id, p, informational = task
-    return check(check_id, p, informational=informational)
-
-
-def _discover_task(task: tuple[str, int, tuple[int, ...], int, str]) -> DiscoveryResult:
-    family, m, primes, r, variant = task
-    return discover_constant(family, m, list(primes), r=r, variant=variant)
 
 
 def _scan(
@@ -411,48 +404,47 @@ def _scan(
     return ScanRecord(check_id, scope, count, first_failure is None, first_failure)
 
 
-def _cmd_verify(args: argparse.Namespace) -> list[tuple[str, bool]]:
+def _cmd_verify(args: argparse.Namespace) -> list[Callable[[], CongruenceReport]]:
     lo, hi = args.primes
     primes = primes_in_range(lo, hi)
-    # (check_id, p, informational): a p = 3 row below the check's floor is informational.
+    # in (check_id, p) order, the output order; check marks informational only p below the floor
     tasks = [
-        (check_id, p, p < CHECKS[check_id].floor)
+        functools.partial(check, check_id, p, informational=args.include_p3)
         for check_id in sorted(args.checks) for p in primes
         if p >= CHECKS[check_id].floor or (args.include_p3 and p == 3)
     ]
     if not tasks:
         raise ValueError(f"no selected check applies to a prime in {lo}..{hi}")
-    # tasks run in (check_id, p) order, the order of the output
-    return _map_tasks(_verify_task, tasks, args.jobs, args.format)
+    return tasks
 
 
-def _cmd_lemma(args: argparse.Namespace) -> list[tuple[str, bool]]:
+def _cmd_lemma(args: argparse.Namespace) -> list[Callable[[], ScanRecord]]:
     lo, hi = args.n
-    return _rows([
-        _scan(check_id, f"m={m},n={lo}..{hi}", functools.partial(fn, m),
-              ((n,) for n in range(lo, hi + 1)), "n={}")
+    return [
+        functools.partial(_scan, check_id, f"m={m},n={lo}..{hi}", functools.partial(fn, m),
+                          ((n,) for n in range(lo, hi + 1)), "n={}")
         for check_id, fn in (("lemma_f", check_lemma_f), ("lemma_g", check_lemma_g))
         for m in sorted(args.m)
-    ], args.format)
+    ]
 
 
-def _cmd_wz(args: argparse.Namespace) -> list[tuple[str, bool]]:
+def _cmd_wz(args: argparse.Namespace) -> list[Callable[[], ScanRecord]]:
     (t_lo, t_hi), (b_lo, b_hi) = args.telescope, args.boundary
     grid = range(1, args.grid + 1)
     odd = range(max(b_lo | 1, 3), b_hi + 1, 2)
-    return _rows([
-        _scan("wz_relation", f"1<=k<=n<={args.grid}", check_wz_relation,
-              ((n, k) for n in grid for k in range(1, n + 1)), "n={},k={}"),
-        _scan("wz_telescoped", f"primes {t_lo}..{t_hi}", check_telescoped_identity,
-              ((p,) for p in primes_in_range(t_lo, t_hi)), "p={}"),
-        _scan("wz_boundary", f"odd p {b_lo}..{b_hi}",
-              lambda p: operator.eq(*boundary_closed_form(p)), ((p,) for p in odd), "p={}"),
-    ], args.format)
+    return [functools.partial(_scan, *scan) for scan in (
+        ("wz_relation", f"1<=k<=n<={args.grid}", check_wz_relation,
+         ((n, k) for n in grid for k in range(1, n + 1)), "n={},k={}"),
+        ("wz_telescoped", f"primes {t_lo}..{t_hi}", check_telescoped_identity,
+         ((p,) for p in primes_in_range(t_lo, t_hi)), "p={}"),
+        ("wz_boundary", f"odd p {b_lo}..{b_hi}",
+         lambda p: operator.eq(*boundary_closed_form(p)), ((p,) for p in odd), "p={}"),
+    )]
 
 
-def _cmd_discover(args: argparse.Namespace) -> list[tuple[str, bool]]:
+def _cmd_discover(args: argparse.Namespace) -> list[Callable[[], DiscoveryResult]]:
     lo, hi = args.primes
-    primes = tuple(primes_in_range(max(lo, 5), hi))
+    primes = primes_in_range(max(lo, 5), hi)
     if not primes:
         raise ValueError(f"no usable primes in {lo}..{hi}")
     # One weight walks p^r summands per prime.  2^bit_length > PRIME_CAP, so a
@@ -464,15 +456,13 @@ def _cmd_discover(args: argparse.Namespace) -> list[tuple[str, bool]]:
             f" exceeds the cap {PRIME_CAP}"
         )
     family = args.family.upper()
-    m_values = args.m or DISCOVER_DEFAULT_M[family]  # None: --m all
-    tasks = [(family, m, primes, args.r, args.variant) for m in sorted(m_values)]
-    return _map_tasks(_discover_task, tasks, args.jobs, args.format)
+    return [functools.partial(discover_constant, family, m, primes, r=args.r, variant=args.variant)
+            for m in sorted(args.m or FAMILIES[family].default_m)]  # args.m None: --m all
 
 
-def _cmd_table(args: argparse.Namespace) -> list[tuple[str, bool]]:
+def _cmd_table(args: argparse.Namespace) -> list[Callable[[], _TableRow]]:
     lo, hi = args.n
-    return _rows([_TableRow(m, n, table1_f(m, n), table1_g(m, n))
-                  for m in sorted(args.m) for n in range(lo, hi + 1)], args.format)
+    return [functools.partial(_table_row, m, n) for m in sorted(args.m) for n in range(lo, hi + 1)]
 
 
 def _declare(
@@ -480,8 +470,8 @@ def _declare(
     jobs: bool = False,
 ) -> None:
     """One subcommand: its (flag, add_argument options) pairs, then --format
-    and, for a handler that fans out to processes, --jobs; run() calls
-    handler(args) for the rendered rows of its records, all of this kind."""
+    and, where its tasks may fan out to processes, --jobs; run() runs and
+    renders the tasks handler(args) returns, one per record of this kind."""
     cmd = sub.add_parser(name, help=help)
     for flag, options in arguments:
         cmd.add_argument(flag, **options)
@@ -489,7 +479,7 @@ def _declare(
     if jobs:
         cmd.add_argument("--jobs", type=_at_least_one("--jobs"), default=1,
                          help="worker processes (default %(default)s; at most the CPU count)")
-    cmd.set_defaults(handler=handler, kind=kind)
+    cmd.set_defaults(handler=handler, kind=kind, jobs=1)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -528,7 +518,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                  help="odd range for the boundary closed form")))
     _declare(sub, "discover", _cmd_discover, _DISCOVERY,
              "rediscover family constants via CRT over a prime range",
-             ("--family", dict(choices=("c", "d"), required=True)),
+             ("--family", dict(choices=[f.lower() for f in FAMILIES], required=True)),
              ("--m", dict(type=lambda text: None if text == "all" else _weights(text),
                           default="all", help="comma-separated odd weights, or 'all'")),
              primes,
@@ -549,7 +539,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already reported the usage error
         return 0 if exc.code in (0, None) else 2
     try:
-        rows = args.handler(args)
+        rows = _map_tasks([functools.partial(_row, task, args.format)
+                           for task in args.handler(args)], args.jobs)
     except (ValuationTooLow, InconsistentInput) as exc:  # ValueErrors, so caught first
         print(f"counterexample candidate: {exc}", file=sys.stderr)
         return 1

@@ -34,11 +34,23 @@ from .arith import (
 )
 from .series import PreconditionViolated, SumSpec, partial_sum, summand_factors
 
-FAMILIES = ("C", "D")
 VARIANTS = ("half", "full")
 
-_SUMMAND = {"C": "A", "D": "B"}
-_RESIDUE_EXPONENT = {"C": 2, "D": 3}
+
+class Family(NamedTuple):
+    """A conjectured family: its sum of series family `summand` is claimed
+    mod p^(r + residue_exponent), with sign (-1)^((p-1)r/2) if alternating."""
+
+    summand: str
+    residue_exponent: int
+    alternating: bool
+    default_m: tuple[int, ...]  # the weights discovery scans by default
+
+
+FAMILIES = {
+    "C": Family("A", 2, True, (1, 3, 5, 7, 9, 11)),
+    "D": Family("B", 3, False, (1, 3, 5, 7, 9, 11, 13, 15)),
+}
 
 
 class ValuationTooLow(ValueError):
@@ -51,7 +63,7 @@ def _validate(
 ) -> int:
     """The checked prime p, after every argument of a family sum is validated."""
     if family not in FAMILIES:
-        raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
+        raise ValueError(f"family must be one of {tuple(FAMILIES)}, got {family!r}")
     if m < 1 or m % 2 == 0:
         raise ValueError(f"m must be an odd positive integer, got {m}")
     p = require_prime(p, f"family {family}")
@@ -63,10 +75,8 @@ def _validate(
 
 
 def _unit_sign(family: str, p: int, r: int) -> int:
-    """(-1)^((p-1)r/2) for family C; +1 for family D."""
-    if family == "D":
-        return 1
-    return -1 if (((p - 1) // 2) * r) % 2 else 1
+    """(-1)^((p-1)r/2) for an alternating family; +1 otherwise."""
+    return -1 if FAMILIES[family].alternating and ((p - 1) // 2 * r) % 2 else 1
 
 
 def _upper(p: int, r: int, variant: str) -> int:
@@ -77,7 +87,7 @@ def conj_sum(family: str, m: int, p: int, r: int, variant: str) -> Fraction:
     """Exact truncated sum of the family's summand at prime p and depth r,
     with upper limit (p^r+1)/2 (half) or p^r - 1 (full)."""
     _validate(family, m, p, r, variant)
-    return partial_sum(SumSpec(_SUMMAND[family], m, _upper(p, r, variant)))
+    return partial_sum(SumSpec(FAMILIES[family].summand, m, _upper(p, r, variant)))
 
 
 def verify_conjecture(
@@ -87,7 +97,7 @@ def verify_conjecture(
     p = _validate(family, m, p, r, variant)
     s = conj_sum(family, m, p, r, variant)
     rhs = Fraction(constant * p**r * _unit_sign(family, p, r))
-    required = r + _RESIDUE_EXPONENT[family]
+    required = r + FAMILIES[family].residue_exponent
     return make_report(f"conj_{family.lower()}_{variant}", p, s, rhs, required, m=m, r=r)
 
 
@@ -108,12 +118,12 @@ def extract_residue(family: str, m: int, p: int, r: int, variant: str) -> tuple[
     summand of negative valuation raises PreconditionViolated.
     """
     p = _validate(family, m, p, r, variant, VARIANTS + ("both",))
-    e = _RESIDUE_EXPONENT[family]
+    e = FAMILIES[family].residue_exponent
     cuts = {v: _upper(p, r, v) for v in VARIANTS if variant in (v, "both")}
     # (-1/2)_k/k! = -Cat(k-1)/2^(2k-1), so for odd p every summand is a
     # p-adic integer, and summand 0 is the unit -1: p^(r+e) is precision enough.
     modulus, pr, pe = p ** (r + e), p**r, p**e
-    factors = itertools.islice(summand_factors(_SUMMAND[family]), max(cuts.values()) + 1)
+    factors = itertools.islice(summand_factors(FAMILIES[family].summand), max(cuts.values()) + 1)
     x, t, q, v_t, pairs = 0, 1, 1, 0, []
     for k, (sign, w, a, b) in enumerate(factors):
         v_w, w = split_power(w, p)

@@ -24,8 +24,6 @@ from typing import Iterable, Iterator, NamedTuple
 from .arith import Rational
 from .special import cached, inv_pochhammer_int, poch_neg_half, pochhammer
 
-FAMILIES = ("A", "B", "V")
-
 
 class PreconditionViolated(ValueError):
     """An operation was called outside its stated domain."""
@@ -41,8 +39,8 @@ class SumSpec(NamedTuple("SumSpec", [("family", str), ("m", int), ("upper", int)
     __slots__ = ()
 
     def __new__(cls, family: str, m: int, upper: int) -> SumSpec:
-        if family not in FAMILIES:
-            raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        if family not in _FAMILY:
+            raise ValueError(f"unknown family {family!r}; expected one of {tuple(_FAMILY)}")
         if m < 1 or m % 2 == 0:
             raise ValueError(f"weight exponent m must be an odd positive integer, got {m}")
         if upper < 0:

@@ -1,5 +1,7 @@
 """Command-line surface: record schemas, exit codes, determinism."""
 
+import contextlib
+import functools
 import json
 import os
 import signal
@@ -20,7 +22,7 @@ from supercong.cli import (
     run,
     serialize_report,
 )
-from supercong.conjectures import discover_constant
+from supercong.conjectures import DiscoveryResult, discover_constant
 
 
 def run_cli(capsys, *argv):
@@ -80,6 +82,83 @@ class TestSerializeReport:
     def test_rejects_unknown_format(self):
         with pytest.raises(ValueError):
             serialize_report(check("thm2", 5), "yaml")
+
+
+# 5000 digits, past the interpreter's default limit of 4300 on int-to-str conversion
+LONG = -(10**4999 + 7)
+
+
+@contextlib.contextmanager
+def _int_digit_limit(limit):
+    """The interpreter's int-to-str digit limit set to limit (0: none) for the
+    block, and restored after it; a no-op on a Python without the limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def _digit_limit():
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+
+
+class TestLongIntegers:
+    """Records print integers of any length and leave the caller's limit as it was."""
+
+    @pytest.fixture(autouse=True)
+    def default_limit(self):
+        with _int_digit_limit(4300):
+            before = _digit_limit()
+            yield
+            assert _digit_limit() == before
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_congruence_lhs_and_rhs_read_back_exactly(self, fmt):
+        lhs, rhs = Fraction(LONG, 3), Fraction(-LONG + 1)
+        line = serialize_report(make_report("demo", 5, lhs, rhs, 2), fmt)
+        with _int_digit_limit(0):
+            exact = [f"{x.numerator}/{x.denominator}" for x in (lhs, rhs)]
+            if fmt == "json":
+                rec = json.loads(line)
+                assert [rec["lhs"], rec["rhs"]] == exact
+            elif fmt == "csv":
+                assert line.split(",")[4:6] == exact
+            else:  # text rows show both ends of each rational
+                assert line.split()[4:6] == [f"{x[:14]}..{x[-14:]}" for x in exact]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_discovery_constant_reads_back_exactly(self, fmt):
+        res = DiscoveryResult("D", 1, 1, LONG, ((5, 0, 125), (7, 0, 343)), True)
+        line = serialize_report(res, fmt)
+        with _int_digit_limit(0):
+            if fmt == "json":
+                assert json.loads(line)["constant"] == LONG
+            elif fmt == "csv":
+                assert int(line.split(",")[3]) == LONG
+            else:
+                assert int(line.split("constant = ")[1].split()[0]) == LONG
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("consistent,code", [(True, 0), (False, 1)])
+    def test_a_run_exits_by_the_verdict_of_a_long_constant(
+        self, capsys, monkeypatch, jobs, consistent, code
+    ):
+        def discover(family, m, primes, r=1, variant="both"):
+            return DiscoveryResult(family, m, r, LONG, ((5, 0, 125),), consistent)
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "discover_constant", discover)
+        got = run_cli(capsys, "discover", "--family", "d", "--m", "1,3", "--format", "csv",
+                      "--jobs", jobs)
+        _assert_no_child_left()
+        assert got[0] == code and got[2] == ""
+        with _int_digit_limit(0):
+            assert [int(row.split(",")[3]) for row in got[1].splitlines()[1:]] == [LONG, LONG]
 
 
 class TestVerifyCommand:
@@ -321,6 +400,25 @@ class TestOtherCommands:
         assert len(records) == 4  # {lemma_f, lemma_g} x {3, 5}
         assert all(r["pass"] and r["instances"] == 7 for r in records)
 
+    @pytest.mark.parametrize("error,code,shown", [
+        (ValueError, 2, "error: n=3 fails\n"),
+        (conjectures.ValuationTooLow, 1, "counterexample candidate: n=3 fails\n"),
+    ])
+    @pytest.mark.parametrize("argv,patched", [
+        (["table", "--m", "5", "--n", "2..4"], "table1_g"),
+        (["lemma", "--m", "3,5", "--n", "2..4"], "check_lemma_g"),
+    ])
+    def test_a_failing_table_or_lemma_task_ends_the_run(
+        self, capsys, monkeypatch, error, code, shown, argv, patched
+    ):
+        def fails_at_3(m, n, _real=getattr(cli, patched)):
+            if n == 3:
+                raise error(f"n={n} fails")
+            return _real(m, n)
+
+        monkeypatch.setattr(cli, patched, fails_at_3)
+        assert run_cli(capsys, *argv) == (code, "", shown)
+
     def test_lemma_rejects_bad_weight(self, capsys):
         code, _, err = run_cli(capsys, "lemma", "--m", "4", "--n", "2..5")
         assert code == 2
@@ -463,6 +561,19 @@ class TestForkedWorkers:
         assert (code, out) == ((1 if error is conjectures.ValuationTooLow else 2), "")
         assert err.endswith(f"task {min(failing)} fails\n")
 
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_results_of_any_picklable_kind_come_back_in_task_order(self, monkeypatch, jobs):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        values = [7, "seven", Fraction(-7, 3), None, (7, [7.5]), {"p": 7}, check("thm1", 7),
+                  float("inf"), 10**50, b"\x07"]
+        assert cli._map_tasks([functools.partial(lambda v: v, v) for v in values], jobs) == values
+
+    def test_worker_j_runs_every_task_j_mod_n_and_the_parent_is_worker_0(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        pids = cli._map_tasks([os.getpid] * 7, 3)
+        assert pids == pids[:3] * 2 + pids[:1]
+        assert pids[0] == os.getpid() and len(set(pids)) == 3
+
     @pytest.mark.parametrize("die,status", [
         (lambda: os._exit(3), 3 << 8),
         (lambda: os.kill(os.getpid(), signal.SIGKILL), int(signal.SIGKILL)),
@@ -478,9 +589,9 @@ class TestForkedWorkers:
             return _real(check_id, p, informational=informational)
 
         monkeypatch.setattr(cli, "check", check)
-        tasks = [(c, p, False) for c, p in FORK_TASKS]
+        tasks = [functools.partial(cli.check, c, p) for c, p in FORK_TASKS]
         with pytest.raises(ChildProcessError, match=f"wait status {status}\\)"):
-            cli._map_tasks(cli._verify_task, tasks, 2, "json")
+            cli._map_tasks(tasks, 2)
 
     def test_an_interrupt_in_the_parent_kills_and_reaps_the_child(self, monkeypatch):
         parent = os.getpid()
@@ -493,7 +604,7 @@ class TestForkedWorkers:
         monkeypatch.setattr(cli, "check", check)
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
-            cli._map_tasks(cli._verify_task, [(c, p, False) for c, p in FORK_TASKS], 2, "json")
+            cli._map_tasks([functools.partial(cli.check, c, p) for c, p in FORK_TASKS], 2)
         assert time.monotonic() - start < 30
 
 

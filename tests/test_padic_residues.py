@@ -32,7 +32,7 @@ def exact_residue(family, m, p, r, variant):
         raise ValuationTooLow(
             f"family {family}, m={m}, p={p}, r={r} ({variant}): v_p(sum) < r"
         )
-    pp = PrimePower(p, conjectures._RESIDUE_EXPONENT[family])
+    pp = PrimePower(p, conjectures.FAMILIES[family].residue_exponent)
     x = s * conjectures._unit_sign(family, p, r) / Fraction(p) ** r
     return reduce_mod(x, pp), pp.modulus
 
@@ -84,7 +84,7 @@ def walks_integral_summands(family, m, p, r, variant):
     of the variant, has v_p >= 0: the exact summands under the current
     summand_factors, not the walk's own split."""
     count = max(conjectures._upper(p, r, v) for v in VARIANTS if variant in (v, "both")) + 1
-    walked = itertools.islice(series.summands(conjectures._SUMMAND[family], m), count)
+    walked = itertools.islice(series.summands(conjectures.FAMILIES[family].summand, m), count)
     return all(vp(s, p) >= 0 for s in walked)
 
 
