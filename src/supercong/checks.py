@@ -86,30 +86,16 @@ def _weight(k: int) -> Fraction:
     return cached("weights", _weights, k)
 
 
-def _lemma_terms(m: int, n: int):
-    """Yield (k, t_k) for the terminating lemma summand
-
-        t_k = (4k-1)^m (-1/2)_k^2 (-n)_k (n-1)_k / ((1)_k^2 (n+1/2)_k (3/2-n)_k)
-
-    for k = 0..n, advancing by the exact integer term ratio.  Defined for m in
-    TABLE1_WEIGHTS and n >= 2; the first next() raises ValueError otherwise.
-    The exact Fraction oracle of _lemma_sum.
-    """
-    require_lemma_args(m, n)
-    t = Fraction(-1)  # k = 0 term: (-1)^m with m odd
-    yield 0, t
-    for k in range(1, n + 1):
-        num = (2 * k - 3) ** 2 * (k - 1 - n) * (n + k - 2)
-        den = k * k * (2 * n + 2 * k - 1) * (2 * k - 2 * n + 1)
-        t *= Fraction(4 * k - 1, 4 * k - 5) ** m * Fraction(num, den)
-        yield k, t
-
-
 def _lemma_sum(m: int, n: int, weighted: bool) -> tuple[int, int]:
-    """The sum of _lemma_terms(m, n), each term times _weight(k) if weighted,
-    as an unreduced (numerator, denominator) pair from one walk_total.
+    """The sum over k = 0..n of the terminating lemma summand
 
-    The walk's term steps by the ratio of _lemma_terms without its (4k-1)^m
+        t_k = (4k-1)^m (-1/2)_k^2 (-n)_k (n-1)_k / ((1)_k^2 (n+1/2)_k (3/2-n)_k),
+
+    each term times _weight(k) if weighted, as an unreduced (numerator,
+    denominator) pair from one walk_total.  Defined for m in TABLE1_WEIGHTS
+    and n >= 2.
+
+    The walk's term steps by the ratio t_k/t_(k-1) without its (4k-1)^m
     factor, which its c carries, with weight k as an integer W/L over the
     common denominator L = lcm of (2j)^2 and (2j-3)^2 for j <= n.
     """
@@ -211,22 +197,11 @@ def _ratio_expansion_values(p: int, k: int, order: int) -> tuple[Fraction, Fract
 # The named check registry.
 # ---------------------------------------------------------------------------
 
-ValuesFn = Callable[[int], tuple[Fraction, Fraction, "int | None"]]
-
-
 class CheckDef(NamedTuple):
-    check_id: str
     floor: int
     required: int
     m: int | None
-    values: ValuesFn
-
-
-CHECKS: dict[str, CheckDef] = {}
-
-
-def _register(check_id: str, floor: int, required: int, m: int | None, values: ValuesFn) -> None:
-    CHECKS[check_id] = CheckDef(check_id, floor, required, m, values)
+    values: Callable[[int], tuple[Fraction, Fraction, int | None]]
 
 
 def _sgn(p: int) -> int:
@@ -321,62 +296,64 @@ def _ratio_expansion_residues(p: int, order: int) -> Iterator[tuple[int, int, in
         yield k, ln, ld, rn % mod, rd % mod
 
 
-_register("van_hamme", 3, 3, 1, lambda p: (_sum_v(1, p), Fraction(p * _sgn(p)), None))
-_register(
-    "sun_refinement", 5, 4, 1,
-    lambda p: (_sum_v(1, p), p * _sgn(p) + p**3 * euler_number(p - 3), None),
-)
-_register(
-    "thm1", 5, 4, 1,
-    lambda p: (_sum_a(1, p), -p * _sgn(p) + p**3 * (2 - euler_number(p - 3)), None),
-)
-_register("thm2", 3, 2, 3, lambda p: (_sum_a(3, p), Fraction(3 * p * _sgn(p)), None))
-_register("thm3_m3", 5, 4, 3, lambda p: (_sum_b(3, p), Fraction(0), None))
-_register("thm3_m5", 5, 4, 5, lambda p: (_sum_b(5, p), Fraction(16 * p), None))
-_register("thm3_m7", 5, 4, 7, lambda p: (_sum_b(7, p), Fraction(80 * p), None))
-_register("gs0", 5, 5, 1, lambda p: (_sum_b(1, p), Fraction(-5 * p**4), None))
-_register(
-    "lemma_sun1", 3, 1, None,
-    lambda p: (_central_binomial_sum(p), euler_number(p - 3) - 1 + _sgn(p), None),
-)
-# A common printed form of the same congruence reads E_(p-1), but every
-# application of it needs E_(p-3); this id evaluates the misprinted form to
-# document the discrepancy (it fails at p = 5 and p = 7) and is excluded
-# from DEFAULT_CHECK_IDS.
-_register(
-    "lemma_sun1_printed", 5, 1, None,
-    lambda p: (_central_binomial_sum(p), euler_number(p - 1) - 1 + _sgn(p), None),
-)
-_register(
-    "tail_congruence", 5, 4, None,
-    lambda p: (wz_G_tail((p + 3) // 2), p**3 * (2 - _sgn(p) - euler_number(p - 3)), None),
-)
-_register(
-    "boundary_mod", 5, 4, None,
-    lambda p: (wz_F((p + 1) // 2, (p + 1) // 2), Fraction(_sgn(p) * (p**3 - p)), None),
-)
-_register("h2_cong", 5, 1, None, lambda p: (h2((p + 1) // 2), Fraction(4), None))
-for _m in TABLE1_WEIGHTS:
-    _register(
-        f"combined_m{_m}", 5, 4, _m,
-        lambda p, m=_m: (
-            _sum_b(m, p),
-            table1_f(m, (p + 1) // 2) - p * p * table1_g(m, (p + 1) // 2),
-            None,
-        ),
-    )
-_register(
-    "lemma_sun3", 5, 4, None,
-    lambda p: _worst_k(p, _lemma_sun3_residues(p), lambda k: _lemma_sun3_values(p, k)),
-)
-for _order in (2, 4):
-    _register(
-        f"ratio_expansion_mod{_order}", 3, _order, None,
-        lambda p, order=_order: _worst_k(
-            p, _ratio_expansion_residues(p, order),
-            lambda k: _ratio_expansion_values(p, k, order),
-        ),
-    )
+CHECKS: dict[str, CheckDef] = {
+    "van_hamme": CheckDef(3, 3, 1, lambda p: (_sum_v(1, p), Fraction(p * _sgn(p)), None)),
+    "sun_refinement": CheckDef(
+        5, 4, 1, lambda p: (_sum_v(1, p), p * _sgn(p) + p**3 * euler_number(p - 3), None),
+    ),
+    "thm1": CheckDef(
+        5, 4, 1, lambda p: (_sum_a(1, p), -p * _sgn(p) + p**3 * (2 - euler_number(p - 3)), None),
+    ),
+    "thm2": CheckDef(3, 2, 3, lambda p: (_sum_a(3, p), Fraction(3 * p * _sgn(p)), None)),
+    "thm3_m3": CheckDef(5, 4, 3, lambda p: (_sum_b(3, p), Fraction(0), None)),
+    "thm3_m5": CheckDef(5, 4, 5, lambda p: (_sum_b(5, p), Fraction(16 * p), None)),
+    "thm3_m7": CheckDef(5, 4, 7, lambda p: (_sum_b(7, p), Fraction(80 * p), None)),
+    "gs0": CheckDef(5, 5, 1, lambda p: (_sum_b(1, p), Fraction(-5 * p**4), None)),
+    "lemma_sun1": CheckDef(
+        3, 1, None, lambda p: (_central_binomial_sum(p), euler_number(p - 3) - 1 + _sgn(p), None),
+    ),
+    # A common printed form of the same congruence reads E_(p-1), but every
+    # application of it needs E_(p-3); this id evaluates the misprinted form to
+    # document the discrepancy (it fails at p = 5 and p = 7) and is excluded
+    # from DEFAULT_CHECK_IDS.
+    "lemma_sun1_printed": CheckDef(
+        5, 1, None, lambda p: (_central_binomial_sum(p), euler_number(p - 1) - 1 + _sgn(p), None),
+    ),
+    "tail_congruence": CheckDef(
+        5, 4, None,
+        lambda p: (wz_G_tail((p + 3) // 2), p**3 * (2 - _sgn(p) - euler_number(p - 3)), None),
+    ),
+    "boundary_mod": CheckDef(
+        5, 4, None,
+        lambda p: (wz_F((p + 1) // 2, (p + 1) // 2), Fraction(_sgn(p) * (p**3 - p)), None),
+    ),
+    "h2_cong": CheckDef(5, 1, None, lambda p: (h2((p + 1) // 2), Fraction(4), None)),
+    **{
+        f"combined_m{m}": CheckDef(
+            5, 4, m,
+            lambda p, m=m: (
+                _sum_b(m, p),
+                table1_f(m, (p + 1) // 2) - p * p * table1_g(m, (p + 1) // 2),
+                None,
+            ),
+        )
+        for m in TABLE1_WEIGHTS
+    },
+    "lemma_sun3": CheckDef(
+        5, 4, None,
+        lambda p: _worst_k(p, _lemma_sun3_residues(p), lambda k: _lemma_sun3_values(p, k)),
+    ),
+    **{
+        f"ratio_expansion_mod{order}": CheckDef(
+            3, order, None,
+            lambda p, order=order: _worst_k(
+                p, _ratio_expansion_residues(p, order),
+                lambda k: _ratio_expansion_values(p, k, order),
+            ),
+        )
+        for order in (2, 4)
+    },
+}
 
 #: Canonical scan set: every registered check except the erratum documentation id.
 DEFAULT_CHECK_IDS = tuple(sorted(i for i in CHECKS if i != "lemma_sun1_printed"))

@@ -95,12 +95,15 @@ class TestLemmaClosedForms:
         assert total == Fraction(135, 16) == table1_g(3, 2)
 
     def test_incremental_terms_match_direct(self):
-        from supercong.checks import _lemma_terms
+        from supercong.checks import _lemma_sum
 
         for m in (3, 5, 7):
-            for n in (2, 3, 7):
-                for k, t in _lemma_terms(m, n):
-                    assert t == lemma_summand_direct(m, n, k)
+            for n in (2, 3, 7, 12):
+                terms = [lemma_summand_direct(m, n, k) for k in range(n + 1)]
+                assert Fraction(*_lemma_sum(m, n, weighted=False)) == sum(terms)
+                assert Fraction(*_lemma_sum(m, n, weighted=True)) == sum(
+                    t * lemma_weight_direct(k) for k, t in enumerate(terms)
+                )
 
     @pytest.mark.parametrize("m", [3, 5, 7])
     def test_scan_small_range(self, m):
@@ -118,23 +121,18 @@ class TestLemmaClosedForms:
 
 
 class TestLemmaIntegerWalk:
-    """The integer walk behind check_lemma_f/g against the Fraction sums of
-    _lemma_terms, plain and weighted by _weight."""
+    """The integer walk behind check_lemma_f/g against the closed forms,
+    plain and weighted."""
 
     @settings(max_examples=30, deadline=None)
     @given(m=st.sampled_from((3, 5, 7)), n=st.integers(2, 120))
     @example(m=3, n=2)  # f = 0
     @example(m=7, n=120)
     def test_walk_sums_equal_fraction_sums(self, m, n):
-        from supercong.checks import _lemma_sum, _lemma_terms, _weight
+        from supercong.checks import _lemma_sum
 
-        terms = list(_lemma_terms(m, n))
-        assert Fraction(*_lemma_sum(m, n, weighted=False)) == sum(
-            (t for _, t in terms), Fraction(0)
-        )
-        assert Fraction(*_lemma_sum(m, n, weighted=True)) == sum(
-            (t * _weight(k) for k, t in terms), Fraction(0)
-        )
+        assert Fraction(*_lemma_sum(m, n, weighted=False)) == table1_f(m, n)
+        assert Fraction(*_lemma_sum(m, n, weighted=True)) == table1_g(m, n)
 
     def test_walk_rejects_what_lemma_terms_rejects(self):
         from supercong.checks import _lemma_sum

@@ -608,12 +608,13 @@ class TestForkedWorkers:
         assert time.monotonic() - start < 30
 
 
-def _python(code):
-    """The last stdout line of a fresh interpreter running code with this
-    checkout's supercong importable."""
+def _python(code, *flags):
+    """The last stdout line of a fresh interpreter, started with flags,
+    running code with this checkout's supercong importable."""
     src = os.path.dirname(os.path.dirname(supercong.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+    done = subprocess.run([sys.executable, *flags, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=60, check=True)
     return done.stdout.splitlines()[-1]
 
@@ -622,6 +623,11 @@ def test_importing_the_cli_never_imports_dataclasses_or_inspect():
     code = ("import sys; import supercong.cli; "
             "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])")
     assert _python(code) == "[]"
+    # the stdlib-only contract: with no site hooks (-S), nothing outside the
+    # standard library is loaded but supercong itself
+    code = ("import sys; import supercong.cli; "
+            "print(sorted({m.partition('.')[0] for m in sys.modules} - sys.stdlib_module_names))")
+    assert _python(code, "-S") == "['__main__', 'supercong']"
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -1,6 +1,7 @@
 """Conjectured constant families: sums, verification, residue extraction,
 CRT discovery, and the one documented counterexample cell."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -205,6 +206,65 @@ class TestCounterexamplesBeyondReadmeWeights:
     def test_anomaly_does_not_extend_to_r2(self, m, constant, disagreeing):
         res = discover_constant("D", m, primes_in_range(5, 61), r=2)
         assert (res.constant, res.consistent) == (constant, True)
+
+
+MAP_PRIMES = primes_in_range(5, 23)
+MAP_WEIGHTS = range(1, 60, 2)
+
+
+class TestFamilyDFailureMap:
+    """Where family D's congruence fails at r = 1, as observed over odd
+    m <= 59 and p in 5..23 (an observed pattern, not a theorem): no cell with
+    m < 2p + 5 fails, every failing cell achieves valuation 3 where 4 is
+    claimed, at p = 5 exactly the weights m = 15 or 19 (mod 20) fail, and
+    family C never fails.  At r = 2 every residue matches the r = 1
+    constant.  The constants are lifted from primes 29..199, so no mapped
+    prime is part of its own evidence."""
+
+    @pytest.fixture(scope="class")
+    def constants(self):
+        found = {}
+        for family in ("C", "D"):
+            for m in MAP_WEIGHTS:
+                res = discover_constant(family, m, primes_in_range(29, 199))
+                pool = math.prod(mod for _, _, mod in res.evidence)
+                # consistent, and the symmetric lift is far from ambiguous
+                assert res.consistent and pool >= 2 * abs(res.constant) * 10**67, (family, m)
+                found[family, m] = res.constant
+        return found
+
+    @pytest.fixture(scope="class")
+    def failing(self, constants):
+        """The (family, m, p, variant) cells at r = 1 that fail, by report."""
+        return {
+            (family, m, p, variant): rep
+            for (family, m), constant in constants.items()
+            for p in MAP_PRIMES
+            for variant in ("half", "full")
+            if not (rep := verify_conjecture(family, m, p, 1, constant, variant)).passed
+        }
+
+    def test_no_d_cell_below_2p_plus_5_fails(self, failing):
+        assert failing and all(m >= 2 * p + 5 for family, m, p, _ in failing if family == "D")
+
+    def test_every_failing_d_cell_misses_by_exactly_one_power(self, failing):
+        assert {rep.achieved_valuation for rep in failing.values()} == {3}
+
+    def test_at_p5_the_failing_weights_are_15_or_19_mod_20(self, failing):
+        for variant in ("half", "full"):
+            weights = sorted(m for fam, m, p, v in failing if (fam, p, v) == ("D", 5, variant))
+            assert weights == [15, 19, 35, 39, 55, 59]
+
+    def test_every_c_cell_passes(self, failing):
+        assert {family for family, *_ in failing} == {"D"}
+
+    def test_depth_two_residues_match_the_depth_one_constants(self, constants):
+        for (family, m), constant in constants.items():
+            if m > 39:
+                continue
+            for p in MAP_PRIMES:
+                residue, modulus = extract_residue(family, m, p, 2, "both")
+                assert constant % modulus == residue, (family, m, p)
 
 
 class TestDepthTwo:
