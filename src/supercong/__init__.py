@@ -71,57 +71,3 @@ from .special import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "INFINITE",
-    "CongruenceReport",
-    "InconsistentInput",
-    "InvalidPrime",
-    "NonInvertibleDenominator",
-    "PrimePower",
-    "congruent",
-    "crt_lift",
-    "is_odd_prime",
-    "make_report",
-    "primes_in_range",
-    "reduce_mod",
-    "vp",
-    "CHECKS",
-    "DEFAULT_CHECK_IDS",
-    "IndexOutOfRange",
-    "PrimeTooSmall",
-    "check",
-    "check_lemma_f",
-    "check_lemma_g",
-    "check_lemma_sun3",
-    "check_ratio_expansion",
-    "table1_f",
-    "table1_g",
-    "table1_g_parts",
-    "DiscoveryResult",
-    "ValuationTooLow",
-    "conj_sum",
-    "discover_constant",
-    "extract_residue",
-    "verify_conjecture",
-    "ParameterSingularity",
-    "PreconditionViolated",
-    "SumSpec",
-    "boundary_closed_form",
-    "check_telescoped_identity",
-    "check_wz_relation",
-    "f32_top_minus_one",
-    "partial_sum",
-    "pochhammer_ratio_product",
-    "term_value",
-    "whipple_terminating",
-    "wz_F",
-    "wz_G",
-    "check_morley",
-    "check_wolstenholme",
-    "euler_number",
-    "gamma_ratio_half_shift",
-    "h2",
-    "inv_pochhammer_int",
-    "pochhammer",
-]

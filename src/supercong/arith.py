@@ -107,10 +107,6 @@ def split_power(n: int, p: int) -> tuple[int, int]:
     return v, n
 
 
-def _vp_int(n: int, p: int) -> Valuation:
-    return INFINITE if n == 0 else split_power(n, p)[0]
-
-
 def vp(x: Rational, p: int) -> Valuation:
     """p-adic valuation of a rational: v_p(numerator) - v_p(denominator).
 
@@ -120,7 +116,7 @@ def vp(x: Rational, p: int) -> Valuation:
         require_prime(p, "vp")
     if x == 0:
         return INFINITE
-    return _vp_int(x.numerator, p) - _vp_int(x.denominator, p)
+    return split_power(x.numerator, p)[0] - split_power(x.denominator, p)[0]
 
 
 def congruent(a: Rational, b: Rational, m: PrimePower) -> bool:

@@ -18,6 +18,7 @@ import math
 import operator
 import os
 import sys
+import threading
 from fractions import Fraction
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
@@ -54,7 +55,7 @@ GRID_CAP = 200
 N_CAP = 300
 BOUNDARY_CAP = 3001
 TELESCOPE_CAP = 1500
-VERIFY_CAP = 1000
+VERIFY_CAP = 2000
 
 
 class ScanRecord(NamedTuple):
@@ -63,7 +64,6 @@ class ScanRecord(NamedTuple):
     check_id: str
     scope: str
     instances: int
-    passed: bool
     first_failure: str | None
 
 
@@ -170,10 +170,10 @@ _SCAN = _Kind(
     csv=_SCAN_COLUMNS,
     text="{check_id:<16} {scope:<16} {instances:>6} instances  {status}",
     derived=lambda f: {
-        "pass": f["passed"],
-        "status": "pass" if f["passed"] else f"FAIL at {f['first_failure']}",
+        "pass": f["first_failure"] is None,
+        "status": "pass" if f["first_failure"] is None else f"FAIL at {f['first_failure']}",
     },
-    passes=lambda rec: rec.passed,
+    passes=lambda rec: rec.first_failure is None,
 )
 _TABLE_COLUMNS = ("m", "n", "f", "g")
 _TABLE = _Kind(json=_TABLE_COLUMNS, csv=_TABLE_COLUMNS, text="m={m} n={n:<3} f={f:<20} g={g}")
@@ -186,6 +186,7 @@ _KINDS = {
 
 CONGRUENCE_CSV_HEADER = ",".join(_CONGRUENCE.csv)
 DISCOVERY_CSV_HEADER = ",".join(_DISCOVERY.csv)
+_digit_limit_lock = threading.Lock()
 
 
 def serialize_report(report: CongruenceReport | DiscoveryResult | ScanRecord, fmt: str = "json") -> str:
@@ -198,22 +199,23 @@ def serialize_report(report: CongruenceReport | DiscoveryResult | ScanRecord, fm
     """
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if limit:  # lifted so that integers of any length print, and restored on return
-        sys.set_int_max_str_digits(0)
-    try:
-        kind = _KINDS[type(report)]
-        fields = {name: _plain(value) for name, value in report._asdict().items()}
-        fields.update(kind.derived(fields))
-        if fmt == "json":
-            shown = {k: fields[k] for k in kind.json if fields[k] or k not in kind.json_optional}
-            return json.dumps(shown, separators=(",", ":"))
-        if fmt == "csv":
-            return ",".join(_csv_cell(fields[c]) for c in kind.csv)
-        return kind.text.format_map({k: "-" if v is None else v for k, v in fields.items()})
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+    with _digit_limit_lock:  # the limit is process-wide: one rendering lifts it at a time
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        if limit:  # lifted so that integers of any length print, and restored on return
+            sys.set_int_max_str_digits(0)
+        try:
+            kind = _KINDS[type(report)]
+            fields = {name: _plain(value) for name, value in report._asdict().items()}
+            fields.update(kind.derived(fields))
+            if fmt == "json":
+                shown = {k: fields[k] for k in kind.json if fields[k] or k not in kind.json_optional}
+                return json.dumps(shown, separators=(",", ":"))
+            if fmt == "csv":
+                return ",".join(_csv_cell(fields[c]) for c in kind.csv)
+            return kind.text.format_map({k: "-" if v is None else v for k, v in fields.items()})
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
 
 
 def _usage_type(parse: Callable[[str], Any]) -> Callable[[str], Any]:
@@ -295,10 +297,11 @@ def _check_ids(text: str) -> tuple[str, ...]:
 
 
 def _worker_count(jobs: int, tasks: int) -> int:
-    """--jobs clamped to the machine's CPU count and to the number of tasks,
-    so no worker is idle; 1 where the platform has no os.fork, so --jobs
-    runs serially there."""
-    return max(1, min(jobs, os.cpu_count() or 1, tasks)) if hasattr(os, "fork") else 1
+    """--jobs clamped to the CPUs this process may run on (its affinity set,
+    where the platform has one) and to the number of tasks, so no worker is
+    idle; 1 where the platform has no os.fork, so --jobs runs serially there."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(jobs, cpus, tasks)) if hasattr(os, "fork") else 1
 
 
 def _row(task: Callable[[], Any], fmt: str) -> tuple[str, bool]:
@@ -401,7 +404,7 @@ def _scan(
             first_failure = label.format(*case)
     if not count:
         raise ValueError(f"{check_id}: no instances in {scope}")
-    return ScanRecord(check_id, scope, count, first_failure is None, first_failure)
+    return ScanRecord(check_id, scope, count, first_failure)
 
 
 def _cmd_verify(args: argparse.Namespace) -> list[Callable[[], CongruenceReport]]:

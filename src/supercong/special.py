@@ -52,11 +52,7 @@ def pochhammer(a: Rational, k: int) -> Fraction:
     """Rising factorial (a)_k = a(a+1)...(a+k-1); the empty product is 1."""
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-    a = Fraction(a)
-    out = Fraction(1)
-    for i in range(k):
-        out *= a + i
-    return out
+    return next(itertools.islice(_rising(Fraction(a)), k, None))
 
 
 def _rising(a: Fraction) -> Iterator[Fraction]:

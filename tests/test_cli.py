@@ -7,6 +7,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -29,6 +30,11 @@ def run_cli(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _usable_cpus(monkeypatch, n):
+    """Let this process run on n CPUs, as the --jobs clamp counts them."""
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 class TestSerializeReport:
@@ -151,7 +157,7 @@ class TestLongIntegers:
         def discover(family, m, primes, r=1, variant="both"):
             return DiscoveryResult(family, m, r, LONG, ((5, 0, 125),), consistent)
 
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        _usable_cpus(monkeypatch, 2)
         monkeypatch.setattr(cli, "discover_constant", discover)
         got = run_cli(capsys, "discover", "--family", "d", "--m", "1,3", "--format", "csv",
                       "--jobs", jobs)
@@ -159,6 +165,34 @@ class TestLongIntegers:
         assert got[0] == code and got[2] == ""
         with _int_digit_limit(0):
             assert [int(row.split(",")[3]) for row in got[1].splitlines()[1:]] == [LONG, LONG]
+
+    def test_a_rendering_that_starts_during_another_still_prints(self, monkeypatch):
+        # the second thread starts while the first holds the lifted limit
+        # and is still converting; the first must not restore 4300 under it
+        dumps = json.dumps
+
+        def slow_dumps(*args, **kwargs):
+            time.sleep(0.01)
+            return dumps(*args, **kwargs)
+
+        monkeypatch.setattr(cli.json, "dumps", slow_dumps)
+        res = DiscoveryResult("D", 1, 1, LONG, ((5, 0, 125),), True)
+        lines, errors = [], []
+
+        def render():
+            try:
+                lines.append(serialize_report(res, "json"))
+            except ValueError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=render) for _ in range(2)]
+        threads[0].start()
+        time.sleep(0.003)
+        threads[1].start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and len(lines) == 2 and lines[0] == lines[1]
 
 
 class TestVerifyCommand:
@@ -237,17 +271,29 @@ class TestVerifyCommand:
         assert out1 == out2 and len(out1.splitlines()) == 18 * 16
 
     def test_jobs_clamped_to_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        _usable_cpus(monkeypatch, 2)  # the affinity set, not the machine, decides
+        assert [cli._worker_count(j, 100) for j in (1, 2, 3, 64)] == [1, 2, 2, 2]
+        # where the platform has no affinity set, the machine's CPU count
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         assert [cli._worker_count(j, 100) for j in (1, 2, 3, 64)] == [1, 2, 2, 2]
         monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
         assert cli._worker_count(4, 100) == 1
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity mask")
+    def test_a_process_pinned_to_one_cpu_runs_one_worker(self):
+        code = ("import os; from supercong import cli; "
+                "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+                "print(cli._worker_count(4, 100))")
+        assert _python(code) == "1"
+
     def test_jobs_clamped_to_task_count(self, monkeypatch):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        _usable_cpus(monkeypatch, 8)
         assert [cli._worker_count(6, t) for t in (0, 1, 2, 5, 6, 100)] == [1, 1, 2, 5, 6, 6]
 
     def test_jobs_run_serially_without_fork(self, monkeypatch):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        _usable_cpus(monkeypatch, 8)
         monkeypatch.delattr(cli.os, "fork")
         assert cli._worker_count(4, 100) == 1
 
@@ -258,7 +304,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli, "primes_in_range", no_sieve)
         code, out, err = run_cli(capsys, "verify", "--primes", "5..10000000000")
         assert code == 2 and out == ""
-        assert "--primes upper end 10000000000 exceeds the cap 1000\n" in err
+        assert "--primes upper end 10000000000 exceeds the cap 2000\n" in err
         code, out, err = run_cli(capsys, "discover", "--family", "c", "--primes", "5..10000000000")
         assert code == 2 and out == ""
         assert "--primes upper end 10000000000 exceeds the cap 10000000" in err
@@ -268,8 +314,8 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["verify", "--primes", "5..1001"],
-            ["verify", "--checks", "h2_cong", "--primes", "1000..1500"],
+            ["verify", "--primes", "5..2001"],
+            ["verify", "--checks", "h2_cong", "--primes", "2000..2500"],
             ["verify", "--primes", "3..10000000", "--jobs", "2"],
         ],
     )
@@ -279,13 +325,14 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(cli, "primes_in_range", no_sieve)
         code, out, err = run_cli(capsys, *argv)
-        assert (code, out) == (2, "") and "exceeds the cap 1000" in err
+        assert (code, out) == (2, "") and "exceeds the cap 2000" in err
 
     def test_verify_window_at_its_cap_runs(self, capsys):
         code, out, _ = run_cli(
-            capsys, "verify", "--primes", "990..1000", "--checks", "h2_cong", "--format", "json"
+            capsys, "verify", "--primes", "1990..2000", "--checks", "h2_cong", "--format", "json"
         )
-        assert code == 0 and [json.loads(line)["p"] for line in out.splitlines()] == [991, 997]
+        assert code == 0
+        assert [json.loads(line)["p"] for line in out.splitlines()] == [1993, 1997, 1999]
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -539,7 +586,7 @@ class TestForkedWorkers:
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        _usable_cpus(monkeypatch, 2)
         yield
         _assert_no_child_left()
 
@@ -563,13 +610,13 @@ class TestForkedWorkers:
 
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_results_of_any_picklable_kind_come_back_in_task_order(self, monkeypatch, jobs):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        _usable_cpus(monkeypatch, 3)
         values = [7, "seven", Fraction(-7, 3), None, (7, [7.5]), {"p": 7}, check("thm1", 7),
                   float("inf"), 10**50, b"\x07"]
         assert cli._map_tasks([functools.partial(lambda v: v, v) for v in values], jobs) == values
 
     def test_worker_j_runs_every_task_j_mod_n_and_the_parent_is_worker_0(self, monkeypatch):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        _usable_cpus(monkeypatch, 3)
         pids = cli._map_tasks([os.getpid] * 7, 3)
         assert pids == pids[:3] * 2 + pids[:1]
         assert pids[0] == os.getpid() and len(set(pids)) == 3
@@ -633,7 +680,7 @@ def test_importing_the_cli_never_imports_dataclasses_or_inspect():
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_a_run_never_imports_the_process_pool(jobs):
     code = (
-        "import os, sys; from supercong import cli; os.cpu_count = lambda: 2; "
+        "import os, sys; from supercong import cli; os.sched_getaffinity = lambda pid: {0, 1}; "
         f"code = cli.run(['verify', '--primes', '5..13', '--jobs', '{jobs}']); "
         "print(code, [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
     )

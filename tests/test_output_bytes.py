@@ -77,7 +77,8 @@ def test_stdout_bytes(capsys, command, fmt):
     "command,fmt", [key for key in sorted(EXPECTED) if key[0] in ("verify", "discover", "worst_k")]
 )
 def test_stdout_bytes_at_two_workers(capsys, monkeypatch, command, fmt):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # fork even on a one-CPU host
+    # fork even on a one-CPU host
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert _run(capsys, CASES[command] + ["--format", fmt, "--jobs", "2"]) == EXPECTED[command, fmt]
 
 
