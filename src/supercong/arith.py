@@ -50,23 +50,15 @@ def is_odd_prime(p: int) -> bool:
     return True
 
 
-class _Prime(int):
-    """An odd prime tested by require_prime; vp and make_report trust it."""
-
-    __slots__ = ()
-
-
-def require_prime(p: int, what: str, floor: int = 3) -> _Prime:
+def require_prime(p: int, what: str, floor: int = 3) -> int:
     """The one primality guard: InvalidPrime unless p is an odd prime, and
     PrimeTooSmall if it is one below floor; what names the caller.  Returns
-    p as a checked prime, which no later guard tests again (floors apply)."""
-    if type(p) is not _Prime:
-        if not is_odd_prime(p):
-            raise InvalidPrime(f"{what} needs an odd prime, got {p}")
-        p = _Prime(p)
+    p as a plain int."""
+    if not is_odd_prime(p):
+        raise InvalidPrime(f"{what} needs an odd prime, got {p}")
     if p < floor:
         raise PrimeTooSmall(f"{what} requires p >= {floor}, got {p}")
-    return p
+    return int(p)
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
@@ -111,9 +103,8 @@ def vp(x: Rational, p: int) -> Valuation:
     """p-adic valuation of a rational: v_p(numerator) - v_p(denominator).
 
     Returns INFINITE for x = 0, so "x = 0 (mod p^t)" is expressible for
-    every t.  p is tested unless require_prime returned it."""
-    if type(p) is not _Prime:
-        require_prime(p, "vp")
+    every t."""
+    require_prime(p, "vp")
     if x == 0:
         return INFINITE
     return split_power(x.numerator, p)[0] - split_power(x.denominator, p)[0]
@@ -175,7 +166,6 @@ class CongruenceReport(NamedTuple):
     m: int | None = None
     r: int | None = None
     k: int | None = None
-    informational: bool = False
 
 
 def make_report(
@@ -192,14 +182,11 @@ def make_report(
 ) -> CongruenceReport:
     """Build a report, computing the achieved valuation from exact rationals.
 
-    p must be an odd prime (InvalidPrime otherwise); it is tested unless
-    require_prime returned it.  The report holds p as a plain int.
+    p must be an odd prime (InvalidPrime otherwise); the report holds it as
+    a plain int.  informational=True records no verdict (passed is None).
     """
     p = require_prime(p, "make_report")
     lhs, rhs = Fraction(lhs), Fraction(rhs)
     achieved = vp(lhs - rhs, p)
     passed = None if informational else achieved >= required
-    return CongruenceReport(
-        check_id, int(p), lhs, rhs, required, achieved, passed,
-        m=m, r=r, k=k, informational=informational,
-    )
+    return CongruenceReport(check_id, p, lhs, rhs, required, achieved, passed, m=m, r=r, k=k)

@@ -112,8 +112,8 @@ class _Kind(NamedTuple):
     """How one record kind renders.  Its named fields are the record's own
     attributes, as _plain shows them, followed by those derived from them;
     json and csv name the fields each format carries, in order (the JSON
-    object leaves out a json_optional field that is false), and text is the
-    str.format template of a text row, where None shows as "-".  A run's
+    object leaves out a json name that is not among the fields), and text is
+    the str.format template of a text row, where None shows as "-".  A run's
     text output starts with text_header, if any, and passes when every
     record does."""
 
@@ -121,7 +121,6 @@ class _Kind(NamedTuple):
     csv: tuple[str, ...]
     text: str
     derived: Callable[[dict[str, Any]], dict[str, object]] = lambda fields: {}
-    json_optional: frozenset[str] = frozenset()
     passes: Callable[[Any], bool] = lambda record: True
     text_header: str | None = None
 
@@ -145,8 +144,7 @@ _CONGRUENCE = _Kind(
         "lhs_short": _short(f["lhs"]),
         "rhs_short": _short(f["rhs"]),
         "status": "info" if f["passed"] is None else ("pass" if f["passed"] else "FAIL"),
-    },
-    json_optional=frozenset({"informational"}),
+    } | ({"informational": True} if f["passed"] is None else {}),
     passes=lambda rep: rep.passed is not False,  # informational rows never fail
     text_header=CONGRUENCE_TEXT_HEADER,
 )
@@ -208,7 +206,7 @@ def serialize_report(report: CongruenceReport | DiscoveryResult | ScanRecord, fm
             fields = {name: _plain(value) for name, value in report._asdict().items()}
             fields.update(kind.derived(fields))
             if fmt == "json":
-                shown = {k: fields[k] for k in kind.json if fields[k] or k not in kind.json_optional}
+                shown = {k: fields[k] for k in kind.json if k in fields}
                 return json.dumps(shown, separators=(",", ":"))
             if fmt == "csv":
                 return ",".join(_csv_cell(fields[c]) for c in kind.csv)
@@ -480,8 +478,8 @@ def _declare(
         cmd.add_argument(flag, **options)
     cmd.add_argument("--format", choices=FORMATS, default="text")
     if jobs:
-        cmd.add_argument("--jobs", type=_at_least_one("--jobs"), default=1,
-                         help="worker processes (default %(default)s; at most the CPU count)")
+        cmd.add_argument("--jobs", type=_at_least_one("--jobs"), default=1, help="worker processes "
+                         "(default %(default)s; at most the CPUs this process may run on)")
     cmd.set_defaults(handler=handler, kind=kind, jobs=1)
 
 

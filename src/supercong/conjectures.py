@@ -213,7 +213,7 @@ def discover_constant(
     if len(set(primes)) != len(primes):
         raise ValueError("primes must be distinct")
     primes = [require_prime(p, "discovery", floor=5) for p in sorted(primes)]
-    evidence = [(int(p), *extract_residue(family, m, p, r, variant)) for p in primes]
+    evidence = [(p, *extract_residue(family, m, p, r, variant)) for p in primes]
     constant = _stabilized_lift(evidence)
     consistent = all(constant % mod == res for _, res, mod in evidence)
     return DiscoveryResult(family, m, r, constant, tuple(evidence), consistent)

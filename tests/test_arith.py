@@ -181,7 +181,7 @@ class TestReports:
 
     def test_informational_has_no_verdict(self):
         rep = make_report("demo", 3, 1, 4, 2, informational=True)
-        assert rep.passed is None and rep.informational
+        assert rep.passed is None
         assert rep.achieved_valuation == 1
 
     @pytest.mark.parametrize("p", [9, 15, 1, 2, 4])
@@ -191,23 +191,11 @@ class TestReports:
 
 
 class TestCheckedPrime:
-    """require_prime returns the prime it tested; vp and make_report take
-    that prime without a second test and test any other int once."""
+    """require_prime tests every p it is given and returns it as a plain
+    int, and every report and evidence row holds that int."""
 
-    def test_checked_prime_is_not_tested_again(self, primality_tests):
-        p = require_prime(7, "t")
-        assert p == 7 and primality_tests == [7]
-        primality_tests.clear()
-        assert vp(Fraction(49, 3), p) == 2
-        assert make_report("t", p, 1, 50, 2).achieved_valuation == 2
-        assert require_prime(p, "t", floor=7) == 7
-        assert primality_tests == []
-
-    @pytest.mark.parametrize(
-        "call", [lambda: vp(Fraction(49, 3), 7), lambda: make_report("t", 7, 1, 50, 2)]
-    )
-    def test_plain_int_is_tested_once(self, primality_tests, call):
-        call()
+    def test_plain_int_is_tested_once(self, primality_tests):
+        assert vp(Fraction(49, 3), 7) == 2
         assert primality_tests == [7]
 
     def test_checked_prime_still_meets_the_floor(self):

@@ -500,6 +500,25 @@ class TestOtherCommands:
         rec = json.loads(out.strip())
         assert rec["constant"] == 138480 and rec["consistent"] is False
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_discover_prints_the_same_bytes_for_every_variant(self, capsys, monkeypatch, jobs):
+        _usable_cpus(monkeypatch, 2)
+        args = ("discover", "--family", "c", "--m", "1,3,5", "--primes", "5..31",
+                "--format", "json", "--jobs", jobs)
+        runs = [run_cli(capsys, *args, "--variant", v) for v in ("half", "full", "both")]
+        assert runs == [runs[0]] * 3
+        code, out, _ = runs[0]
+        assert code == 0 and [json.loads(line)["m"] for line in out.splitlines()] == [1, 3, 5]
+
+    def test_discover_counterexample_holds_for_every_variant(self, capsys):
+        args = ("discover", "--family", "d", "--m", "15", "--primes", "5..60", "--format", "json")
+        runs = [run_cli(capsys, *args, "--variant", v) for v in ("half", "full", "both")]
+        assert runs == [runs[0]] * 3
+        code, out, _ = runs[0]
+        rec = json.loads(out)
+        assert code == 1 and rec["constant"] == 138480 and rec["consistent"] is False
+        assert [p for p, res, mod in rec["evidence"] if rec["constant"] % mod != res] == [5]
+
     def test_lemma_repeated_weight_counts_once(self, capsys):
         code, out, _ = run_cli(capsys, "lemma", "--m", "3,3", "--n", "2..4", "--format", "json")
         assert code == 0
@@ -559,7 +578,7 @@ class TestOtherCommands:
         "command,shown",
         [
             ("verify", "prime range lo..hi (default 5..199)"),
-            ("verify", "worker processes (default 1; at most the CPU count)"),
+            ("verify", "worker processes (default 1; at most the CPUs this process may run on)"),
             ("lemma", "n range lo..hi (default 2..50)"),
             ("table", "n range lo..hi (default 2..10)"),
             ("discover", "power of p in the truncation depth (default 1)"),

@@ -136,16 +136,6 @@ class TestDiscovery:
                     assert verify_conjecture(family, m, p, 1, res.constant, variant).passed
 
 
-class TestPrimalityTestedOnce:
-    def test_discovery_tests_each_prime_once(self, primality_tests):
-        assert discover_constant("C", 5, [7, 11]).constant == 23
-        assert primality_tests == [7, 11]
-
-    def test_verify_conjecture_tests_its_prime_once(self, primality_tests):
-        assert verify_conjecture("C", 5, 7, 1, 23, "half").passed
-        assert primality_tests == [7]
-
-
 class TestCounterexampleFamilyD15:
     """The one cell of the grid where the published constant fails: m = 15 at
     p = 5, r = 1.  Everything here is the verified true state of the world;

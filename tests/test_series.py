@@ -173,6 +173,54 @@ class TestWZPair:
                 wz_G_tail(n)
 
 
+def pair_poly(n, k):
+    # the pair relation divided by F(n,k), times -2(4n-1)(2n+2k-3)(n-k+1)
+    return (
+        (4 * n - 1) * (2 * k - 3) ** 2
+        + 2 * (4 * n - 1) * (2 * n + 2 * k - 3) * (n - k + 1)
+        - (2 * n - 1) ** 2 * (2 * n + 2 * k - 3)
+        - 8 * n * n * (n - k + 1)
+    )
+
+
+class TestPairRelationProof:
+    """F(n,k-1) - F(n,k) = G(n+1,k) - G(n,k) for every n >= 0 and k >= 1.
+
+    For 1 <= k <= n, F(n,k) != 0 since (-1/2)_j != 0, and (x)_(j+1) = (x)_j (x+j)
+    turns the closed forms into the three ratios below.  Divided by F(n,k) and
+    cleared of the nonzero -2(4n-1)(2n+2k-3)(n-k+1), the relation reads
+    pair_poly = 0, of degree <= 3 in n and <= 2 in k; one that vanishes on
+    {0..3} x {0..2} is zero (for each n its k-coefficients vanish, then each of
+    them, a cubic in n, has 4 roots).  At k = n+1 the relation reads
+    F(n,n) = G(n+1,n+1), as (-1/2)_(2n+1) = (-1/2)_(2n) (2n - 1/2); for k >= n+2
+    all four terms vanish.  Summing over 0 <= n <= h and 1 <= k <= h gives the
+    telescoped identity for every h.  Plain integers, no computer algebra.
+    """
+
+    def test_cleared_relation_is_the_zero_polynomial(self):
+        assert all(pair_poly(n, k) == 0 for n in range(4) for k in range(4))
+
+    def test_ratios_match_the_closed_forms(self):
+        instances = 0
+        for n in range(1, 40):
+            for k in range(1, n + 1):
+                f = wz_F(n, k)
+                assert wz_F(n, k - 1) / f == Fraction(
+                    (2 * k - 3) ** 2, -2 * (2 * n + 2 * k - 3) * (n - k + 1)
+                )
+                assert wz_G(n, k) / f == Fraction(4 * n * n, (4 * n - 1) * (2 * n + 2 * k - 3))
+                assert wz_G(n + 1, k) / f == Fraction(
+                    -((2 * n - 1) ** 2), 2 * (4 * n - 1) * (n - k + 1)
+                )
+                instances += 1
+        assert instances == 780
+
+    def test_diagonal(self):
+        for n in range(40):
+            assert wz_F(n, n) == wz_G(n + 1, n + 1)
+            assert wz_F(n, n + 1) == wz_G(n, n + 1) == 0
+
+
 class TestTermWalk:
     """walk_total's unreduced sum against plain Fraction stepping of the same
     term and running sum, after every prefix of the steps."""

@@ -286,20 +286,6 @@ class TestTelescopedIdentity:
             assert not series.check_telescoped_identity(p)
 
 
-def test_check_tests_primality_once(monkeypatch):
-    calls = []
-
-    def counting(p, _real=arith.is_odd_prime):
-        calls.append(p)
-        return _real(p)
-
-    monkeypatch.setattr(arith, "is_odd_prime", counting)
-    for check_id in ("ratio_expansion_mod4", "lemma_sun3", "thm1"):
-        calls.clear()
-        check(check_id, 31)
-        assert calls == [31]
-
-
 def test_each_check_builds_one_report_through_make_report(monkeypatch):
     built = []
 
