@@ -43,6 +43,7 @@ from .conjectures import (
     conj_sum,
     discover_constant,
     extract_residue,
+    residue_table,
     verify_conjecture,
 )
 from .series import (

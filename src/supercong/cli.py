@@ -39,6 +39,7 @@ from .conjectures import (
     InconsistentInput,
     ValuationTooLow,
     discover_constant,
+    residue_table,
 )
 from .series import boundary_closed_form, check_telescoped_identity, check_wz_relation
 
@@ -46,7 +47,8 @@ FORMATS = ("text", "csv", "json")
 
 #: Largest upper end accepted for --primes: the prime sieve allocates one
 #: byte per integer up to it.  It also caps discover's work, the sum of p^r
-#: over the window, the summand count of one weight.
+#: over the window: the summands of its walks, one per prime, each shared by
+#: every weight.
 PRIME_CAP = 10**7
 #: Work caps, each set where its largest accepted input takes a few seconds
 #: (see the README): `wz --grid`, the upper end of `lemma`/`table --n`, of
@@ -448,8 +450,9 @@ def _cmd_discover(args: argparse.Namespace) -> list[Callable[[], DiscoveryResult
     primes = primes_in_range(max(lo, 5), hi)
     if not primes:
         raise ValueError(f"no usable primes in {lo}..{hi}")
-    # One weight walks p^r summands per prime.  2^bit_length > PRIME_CAP, so a
-    # larger exponent cannot change the verdict, and any() stops at the cap.
+    # One walk of p^r summands per prime serves every weight.  2^bit_length >
+    # PRIME_CAP, so a larger exponent cannot change the verdict, and any()
+    # stops at the cap.
     r = min(args.r, PRIME_CAP.bit_length())
     if any(total > PRIME_CAP for total in itertools.accumulate(p**r for p in primes)):
         raise ValueError(
@@ -457,8 +460,15 @@ def _cmd_discover(args: argparse.Namespace) -> list[Callable[[], DiscoveryResult
             f" exceeds the cap {PRIME_CAP}"
         )
     family = args.family.upper()
-    return [functools.partial(discover_constant, family, m, primes, r=args.r, variant=args.variant)
-            for m in sorted(args.m or FAMILIES[family].default_m)]  # args.m None: --m all
+    ms = sorted(args.m or FAMILIES[family].default_m)  # args.m None: --m all
+    # The walks are the work: one task per prime, ascending, so the stride
+    # puts neighbouring primes, the costly top ones too, on different
+    # workers.  A failed cell is held in its table, not raised, so the lift
+    # of the first failing weight raises its first failing prime's error.
+    walks = [functools.partial(residue_table, family, ms, p, args.r, args.variant) for p in primes]
+    tables = dict(zip(primes, _map_tasks(walks, args.jobs)))
+    return [functools.partial(discover_constant, family, m, primes, r=args.r,
+                              variant=args.variant, tables=tables) for m in ms]
 
 
 def _cmd_table(args: argparse.Namespace) -> list[Callable[[], _TableRow]]:

@@ -1,5 +1,5 @@
 """Conjectured constant families: verify the congruence for a given constant
-at (m, p, r), extract the constant's residue per prime, and rediscover the
+at (m, p, r), extract the constants' residues per prime, and rediscover the
 integer constant by symmetric CRT lifting.
 
 Family C: alternating cube sums (summand family A), claimed
@@ -12,17 +12,18 @@ agree between variants.
 
 Every summand's denominator is a power of 2, yet the exact sums are huge
 rationals (about 22k bits at p = 61, r = 2).  conj_sum and
-verify_conjecture evaluate them exactly.  extract_residue only needs the
-sum mod p^(r+e), so it works in fixed-precision p-adic arithmetic instead:
-each summand is p^v times a p-adic unit, kept mod p^(r+e), which keeps the
-residue exact (conj_sum is its oracle).
+verify_conjecture evaluate them exactly.  residue_table, and
+extract_residue, its call for one weight, only need the sum mod p^(r+e), so
+they work in fixed-precision p-adic arithmetic instead: each summand is p^v
+times a p-adic unit, kept mod p^(r+e), which keeps the residue exact
+(conj_sum is its oracle), and one walk per prime serves every weight.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .arith import (
     CongruenceReport,
@@ -59,13 +60,16 @@ class ValuationTooLow(ValueError):
 
 
 def _validate(
-    family: str, m: int, p: int, r: int, variant: str, variants: tuple[str, ...] = VARIANTS
+    family: str, ms: Iterable[int], p: int, r: int, variant: str,
+    variants: tuple[str, ...] = VARIANTS,
 ) -> int:
-    """The checked prime p, after every argument of a family sum is validated."""
+    """The checked prime p, after every argument of a family sum at the
+    weights ms is validated."""
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {tuple(FAMILIES)}, got {family!r}")
-    if m < 1 or m % 2 == 0:
-        raise ValueError(f"m must be an odd positive integer, got {m}")
+    for m in ms:
+        if m < 1 or m % 2 == 0:
+            raise ValueError(f"m must be an odd positive integer, got {m}")
     p = require_prime(p, f"family {family}")
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
@@ -86,7 +90,7 @@ def _upper(p: int, r: int, variant: str) -> int:
 def conj_sum(family: str, m: int, p: int, r: int, variant: str) -> Fraction:
     """Exact truncated sum of the family's summand at prime p and depth r,
     with upper limit (p^r+1)/2 (half) or p^r - 1 (full)."""
-    _validate(family, m, p, r, variant)
+    _validate(family, (m,), p, r, variant)
     return partial_sum(SumSpec(FAMILIES[family].summand, m, _upper(p, r, variant)))
 
 
@@ -94,59 +98,111 @@ def verify_conjecture(
     family: str, m: int, p: int, r: int, constant: int, variant: str
 ) -> CongruenceReport:
     """Report on sum = constant * p^r * sign (mod p^(r+2) or p^(r+3))."""
-    p = _validate(family, m, p, r, variant)
+    p = _validate(family, (m,), p, r, variant)
     s = conj_sum(family, m, p, r, variant)
     rhs = Fraction(constant * p**r * _unit_sign(family, p, r))
     required = r + FAMILIES[family].residue_exponent
     return make_report(f"conj_{family.lower()}_{variant}", p, s, rhs, required, m=m, r=r)
 
 
-def extract_residue(family: str, m: int, p: int, r: int, variant: str) -> tuple[int, int]:
-    """Invert the claimed congruence for the constant at one prime.
+def residue_table(
+    family: str, ms: Iterable[int], p: int, r: int, variant: str
+) -> dict[int, tuple[int, int] | ValueError]:
+    """Invert the claimed congruence for the constant of every weight in ms
+    at one prime, from one walk over the summands.
 
-    Returns (residue, modulus) with residue = (sum * sign / p^r) mod p^e,
-    e = 2 for family C and 3 for family D.  Requires v_p(sum) >= r.
-    variant "both" reads the half and the full truncation and raises
-    InconsistentInput unless their residues agree.
+    Maps each distinct weight, ascending, to its cell: (residue, modulus)
+    with residue = (sum * sign / p^r) mod p^e, e = 2 for family C and 3 for
+    family D, or the first failure of that weight's walk.  A summand of
+    negative valuation fails with PreconditionViolated, a sum of valuation
+    below r with ValuationTooLow naming its truncation, and with variant
+    "both", half and full residues that differ with InconsistentInput.
 
-    The sum is never formed exactly: one walk keeps it mod p^N, N = r + e,
+    The sum is never formed exactly: the walk keeps it mod p^N, N = r + e,
     which fixes sum / p^r mod p^e exactly.  Summand k of summand_factors is
-    sign * p^v * w^m * t/q, with w and the step a/b of t/q split free of p,
-    so the sum is x/q over one unit denominator q (series.walk_total's
-    recurrence), read with one inverse at each cut the walk passes; "both"
-    reads the half truncation, a prefix of the full one, at its cut.  A
-    summand of negative valuation raises PreconditionViolated.
+    sign * p^v * w^m * t/q, with w and the step a/b of t/q split free of p
+    once for every weight, so each weight's sum is its own x over one
+    shared unit denominator q (series.walk_total's recurrence), and each cut
+    reads every weight with one inverse of q; "both" reads the half
+    truncation, a prefix of the full one, at its cut.  w^m steps from one
+    weight to the next by (w^2)^(gap/2).
     """
-    p = _validate(family, m, p, r, variant, VARIANTS + ("both",))
+    ms = sorted(set(ms))
+    if not ms:
+        raise ValueError("need at least one weight")
+    p = _validate(family, ms, p, r, variant, VARIANTS + ("both",))
     e = FAMILIES[family].residue_exponent
-    cuts = {v: _upper(p, r, v) for v in VARIANTS if variant in (v, "both")}
     # (-1/2)_k/k! = -Cat(k-1)/2^(2k-1), so for odd p every summand is a
     # p-adic integer, and summand 0 is the unit -1: p^(r+e) is precision enough.
-    modulus, pr, pe = p ** (r + e), p**r, p**e
-    factors = itertools.islice(summand_factors(FAMILIES[family].summand), max(cuts.values()) + 1)
-    x, t, q, v_t, pairs = 0, 1, 1, 0, []
-    for k, (sign, w, a, b) in enumerate(factors):
-        v_w, w = split_power(w, p)
-        v_a, a = split_power(a, p)
-        v_b, b = split_power(b, p)
-        v_t += v_a - v_b
-        v = m * v_w + v_t
-        if v < 0:
-            raise PreconditionViolated(f"family {family}, m={m}, p={p}: summand {k} has v_p < 0")
-        t, q = t * a % modulus, q * b % modulus
-        x = (x * b + sign * pow(p, v, modulus) * pow(w, m, modulus) * t) % modulus
-        for cut_variant, cut in cuts.items():  # half first, also where the cuts coincide
-            if cut != k:
+    n, modulus, pr, pe = r + e, p ** (r + e), p**r, p**e
+    p_powers = [p**v for v in range(n)]  # p^v for v >= n vanishes mod p^n
+    half_gaps = [(hi - lo) // 2 for lo, hi in zip(ms, ms[1:])]
+    # ascending, as the half cut never passes the full one; half first where they coincide
+    cuts = [(_upper(p, r, v), v) for v in VARIANTS if variant in (v, "both")]
+    unit_sign = _unit_sign(family, p, r)
+    factors = enumerate(summand_factors(FAMILIES[family].summand))
+    cells: list = [None] * len(ms)  # None until a cut reads the weight
+    xs, t, q, v_t, walked = [0] * len(ms), 1, 1, 0, 0
+    for cut, cut_variant in cuts:
+        for k, (sign, w, a, b) in itertools.islice(factors, cut + 1 - walked):
+            v_w = 0
+            if not w % p:
+                v_w, w = split_power(w, p)
+            if not a % p:
+                v_a, a = split_power(a, p)
+                v_t += v_a
+            if not b % p:
+                v_b, b = split_power(b, p)
+                v_t -= v_b
+            t, q = t * a % modulus, q * b % modulus
+            if not v_w and 0 <= v_t < n:  # every weight's summand has v = v_t
+                term = sign * p_powers[v_t] * t * pow(w, ms[0], modulus) % modulus
+                xs[0] = (xs[0] * b + term) % modulus
+                w2 = w * w % modulus
+                for i, half in enumerate(half_gaps, 1):
+                    term = term * (w2 if half == 1 else pow(w2, half, modulus)) % modulus
+                    xs[i] = (xs[i] * b + term) % modulus
                 continue
-            total = x * pow(q, -1, modulus) % modulus
+            for i, m in enumerate(ms):
+                v = m * v_w + v_t
+                if v >= 0:
+                    term = sign * p_powers[v] * t * pow(w, m, modulus) if v < n else 0
+                    xs[i] = (xs[i] * b + term) % modulus
+                elif not isinstance(cells[i], ValueError):
+                    cells[i] = PreconditionViolated(
+                        f"family {family}, m={m}, p={p}: summand {k} has v_p < 0")
+        walked = cut + 1
+        inverse = pow(q, -1, modulus)
+        for i, (m, cell) in enumerate(zip(ms, cells)):
+            if isinstance(cell, ValueError):
+                continue
+            total = xs[i] * inverse % modulus
             if total % pr:
-                raise ValuationTooLow(
+                cells[i] = ValuationTooLow(
                     f"family {family}, m={m}, p={p}, r={r} ({cut_variant}): v_p(sum) < r"
                 )
-            pairs.append((total // pr * _unit_sign(family, p, r) % pe, pe))
-    if pairs[0] != pairs[-1]:
-        raise InconsistentInput(f"half/full residues disagree at p={p}: {pairs[0]} vs {pairs[-1]}")
-    return pairs[-1]
+                continue
+            read = (total // pr * unit_sign % pe, pe)
+            cells[i] = read if cell in (None, read) else InconsistentInput(
+                f"half/full residues disagree at p={p}: {cell} vs {read}")
+        if all(isinstance(cell, ValueError) for cell in cells):
+            break
+    return dict(zip(ms, cells))
+
+
+def _residue(cell: tuple[int, int] | ValueError) -> tuple[int, int]:
+    """A residue_table cell's (residue, modulus); a failed cell raises."""
+    if isinstance(cell, ValueError):
+        raise cell
+    return cell
+
+
+def extract_residue(family: str, m: int, p: int, r: int, variant: str) -> tuple[int, int]:
+    """The residue_table cell of the one weight m at p: (residue, modulus),
+    or the cell's exception raised.  Requires v_p(sum) >= r.  variant
+    "both" reads the half truncation, a prefix of the full one, at its cut
+    on the one walk."""
+    return _residue(residue_table(family, (m,), p, r, variant)[m])
 
 
 class DiscoveryResult(NamedTuple):
@@ -196,24 +252,34 @@ def discover_constant(
     primes: list[int],
     r: int = 1,
     variant: str = "both",
+    tables: Mapping[int, Mapping[int, tuple[int, int] | ValueError]] | None = None,
 ) -> DiscoveryResult:
     """Rediscover the family constant from per-prime residues via CRT.
 
     With variant="both" (the default) the residue is extracted from the half
     and full truncations, which must agree at every prime (see
     extract_residue); InconsistentInput identifies the offending prime
-    otherwise.  Residues are gathered in ascending prime order, lifted to
-    the symmetric representative (see _stabilized_lift), and `consistent`
+    otherwise.  Residues are gathered in ascending prime order, and the
+    first failing prime's exception is raised; they are lifted to the
+    symmetric representative (see _stabilized_lift), and `consistent`
     re-verifies that the lifted constant reproduces every residue.  The
     output is empirical: it carries no claim beyond the primes listed in
     the evidence.
+
+    tables, if given, maps every prime to its residue_table at (family, r,
+    variant) with m among its weights, and the residues are read from it:
+    so discovering several weights walks each prime once.  Otherwise each
+    prime's residue is extracted for m alone.
     """
     if not primes:
         raise ValueError("need at least one prime")
     if len(set(primes)) != len(primes):
         raise ValueError("primes must be distinct")
     primes = [require_prime(p, "discovery", floor=5) for p in sorted(primes)]
-    evidence = [(p, *extract_residue(family, m, p, r, variant)) for p in primes]
+    evidence = [
+        (p, *(extract_residue(family, m, p, r, variant) if tables is None else _residue(tables[p][m])))
+        for p in primes
+    ]
     constant = _stabilized_lift(evidence)
     consistent = all(constant % mod == res for _, res, mod in evidence)
     return DiscoveryResult(family, m, r, constant, tuple(evidence), consistent)

@@ -23,7 +23,8 @@ from supercong.cli import (
     run,
     serialize_report,
 )
-from supercong.conjectures import DiscoveryResult, discover_constant
+from supercong.conjectures import DiscoveryResult, discover_constant, residue_table
+from supercong.series import PreconditionViolated
 
 
 def run_cli(capsys, *argv):
@@ -154,7 +155,7 @@ class TestLongIntegers:
     def test_a_run_exits_by_the_verdict_of_a_long_constant(
         self, capsys, monkeypatch, jobs, consistent, code
     ):
-        def discover(family, m, primes, r=1, variant="both"):
+        def discover(family, m, primes, r=1, variant="both", tables=None):
             return DiscoveryResult(family, m, r, LONG, ((5, 0, 125),), consistent)
 
         _usable_cpus(monkeypatch, 2)
@@ -370,16 +371,16 @@ class TestVerifyCommand:
         assert (code, out) == (2, "") and message in err
 
     def test_discover_work_above_cap_exits_two_before_any_sum(self, capsys, monkeypatch):
-        def stub(family, m, p, r, variant):
+        def stub(family, ms, p, r, variant):
             raise cli.ValuationTooLow(f"stub reached at p={p}, r={r}")
 
-        monkeypatch.setattr(conjectures, "extract_residue", stub)
+        monkeypatch.setattr(cli, "residue_table", stub)
         for primes, r in (("5..3163", "2"), ("5..3162", "2"), ("5..577", "2"), ("5..251", "3"),
                           ("5..7", "1000000000")):
             code, out, err = run_cli(capsys, "discover", "--family", "c", "--primes", primes, "--r", r)
             assert (code, out) == (2, "") and "exceeds the cap 10000000" in err
         # The sum of p^2 over 5..571 is 9960943, within the cap (577 adds 332929 more):
-        # the run gets as far as the first residue.
+        # the run gets as far as the first walk.
         code, _, err = run_cli(capsys, "discover", "--family", "c", "--primes", "5..576", "--r", "2")
         assert code == 1 and "stub reached at p=5, r=2" in err
 
@@ -527,17 +528,23 @@ class TestOtherCommands:
         ]
 
     def test_discover_repeated_weight_is_one_cell(self, capsys, monkeypatch):
-        cells = []
+        walks, lifts = [], []
 
-        def counting(family, m, primes, **kwargs):
-            cells.append((family, m))
+        def walking(family, ms, p, r, variant):
+            walks.append((p, tuple(ms)))
+            return residue_table(family, ms, p, r, variant)
+
+        def lifting(family, m, primes, **kwargs):
+            lifts.append((family, m))
             return discover_constant(family, m, primes, **kwargs)
 
-        monkeypatch.setattr(cli, "discover_constant", counting)
+        monkeypatch.setattr(cli, "residue_table", walking)
+        monkeypatch.setattr(cli, "discover_constant", lifting)
         code, out, _ = run_cli(
             capsys, "discover", "--family", "c", "--m", "5,5", "--primes", "5..13", "--format", "json"
         )
-        assert code == 0 and cells == [("C", 5)]
+        assert code == 0 and lifts == [("C", 5)]
+        assert walks == [(p, (5,)) for p in (5, 7, 11, 13)]
         assert [json.loads(line)["constant"] for line in out.splitlines()] == [23]
 
     def test_discover_csv_header(self, capsys):
@@ -592,6 +599,9 @@ class TestOtherCommands:
 # (check_id, p) tasks in task order: thm2 and van_hamme at 5, 7, 11, 13.
 FORK_ARGV = ["verify", "--checks", "thm2,van_hamme", "--primes", "5..13", "--format", "json"]
 FORK_TASKS = [(c, p) for c in ("thm2", "van_hamme") for p in (5, 7, 11, 13)]
+# discover's tasks are its primes' walks, in ascending order: at two workers
+# the parent walks 5 and 11 and the child 7 and 13.
+DISCOVER_ARGV = ["discover", "--family", "c", "--m", "1,3,5", "--primes", "5..13", "--format", "json"]
 
 
 def _assert_no_child_left():
@@ -626,6 +636,34 @@ class TestForkedWorkers:
         code, out, err = serial
         assert (code, out) == ((1 if error is conjectures.ValuationTooLow else 2), "")
         assert err.endswith(f"task {min(failing)} fails\n")
+
+    @pytest.mark.parametrize("error,shown,code", [
+        (conjectures.ValuationTooLow, "counterexample candidate", 1),
+        (conjectures.InconsistentInput, "counterexample candidate", 1),
+        (PreconditionViolated, "error", 2),
+    ])
+    @pytest.mark.parametrize("failing", [
+        [(1, 5)], [(3, 7)], [(5, 13), (3, 11)], [(3, 13), (3, 7)], [(5, 5), (1, 13)],
+        [(1, 7), (1, 5)],
+    ])
+    def test_earliest_failing_discovery_cell_decides_stderr_and_exit_code(
+        self, capsys, monkeypatch, error, shown, code, failing
+    ):
+        """Failed cells at (m, p), walked by either worker, end the run with
+        the error of the first failing weight, in sorted order, at its first
+        failing prime: the cell a run of one task per weight stopped on."""
+        def walk(family, ms, p, r, variant, _real=cli.residue_table):
+            table = _real(family, ms, p, r, variant)
+            for m in ms:
+                if (m, p) in failing:
+                    table[m] = error(f"cell m={m} p={p} fails")
+            return table
+
+        monkeypatch.setattr(cli, "residue_table", walk)
+        serial = run_cli(capsys, *DISCOVER_ARGV, "--jobs", "1")
+        assert run_cli(capsys, *DISCOVER_ARGV, "--jobs", "2") == serial
+        m, p = min(failing)
+        assert serial == (code, "", f"{shown}: cell m={m} p={p} fails\n")
 
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_results_of_any_picklable_kind_come_back_in_task_order(self, monkeypatch, jobs):

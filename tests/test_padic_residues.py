@@ -1,6 +1,7 @@
 """The fixed-precision p-adic `extract_residue` against the exact path it
-replaced (`conj_sum`, `vp`, `reduce_mod`), and constant discovery at depth
-2 and 3, which the p-adic path makes cheap."""
+replaced (`conj_sum`, `vp`, `reduce_mod`), `residue_table`'s one walk for
+several weights against both, and constant discovery at depth 2 and 3,
+which the p-adic path makes cheap."""
 
 import itertools
 from fractions import Fraction
@@ -18,6 +19,7 @@ from supercong.conjectures import (
     conj_sum,
     discover_constant,
     extract_residue,
+    residue_table,
 )
 from supercong.series import PreconditionViolated
 
@@ -256,3 +258,90 @@ def test_default_discovery_cell_walks_the_summands_once(monkeypatch):
     monkeypatch.setattr(conjectures, "summand_factors", counting)
     assert discover_constant("C", 5, [7]).constant == 23
     assert walks == ["A"]
+
+
+def cell_outcome(cell):
+    """A residue_table cell as outcome() shows a result or an exception."""
+    return (type(cell), str(cell)) if isinstance(cell, ValueError) else cell
+
+
+def exact_cell(family, m, p, r, variant):
+    if variant == "both":
+        return outcome(exact_both, family, m, p, r)
+    return outcome(exact_residue, family, m, p, r, variant)
+
+
+# (p, r) with p in 5..37 and r in 1..3 where the exact oracle sums at most
+# 600 summands per weight: 8 weights of both truncations at p = 13, r = 3
+# take about 7 s, at p = 23, r = 2 about 0.4 s
+PRIME_DEPTHS = [(p, r) for p in primes_in_range(5, 37) for r in (1, 2, 3) if p**r < 600]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    family=st.sampled_from("CD"),
+    ms=st.sets(st.sampled_from(range(1, 16, 2)), min_size=1, max_size=8),
+    prime_depth=st.sampled_from(PRIME_DEPTHS),
+    variant=st.sampled_from(VARIANTS + ("both",)),
+)
+def test_every_table_cell_matches_its_weight_alone_and_exact(family, ms, prime_depth, variant):
+    p, r = prime_depth
+    table = residue_table(family, ms, p, r, variant)
+    assert list(table) == sorted(ms)
+    for m, cell in table.items():
+        got = cell_outcome(cell)
+        assert got == outcome(extract_residue, family, m, p, r, variant), m
+        assert got == exact_cell(family, m, p, r, variant), m
+
+
+def test_table_cells_fail_alone_on_a_substituted_stream():
+    """Summands 1, 2^m, 5^m/25, 1: at p = 5, r = 1 the half sum is
+    2 + 2^m + 5^(m-2).  Weight 1 has a summand of valuation -1, weight 5's
+    sum 159 has valuation 0, and weights 3 and 7 keep the residues of their
+    exact sums 15 and 3255, as each has when walked alone."""
+    steps = [(1, 2, 1, 1), (1, 5, 1, 25), (1, 1, 25, 1)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "summand_factors", substituted_factors(steps))
+        mp.setattr(conjectures, "summand_factors", substituted_factors(steps))
+        table = residue_table("C", (7, 5, 3, 1), 5, 1, "half")
+        alone = {m: outcome(extract_residue, "C", m, 5, 1, "half") for m in table}
+        exact = {m: outcome(exact_residue, "C", m, 5, 1, "half") for m in (3, 5, 7)}
+    assert {m: cell_outcome(cell) for m, cell in table.items()} == alone == {
+        1: (PreconditionViolated, "family C, m=1, p=5: summand 2 has v_p < 0"),
+        3: (3, 25),
+        5: (ValuationTooLow, "family C, m=5, p=5, r=1 (half): v_p(sum) < r"),
+        7: (1, 25),
+    }
+    assert exact == {m: alone[m] for m in (3, 5, 7)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    steps=st.lists(st.tuples(st.sampled_from((1, -1)), factor, factor, factor), min_size=1, max_size=5),
+    ms=st.sets(st.sampled_from(range(1, 12, 2)), min_size=2, max_size=6),
+    r=st.sampled_from((1, 2)),
+    variant=st.sampled_from(VARIANTS + ("both",)),
+)
+def test_table_cells_on_arbitrary_factor_streams_match_each_weight_alone(steps, ms, r, variant):
+    """Random streams fail some weights and not others (a summand of
+    negative valuation, a sum of valuation below r, or disagreeing
+    truncations): every cell is the outcome of its weight walked alone, so
+    no weight's failure moves another weight's residue, and each agrees
+    with the exact path where the exact summands are p-integral."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "summand_factors", substituted_factors(steps))
+        mp.setattr(conjectures, "summand_factors", substituted_factors(steps))
+        table = residue_table("D", ms, 5, r, variant)
+        for m, cell in table.items():
+            got = cell_outcome(cell)
+            assert got == outcome(extract_residue, "D", m, 5, r, variant), m
+            assert_exact_or_refused(
+                got, exact_cell("D", m, 5, r, variant), walks_integral_summands("D", m, 5, r, variant)
+            )
+
+
+def test_table_validates_every_weight_and_needs_one():
+    with pytest.raises(ValueError, match="need at least one weight"):
+        residue_table("C", (), 5, 1, "both")
+    with pytest.raises(ValueError, match="m must be an odd positive integer, got 4"):
+        residue_table("C", (1, 4), 5, 1, "both")
