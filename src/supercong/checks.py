@@ -10,6 +10,7 @@ records valuations without pass/fail semantics.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -17,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .arith import CongruenceReport, PrimeTooSmall, make_report, require_prime, split_power, vp
-from .series import family_sum, pochhammer_ratio_product, walk_total, wz_F, wz_G_tail
+from .series import family_sum, pochhammer_ratio_product, wz_F, wz_G_tail
 from .special import cached, euler_number, h2, poch_neg_half, poch_pos_half
 
 
@@ -30,6 +31,10 @@ class IndexOutOfRange(ValueError):
 # ---------------------------------------------------------------------------
 
 TABLE1_WEIGHTS = (3, 5, 7)
+
+#: Largest n of a `lemma` or `table` scan, the CLI's cap on --n; the lemma
+#: verdict memo holds one scan's whole n range at it.
+N_CAP = 300
 
 
 def require_lemma_args(m: int, n: int = 2) -> None:
@@ -86,32 +91,37 @@ def _weight(k: int) -> Fraction:
     return cached("weights", _weights, k)
 
 
-def _lemma_sum(m: int, n: int, weighted: bool) -> tuple[int, int]:
-    """The sum over k = 0..n of the terminating lemma summand
+def _lemma_walk(ms: tuple[int, ...], n: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """For each weight m of ms, the sums over k = 0..n of the terminating
+    lemma summand
 
         t_k = (4k-1)^m (-1/2)_k^2 (-n)_k (n-1)_k / ((1)_k^2 (n+1/2)_k (3/2-n)_k),
 
-    each term times _weight(k) if weighted, as an unreduced (numerator,
-    denominator) pair from one walk_total.  Defined for m in TABLE1_WEIGHTS
-    and n >= 2.
+    plain and with each term times _weight(k), as unreduced (numerator,
+    denominator) pairs, from one walk along k for every m.
 
-    The walk's term steps by the ratio t_k/t_(k-1) without its (4k-1)^m
-    factor, which its c carries, with weight k as an integer W/L over the
-    common denominator L = lcm of (2j)^2 and (2j-3)^2 for j <= n.
+    The walk keeps the term without its (4k-1)^m factor as p/q, stepped by
+    the ratio t_k/t_(k-1) without that factor, and weight k as an integer
+    w/L over the common denominator L = lcm of (2j)^2 and (2j-3)^2 for
+    j <= n.  Each m keeps its own two running sums over the shared q, by
+    walk_total's recurrence.
     """
-    require_lemma_args(m, n)
-    lcm = math.lcm(*range(2, 2 * n + 1, 2), *range(1, 2 * n - 2, 2)) ** 2 if weighted else 1
-    def steps():
-        w = 0
-        for k in range(1, n + 1):
+    lcm = math.lcm(*range(2, 2 * n + 1, 2), *range(1, 2 * n - 2, 2)) ** 2
+    p = q = 1
+    w = 0
+    plain = [-1] * len(ms)  # k = 0: term (-1)^m = -1, weight 0
+    weighted = [0] * len(ms)
+    for k in range(1, n + 1):
+        b = k * k * (2 * n + 2 * k - 1) * (2 * k - 2 * n + 1)
+        p *= (2 * k - 3) ** 2 * (k - 1 - n) * (n + k - 2)
+        q *= b
+        w += lcm // (4 * k * k) - lcm // (2 * k - 3) ** 2
+        wp = w * p
+        for i, m in enumerate(ms):
             c = (4 * k - 1) ** m
-            if weighted:
-                w += lcm // (4 * k * k) - lcm // (2 * k - 3) ** 2
-                c *= w
-            num = (2 * k - 3) ** 2 * (k - 1 - n) * (n + k - 2)
-            yield num, k * k * (2 * n + 2 * k - 1) * (2 * k - 2 * n + 1), c
-    total, q = walk_total(steps(), 0 if weighted else -1)  # k = 0: term -1, weight 0
-    return total, q * lcm
+            plain[i] = plain[i] * b + c * p
+            weighted[i] = weighted[i] * b + c * wp
+    return [((x, q), (y, q * lcm)) for x, y in zip(plain, weighted)]
 
 
 def _equals(pair: tuple[int, int], value: Fraction) -> bool:
@@ -119,14 +129,38 @@ def _equals(pair: tuple[int, int], value: Fraction) -> bool:
     return num * value.denominator == value.numerator * den
 
 
-def check_lemma_f(m: int, n: int) -> bool:
-    """Unweighted lemma sum equals its closed form, exactly (not just p-adically)."""
-    return _equals(_lemma_sum(m, n, weighted=False), table1_f(m, n))
+@functools.lru_cache(maxsize=N_CAP)
+def _lemma_verdicts(ms: tuple[int, ...], n: int) -> dict[int, tuple[bool, bool]]:
+    """{m: (plain sum equals table1_f, weighted sum equals table1_g)} for
+    every m of ms at n, from one _lemma_walk.  A scan's n range at most
+    N_CAP long stays memoised whole, so scans at each (m, sum) of the same
+    weights share one walk per n."""
+    return {
+        m: (_equals(f, table1_f(m, n)), _equals(g, table1_g(m, n)))
+        for m, (f, g) in zip(ms, _lemma_walk(ms, n))
+    }
 
 
-def check_lemma_g(m: int, n: int) -> bool:
-    """Weighted lemma sum equals its closed form, exactly."""
-    return _equals(_lemma_sum(m, n, weighted=True), table1_g(m, n))
+def _lemma_verdict(m: int, n: int, weights: Iterable[int] | None) -> tuple[bool, bool]:
+    ms = tuple(sorted(set(weights or (m,))))
+    if m not in ms:
+        raise ValueError(f"weight {m} is not among the walked weights {ms}")
+    for each in ms:
+        require_lemma_args(each, n)
+    return _lemma_verdicts(ms, n)[m]
+
+
+def check_lemma_f(m: int, n: int, weights: Iterable[int] | None = None) -> bool:
+    """Unweighted lemma sum equals its closed form, exactly (not just
+    p-adically).  One walk at n serves every weight of weights (default
+    (m,)), and it is memoised for the next check at n of any of them."""
+    return _lemma_verdict(m, n, weights)[0]
+
+
+def check_lemma_g(m: int, n: int, weights: Iterable[int] | None = None) -> bool:
+    """Weighted lemma sum equals its closed form, exactly; weights as for
+    check_lemma_f."""
+    return _lemma_verdict(m, n, weights)[1]
 
 
 # ---------------------------------------------------------------------------

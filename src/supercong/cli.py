@@ -26,6 +26,7 @@ from .arith import CongruenceReport, primes_in_range
 from .checks import (
     CHECKS,
     DEFAULT_CHECK_IDS,
+    N_CAP,
     check,
     check_lemma_f,
     check_lemma_g,
@@ -51,10 +52,10 @@ FORMATS = ("text", "csv", "json")
 #: every weight.
 PRIME_CAP = 10**7
 #: Work caps, each set where its largest accepted input takes a few seconds
-#: (see the README): `wz --grid`, the upper end of `lemma`/`table --n`, of
+#: (see the README): `wz --grid`, the upper end of `lemma`/`table --n`
+#: (N_CAP, from checks, where it also sizes the lemma verdict memo), of
 #: `wz --boundary`, of `wz --telescope` and of `verify --primes`.
 GRID_CAP = 200
-N_CAP = 300
 BOUNDARY_CAP = 3001
 TELESCOPE_CAP = 1500
 VERIFY_CAP = 2000
@@ -423,11 +424,14 @@ def _cmd_verify(args: argparse.Namespace) -> list[Callable[[], CongruenceReport]
 
 def _cmd_lemma(args: argparse.Namespace) -> list[Callable[[], ScanRecord]]:
     lo, hi = args.n
+    ms = tuple(sorted(args.m))
+    # every scan walks all of ms at each n, so the first scan's walks serve the rest
     return [
-        functools.partial(_scan, check_id, f"m={m},n={lo}..{hi}", functools.partial(fn, m),
+        functools.partial(_scan, check_id, f"m={m},n={lo}..{hi}",
+                          functools.partial(fn, m, weights=ms),
                           ((n,) for n in range(lo, hi + 1)), "n={}")
         for check_id, fn in (("lemma_f", check_lemma_f), ("lemma_g", check_lemma_g))
-        for m in sorted(args.m)
+        for m in ms
     ]
 
 

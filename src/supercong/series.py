@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
@@ -158,24 +157,14 @@ def wz_G(n: int, k: int) -> Fraction:
     return sign * num / poch_neg_half(k) ** 2
 
 
-def _wz_F_row(n: int) -> Iterator[Fraction]:
-    """F(n, k) for k = 0, 1, 2, ... without end, each from the last by
-    F(n, k)/F(n, k-1) = -2(2n+2k-3)(n-k+1)/(2k-3)^2 (zero from k = n+1 on)."""
-    f = wz_F(n, 0)
-    for k in itertools.count(1):
-        yield f
-        f *= Fraction(-2 * (2 * n + 2 * k - 3) * (n - k + 1), (2 * k - 3) ** 2)
+def _wz_F_ratios(n: int) -> Iterator[tuple[int, int]]:
+    """(a, b) with F(n, k)/F(n, k-1) = a/b, for k = 1, 2, ... (a = 0 at k = n+1)."""
+    return ((-2 * (2 * n + 2 * k - 3) * (n - k + 1), (2 * k - 3) ** 2) for k in itertools.count(1))
 
 
 def _wz_G_ratios(n: int) -> Iterator[tuple[int, int]]:
     """(a, b) with G(n, k+1)/G(n, k) = a/b, for k = 1, 2, ... (a = 0 from k = n on)."""
     return ((-2 * (2 * n + 2 * k - 3) * (n - k), (2 * k - 1) ** 2) for k in itertools.count(1))
-
-
-def _wz_G_row(n: int) -> Iterator[Fraction]:
-    """G(n, k) for k = 1, 2, ... without end, each from the last by its ratio."""
-    ratios = (Fraction(a, b) for a, b in _wz_G_ratios(n))
-    return itertools.accumulate(ratios, operator.mul, initial=wz_G(n, 1))
 
 
 def wz_G_tail(n: int) -> Fraction:
@@ -187,27 +176,53 @@ def wz_G_tail(n: int) -> Fraction:
     return Fraction(*walk_total(steps, g.numerator, g.numerator, g.denominator))
 
 
+def _integer_row(start: Fraction, ratios: list[tuple[int, int]]) -> tuple[list[int], int]:
+    """(nums, den) with nums[i]/den = start times the first i ratios a/b, for
+    i = 0..len(ratios), then one 0 for the value after the row; no a is 0.
+    Numerator i is start's numerator times the product of the first i a's
+    and of the other b's, over den = start's denominator times every b.  It
+    is read off numerator i+1 by one exact division, last numerator first,
+    so each step multiplies and divides by small integers only."""
+    num = math.prod((a for a, _ in ratios), start=start.numerator)
+    nums = [0, num]
+    for a, b in reversed(ratios):
+        num = num * b // a
+        nums.append(num)
+    nums.reverse()
+    return nums, start.denominator * math.prod(b for _, b in ratios)
+
+
 @functools.lru_cache(maxsize=2)
-def _wz_rows(n: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """(F(n, 0..n+1), G(n, 1..n+1)): every value of row n that is not zero,
-    then one zero.  A scan over n = 1, 2, ... reads rows n and n+1, so two
-    memoised rows build each row once."""
-    f = tuple(itertools.islice(_wz_F_row(n), n + 2))
-    return f, tuple(itertools.islice(_wz_G_row(n), n + 1))
+def _wz_rows(n: int) -> tuple[tuple[list[int], int], tuple[list[int], int]]:
+    """(F(n, 0..n+1), G(n, 1..n+1)), each as integer numerators over one
+    denominator: every value of row n that is not zero, then one zero.  A
+    scan over n = 1, 2, ... reads rows n and n+1, so two memoised rows build
+    each row once."""
+    f = _integer_row(wz_F(n, 0), list(itertools.islice(_wz_F_ratios(n), n)))
+    return f, _integer_row(wz_G(n, 1), list(itertools.islice(_wz_G_ratios(n), max(n - 1, 0))))
 
 
-def _at(row: tuple[Fraction, ...], i: int) -> Fraction:
-    # a row ends in its first zero, and every later value is zero too
-    return row[min(i, len(row) - 1)]
+@functools.lru_cache(maxsize=1)
+def _wz_pair(n: int) -> tuple[list[int], ...]:
+    """The numerators of F(n, 0..n+2), G(n, 1..n+2) and G(n+1, 1..n+2) over
+    one common denominator, the lcm of their rows' denominators; a scan over
+    k at one n scales them once."""
+    rows = (*_wz_rows(n), _wz_rows(n + 1)[1])
+    lcm = math.lcm(*(den for _, den in rows))
+    # each row ends in its first zero, and every later value is zero too
+    return tuple(
+        (nums if den == lcm else [x * (lcm // den) for x in nums]) + [0] * (n + 3 - len(nums))
+        for nums, den in rows
+    )
 
 
 def check_wz_relation(n: int, k: int) -> bool:
     """F(n,k-1) - F(n,k) == G(n+1,k) - G(n,k), exactly.  Stated for k >= 1."""
     if k < 1:
         raise PreconditionViolated(f"the pair relation is stated for k >= 1, got k={k}")
-    f, g = _wz_rows(n)
-    g_next = _wz_rows(n + 1)[1]
-    return _at(f, k - 1) - _at(f, k) == _at(g_next, k - 1) - _at(g, k - 1)
+    f, g, g_next = _wz_pair(n)
+    k = min(k, n + 2)  # from k = n+2 on, all four values are zero
+    return f[k - 1] - f[k] == g_next[k - 1] - g[k - 1]
 
 
 def check_telescoped_identity(p: int) -> bool:

@@ -95,13 +95,13 @@ class TestLemmaClosedForms:
         assert total == Fraction(135, 16) == table1_g(3, 2)
 
     def test_incremental_terms_match_direct(self):
-        from supercong.checks import _lemma_sum
+        from supercong.checks import _lemma_walk
 
-        for m in (3, 5, 7):
-            for n in (2, 3, 7, 12):
+        for n in (2, 3, 7, 12):
+            for m, (plain, weighted) in zip((3, 5, 7), _lemma_walk((3, 5, 7), n)):
                 terms = [lemma_summand_direct(m, n, k) for k in range(n + 1)]
-                assert Fraction(*_lemma_sum(m, n, weighted=False)) == sum(terms)
-                assert Fraction(*_lemma_sum(m, n, weighted=True)) == sum(
+                assert Fraction(*plain) == sum(terms)
+                assert Fraction(*weighted) == sum(
                     t * lemma_weight_direct(k) for k, t in enumerate(terms)
                 )
 
@@ -134,7 +134,7 @@ def gosper_rd(n, k):
 
 
 def lemma3_ratio(n, k):
-    # t_(k+1)/t_k = A/B at m = 3: the step _lemma_sum takes into index k+1
+    # t_(k+1)/t_k = A/B for the m = 3 summand that _lemma_walk sums
     a = (4 * k + 3) ** 3 * (2 * k - 1) ** 2 * (k - n) * (n + k - 1)
     b = (4 * k - 1) ** 3 * (k + 1) ** 2 * (2 * n + 2 * k + 1) * (2 * k - 2 * n + 3)
     return a, b
@@ -178,26 +178,77 @@ class TestLemmaF3Proof:
 
 
 class TestLemmaIntegerWalk:
-    """The integer walk behind check_lemma_f/g against the closed forms,
-    plain and weighted."""
+    """The shared integer walk behind check_lemma_f/g: one walk per n for
+    every requested weight, plain and weighted, against the direct sums and
+    the closed forms."""
 
     @settings(max_examples=30, deadline=None)
     @given(m=st.sampled_from((3, 5, 7)), n=st.integers(2, 120))
     @example(m=3, n=2)  # f = 0
     @example(m=7, n=120)
     def test_walk_sums_equal_fraction_sums(self, m, n):
-        from supercong.checks import _lemma_sum
+        from supercong.checks import _lemma_walk
 
-        assert Fraction(*_lemma_sum(m, n, weighted=False)) == table1_f(m, n)
-        assert Fraction(*_lemma_sum(m, n, weighted=True)) == table1_g(m, n)
+        [(plain, weighted)] = _lemma_walk((m,), n)
+        assert Fraction(*plain) == table1_f(m, n)
+        assert Fraction(*weighted) == table1_g(m, n)
 
-    def test_walk_rejects_what_lemma_terms_rejects(self):
-        from supercong.checks import _lemma_sum
+    @settings(max_examples=12, deadline=None)
+    @given(
+        ms=st.lists(st.sampled_from((3, 5, 7)), min_size=1, max_size=3, unique=True)
+        .map(lambda ms: tuple(sorted(ms))),
+        n=st.integers(2, 120),
+    )
+    @example(ms=(3, 5, 7), n=2)
+    @example(ms=(3, 5, 7), n=120)
+    def test_every_cell_equals_the_direct_sum(self, ms, n):
+        from supercong.checks import _lemma_walk
 
-        for m, n in ((3, 1), (4, 5), (9, 2)):
-            for weighted in (False, True):
+        # the summand at m = 1, from rising factorials at each k, carries m
+        # through (4k-1)^(m-1); the weight is summed at each k too
+        base = [lemma_summand_direct(1, n, k) for k in range(n + 1)]
+        weights = [lemma_weight_direct(k) for k in range(n + 1)]
+        cells = _lemma_walk(ms, n)
+        assert len(cells) == len(ms)
+        for m, (plain, weighted) in zip(ms, cells):
+            terms = [t * (4 * k - 1) ** (m - 1) for k, t in enumerate(base)]
+            assert Fraction(*plain) == sum(terms, Fraction(0))
+            assert Fraction(*weighted) == sum(
+                (t * w for t, w in zip(terms, weights)), Fraction(0)
+            )
+
+    def test_checks_reject_what_the_closed_forms_reject(self):
+        for check_fn in (check_lemma_f, check_lemma_g):
+            for m, n in ((3, 1), (4, 5), (9, 2)):
                 with pytest.raises(ValueError):
-                    _lemma_sum(m, n, weighted)
+                    check_fn(m, n)
+            with pytest.raises(ValueError, match="not among the walked weights"):
+                check_fn(3, 5, weights=(5, 7))
+            with pytest.raises(ValueError, match="closed forms exist"):
+                check_fn(3, 5, weights=(3, 9))
+
+    @pytest.mark.parametrize("weights,n_range,walked", [
+        ("7,3,5", "2..300", (3, 5, 7)),  # the cap: every n of the range stays memoised
+        ("7", "2..40", (7,)),  # a single weight walks that weight alone
+    ])
+    def test_a_lemma_scan_walks_each_n_once(self, monkeypatch, capsys, weights, n_range, walked):
+        from supercong import checks, cli
+
+        walks = []
+
+        def closed_form_walk(ms, n):
+            # the closed forms as the walk's pairs, so the scan passes fast
+            walks.append((ms, n))
+            cells = [(table1_f(m, n), table1_g(m, n)) for m in ms]
+            return [((f.numerator, f.denominator), (g.numerator, g.denominator)) for f, g in cells]
+
+        monkeypatch.setattr(checks, "_lemma_walk", closed_form_walk)
+        checks._lemma_verdicts.cache_clear()
+        assert cli.run(["lemma", "--m", weights, "--n", n_range, "--format", "csv"]) == 0
+        lo, hi = map(int, n_range.split(".."))
+        assert walks == [(walked, n) for n in range(lo, hi + 1)]
+        assert capsys.readouterr().out.count("\n") == 1 + 2 * len(walked)
+        checks._lemma_verdicts.cache_clear()
 
 
 class TestLemmaSun3:

@@ -459,10 +459,10 @@ class TestOtherCommands:
     def test_a_failing_table_or_lemma_task_ends_the_run(
         self, capsys, monkeypatch, error, code, shown, argv, patched
     ):
-        def fails_at_3(m, n, _real=getattr(cli, patched)):
+        def fails_at_3(m, n, _real=getattr(cli, patched), **options):
             if n == 3:
                 raise error(f"n={n} fails")
-            return _real(m, n)
+            return _real(m, n, **options)
 
         monkeypatch.setattr(cli, patched, fails_at_3)
         assert run_cli(capsys, *argv) == (code, "", shown)

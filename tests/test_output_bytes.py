@@ -86,8 +86,9 @@ def test_stdout_bytes_at_two_workers(capsys, monkeypatch, command, fmt):
 def test_failing_scan_bytes_and_no_evaluation_after_first_failure(capsys, monkeypatch, fmt):
     calls = []
 
-    def fails_at_4(m, n):
+    def fails_at_4(m, n, weights):
         calls.append((m, n))
+        assert weights == (3, 5)  # each scan walks every weight of the command
         return n != 4
 
     monkeypatch.setattr(cli, "check_lemma_f", fails_at_4)
@@ -100,16 +101,17 @@ def test_failing_scan_bytes_and_no_evaluation_after_first_failure(capsys, monkey
 def test_failing_wz_scan_bytes_and_no_row_after_first_failure(capsys, monkeypatch, fmt):
     built = []
 
-    def recording_f_row(n, _real=series._wz_F_row):
+    def recording_f_ratios(n, _real=series._wz_F_ratios):
         built.append(n)
         return _real(n)
 
     def fails_at_3_2(n, k, _real=series.check_wz_relation):
         return (n, k) != (3, 2) and _real(n, k)
 
-    monkeypatch.setattr(series, "_wz_F_row", recording_f_row)
+    monkeypatch.setattr(series, "_wz_F_ratios", recording_f_ratios)
     monkeypatch.setattr(cli, "check_wz_relation", fails_at_3_2)
     series._wz_rows.cache_clear()
+    series._wz_pair.cache_clear()
     assert _run(capsys, CASES["wz"] + ["--format", fmt]) == (1, FAILING_WZ_SCAN[fmt])
     # (3, 1) was the last instance evaluated and read rows 3 and 4; each row
     # was built once and none past row 4

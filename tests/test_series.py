@@ -246,39 +246,62 @@ class TestTermWalk:
             assert q == start[2] * math.prod(b for _, b, _ in steps[:i])
 
 
+def _clear_wz_memos():
+    series._wz_rows.cache_clear()
+    series._wz_pair.cache_clear()
+
+
 class TestWZRows:
-    """check_wz_relation reads F and G off rows stepped along k, with at most
-    two rows memoised; the direct factorial formulas are the oracle."""
+    """check_wz_relation reads F and G off integer rows over one denominator
+    per row, stepped along k, with at most two rows memoised and each row
+    pair brought to one common denominator; the direct factorial formulas
+    are the oracle."""
 
     def test_rows_equal_direct_values(self):
-        series._wz_rows.cache_clear()
+        _clear_wz_memos()
         for n in range(0, 61):
-            f, g = series._wz_rows(n)
-            assert list(f) == [wz_F(n, k) for k in range(0, n + 2)]
-            assert list(g) == [wz_G(n, k) for k in range(1, n + 2)]
+            (f, f_den), (g, g_den) = series._wz_rows(n)
+            assert all(type(x) is int for x in f + g)
+            assert [Fraction(x, f_den) for x in f] == [wz_F(n, k) for k in range(0, n + 2)]
+            assert [Fraction(x, g_den) for x in g] == [wz_G(n, k) for k in range(1, len(g) + 1)]
+            assert len(g) == max(n, 1) + 1  # at n = 0 the row is G(0, 1) = 0, then one zero
             assert f[-1] == g[-1] == 0
+
+    def test_pair_rows_share_one_denominator(self):
+        _clear_wz_memos()
+        for n in range(0, 61):
+            f, g, g_next = series._wz_pair(n)
+            den = math.lcm(*(d for _, d in (*series._wz_rows(n), series._wz_rows(n + 1)[1])))
+            for k in range(0, n + 3):
+                assert Fraction(f[k], den) == wz_F(n, k)
+                if k >= 1:
+                    assert Fraction(g[k - 1], den) == wz_G(n, k)
+                    assert Fraction(g_next[k - 1], den) == wz_G(n + 1, k)
 
     @settings(max_examples=25, deadline=None)
     @given(cases=st.lists(
-        st.integers(0, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n + 3))),
+        st.integers(0, 60).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n + 3))),
         min_size=1, max_size=30,
     ))
     def test_relation_in_any_order_equals_direct(self, cases):
-        series._wz_rows.cache_clear()
+        _clear_wz_memos()
         for n, k in cases + [(n, n + 1) for n, _ in cases]:
             direct = wz_F(n, k - 1) - wz_F(n, k) == wz_G(n + 1, k) - wz_G(n, k)
             assert check_wz_relation(n, k) == direct
             assert series._wz_rows.cache_info().currsize <= 2
+            assert series._wz_pair.cache_info().currsize <= 1
 
     def test_a_row_scan_builds_each_row_once(self):
-        series._wz_rows.cache_clear()
+        _clear_wz_memos()
         assert all(check_wz_relation(n, k) for n in range(1, 31) for k in range(1, n + 1))
         info = series._wz_rows.cache_info()
         assert (info.misses, info.currsize) == (31, 2)
+        assert series._wz_pair.cache_info().misses == 30
 
     def test_tail_is_a_prefix_of_the_G_row(self):
         for n in range(2, 40):
-            assert wz_G_tail(n) == sum(series._wz_rows(n)[1][: n - 1], Fraction(0))
+            g, g_den = series._wz_rows(n)[1]
+            assert wz_G_tail(n) == Fraction(sum(g[: n - 1]), g_den)
             assert wz_G_tail(n) == sum((wz_G(n, k) for k in range(1, n)), Fraction(0))
 
 
