@@ -51,6 +51,7 @@ from .series import (
     PreconditionViolated,
     SumSpec,
     boundary_closed_form,
+    check_boundary_closed_form,
     check_telescoped_identity,
     check_wz_relation,
     f32_top_minus_one,

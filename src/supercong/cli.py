@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import math
 import operator
 import os
@@ -42,7 +41,7 @@ from .conjectures import (
     discover_constant,
     residue_table,
 )
-from .series import boundary_closed_form, check_telescoped_identity, check_wz_relation
+from .series import check_boundary_closed_form, check_telescoped_identity, check_wz_relation
 
 FORMATS = ("text", "csv", "json")
 
@@ -209,6 +208,8 @@ def serialize_report(report: CongruenceReport | DiscoveryResult | ScanRecord, fm
             fields = {name: _plain(value) for name, value in report._asdict().items()}
             fields.update(kind.derived(fields))
             if fmt == "json":
+                import json  # loaded by JSON runs only: text, csv and --help never need it
+
                 shown = {k: fields[k] for k in kind.json if k in fields}
                 return json.dumps(shown, separators=(",", ":"))
             if fmt == "csv":
@@ -444,8 +445,8 @@ def _cmd_wz(args: argparse.Namespace) -> list[Callable[[], ScanRecord]]:
          ((n, k) for n in grid for k in range(1, n + 1)), "n={},k={}"),
         ("wz_telescoped", f"primes {t_lo}..{t_hi}", check_telescoped_identity,
          ((p,) for p in primes_in_range(t_lo, t_hi)), "p={}"),
-        ("wz_boundary", f"odd p {b_lo}..{b_hi}",
-         lambda p: operator.eq(*boundary_closed_form(p)), ((p,) for p in odd), "p={}"),
+        ("wz_boundary", f"odd p {b_lo}..{b_hi}", check_boundary_closed_form,
+         ((p,) for p in odd), "p={}"),
     )]
 
 
@@ -471,6 +472,9 @@ def _cmd_discover(args: argparse.Namespace) -> list[Callable[[], DiscoveryResult
     # of the first failing weight raises its first failing prime's error.
     walks = [functools.partial(residue_table, family, ms, p, args.r, args.variant) for p in primes]
     tables = dict(zip(primes, _map_tasks(walks, args.jobs)))
+    # Each lift takes well under a millisecond: run() lifts and renders them
+    # in this process, with no second round of forks.
+    args.jobs = 1
     return [functools.partial(discover_constant, family, m, primes, r=args.r,
                               variant=args.variant, tables=tables) for m in ms]
 
@@ -554,8 +558,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already reported the usage error
         return 0 if exc.code in (0, None) else 2
     try:
-        rows = _map_tasks([functools.partial(_row, task, args.format)
-                           for task in args.handler(args)], args.jobs)
+        tasks = args.handler(args)  # discover's handler forks itself and sets jobs to 1
+        rows = _map_tasks([functools.partial(_row, task, args.format) for task in tasks], args.jobs)
     except (ValuationTooLow, InconsistentInput) as exc:  # ValueErrors, so caught first
         print(f"counterexample candidate: {exc}", file=sys.stderr)
         return 1

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import threading
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
@@ -167,29 +168,41 @@ def _wz_G_ratios(n: int) -> Iterator[tuple[int, int]]:
     return ((-2 * (2 * n + 2 * k - 3) * (n - k), (2 * k - 1) ** 2) for k in itertools.count(1))
 
 
+def _wz_row_starts(n: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """F(n, 0) and G(n, 1) as unreduced integer pairs (num, den).  With
+    c = 2^n (-1/2)_n = (-1)(1)(3)...(2n-3), they are
+
+        F(n, 0) = (-1)^n (4n-1) c^3 / (8^n n!^3)
+        G(n, 1) = (-1)^(n+1) 8 c^3 / (8^n (n-1)!^3),  and G(0, 1) = 0."""
+    cube = math.prod(range(-1, 2 * n - 2, 2)) ** 3
+    sign = -1 if n % 2 else 1
+    f = (sign * (4 * n - 1) * cube, math.factorial(n) ** 3 << 3 * n)
+    return f, ((-sign * 8 * cube, math.factorial(n - 1) ** 3 << 3 * n) if n else (0, 1))
+
+
 def wz_G_tail(n: int) -> Fraction:
     """sum_{k=1..n-1} G(n, k) for n >= 2, one walk along the G ratios."""
     if n < 2:
         raise PreconditionViolated(f"the G-tail is stated for n >= 2, got n={n}")
-    g = wz_G(n, 1)
+    num, den = _wz_row_starts(n)[1]
     steps = ((a, b, 1) for a, b in itertools.islice(_wz_G_ratios(n), n - 2))
-    return Fraction(*walk_total(steps, g.numerator, g.numerator, g.denominator))
+    return Fraction(*walk_total(steps, num, num, den))
 
 
-def _integer_row(start: Fraction, ratios: list[tuple[int, int]]) -> tuple[list[int], int]:
-    """(nums, den) with nums[i]/den = start times the first i ratios a/b, for
-    i = 0..len(ratios), then one 0 for the value after the row; no a is 0.
-    Numerator i is start's numerator times the product of the first i a's
-    and of the other b's, over den = start's denominator times every b.  It
-    is read off numerator i+1 by one exact division, last numerator first,
-    so each step multiplies and divides by small integers only."""
-    num = math.prod((a for a, _ in ratios), start=start.numerator)
+def _integer_row(num: int, den: int, ratios: list[tuple[int, int]]) -> tuple[list[int], int]:
+    """(nums, den) with nums[i]/den = num/den times the first i ratios a/b,
+    for i = 0..len(ratios), then one 0 for the value after the row; no a is
+    0.  Numerator i is num times the product of the first i a's and of the
+    other b's, over den times every b.  It is read off numerator i+1 by one
+    exact division, last numerator first, so each step multiplies and
+    divides by small integers only."""
+    num = math.prod((a for a, _ in ratios), start=num)
     nums = [0, num]
     for a, b in reversed(ratios):
         num = num * b // a
         nums.append(num)
     nums.reverse()
-    return nums, start.denominator * math.prod(b for _, b in ratios)
+    return nums, den * math.prod(b for _, b in ratios)
 
 
 @functools.lru_cache(maxsize=2)
@@ -198,8 +211,9 @@ def _wz_rows(n: int) -> tuple[tuple[list[int], int], tuple[list[int], int]]:
     denominator: every value of row n that is not zero, then one zero.  A
     scan over n = 1, 2, ... reads rows n and n+1, so two memoised rows build
     each row once."""
-    f = _integer_row(wz_F(n, 0), list(itertools.islice(_wz_F_ratios(n), n)))
-    return f, _integer_row(wz_G(n, 1), list(itertools.islice(_wz_G_ratios(n), max(n - 1, 0))))
+    f, g = _wz_row_starts(n)
+    return (_integer_row(*f, list(itertools.islice(_wz_F_ratios(n), n))),
+            _integer_row(*g, list(itertools.islice(_wz_G_ratios(n), max(n - 1, 0)))))
 
 
 @functools.lru_cache(maxsize=1)
@@ -225,6 +239,11 @@ def check_wz_relation(n: int, k: int) -> bool:
     return f[k - 1] - f[k] == g_next[k - 1] - g[k - 1]
 
 
+def _require_odd(p: int) -> None:
+    if p < 3 or p % 2 == 0:
+        raise PreconditionViolated(f"p must be odd and >= 3, got {p}")
+
+
 def check_telescoped_identity(p: int) -> bool:
     """Exact telescoped identity for odd p >= 3, with h = (p+1)/2:
 
@@ -232,8 +251,7 @@ def check_telescoped_identity(p: int) -> bool:
 
     The terms are the lhs of thm1 (F(n,0): A at m = 1), boundary_mod and tail_congruence.
     """
-    if p < 3 or p % 2 == 0:
-        raise PreconditionViolated(f"p must be odd and >= 3, got {p}")
+    _require_odd(p)
     h = (p + 1) // 2
     return family_sum("A", 1, h) == wz_F(h, h) + wz_G_tail(h + 1)
 
@@ -245,14 +263,70 @@ def boundary_closed_form(p: int) -> tuple[Fraction, Fraction]:
     h = (p+1)/2.  The two components are equal for every odd p; the identity
     is algebraic, not merely p-adic, so odd composites work too.
     """
-    if p < 3 or p % 2 == 0:
-        raise PreconditionViolated(f"p must be odd and >= 3, got {p}")
+    _require_odd(p)
     h = (p + 1) // 2
     closed = Fraction(
         -2 * p * (2 * p + 1) * math.comb(2 * p, p) * math.comb(p - 1, (p - 1) // 2),
         4**p * (p + 1) ** 2,
     )
     return wz_F(h, h), closed
+
+
+def _boundary_ratios(p: int) -> tuple[int, int, int, int]:
+    """(a, b, c, d): from odd p to p+2, F(h,h) steps by a/b, the product of
+    (4h+1)(4h+3) over 4(h+1)^2, and C(2p,p) C(p-1,(p-1)/2) by c/d, the
+    product of 4(2p+1)(2p+3)/((p+1)(p+2)) and 4p/(p+1)."""
+    return ((2 * p + 3) * (2 * p + 5), (p + 3) ** 2,
+            16 * p * (2 * p + 1) * (2 * p + 3), (p + 1) ** 2 * (p + 2))
+
+
+def _boundary_walk() -> Iterator[tuple[int, tuple[int, int], tuple[int, int]]]:
+    """(p, F(h,h), closed form) for odd p = 3, 5, 7, ..., h = (p+1)/2, each
+    side of boundary_closed_form as an unreduced integer pair (num, den):
+
+        F(h,h) = -(4h-1)!! / (4^h h!^2)
+        closed = -2p(2p+1) C(2p,p) C(p-1,(p-1)/2) / (4^p (p+1)^2)
+
+    Each step multiplies by small integers, and the binomial product, an
+    integer, is stepped by one exact division."""
+    f_num, f_den, binomials = -105, 64, 40  # at p = 3: -7!!, 4^2 2!^2, C(6,3) C(2,1)
+    for p in itertools.count(3, 2):
+        yield p, (f_num, f_den), (-2 * p * (2 * p + 1) * binomials, (p + 1) ** 2 << 2 * p)
+        a, b, c, d = _boundary_ratios(p)
+        f_num *= a
+        f_den *= b
+        binomials = binomials * c // d
+
+
+_boundary_lock = threading.Lock()
+_boundary_at: list = [None, None]  # the walk's latest (p, F, closed), and the walk
+
+
+def boundary_pairs(p: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """boundary_closed_form(p) as two unreduced integer pairs (num, den).
+
+    They are read off one walk over odd p, which holds O(1) values: a call
+    at a p above the last call's steps the walk on, and a call below it
+    starts the walk afresh, so a scan up the odd p steps each p once.
+    """
+    _require_odd(p)
+    with _boundary_lock:
+        at, walk = _boundary_at
+        _boundary_at[:] = None, None  # a walk that raised is never resumed
+        if at is None or at[0] > p:
+            walk = _boundary_walk()
+            at = next(walk)
+        while at[0] < p:
+            at = next(walk)
+        _boundary_at[:] = at, walk
+    return at[1], at[2]
+
+
+def check_boundary_closed_form(p: int) -> bool:
+    """operator.eq(*boundary_closed_form(p)), by one cross-multiplication of
+    boundary_pairs(p): no gcd and no Fraction."""
+    (f_num, f_den), (c_num, c_den) = boundary_pairs(p)
+    return f_num * c_den == c_num * f_den
 
 
 def _vanishes_within(base: Fraction, count: int) -> bool:

@@ -176,7 +176,7 @@ class TestLongIntegers:
             time.sleep(0.01)
             return dumps(*args, **kwargs)
 
-        monkeypatch.setattr(cli.json, "dumps", slow_dumps)
+        monkeypatch.setattr(json, "dumps", slow_dumps)
         res = DiscoveryResult("D", 1, 1, LONG, ((5, 0, 125),), True)
         lines, errors = [], []
 
@@ -366,7 +366,7 @@ class TestVerifyCommand:
         def no_boundary_scan(p):
             raise AssertionError(f"boundary form evaluated at p={p}")
 
-        monkeypatch.setattr(cli, "boundary_closed_form", no_boundary_scan)
+        monkeypatch.setattr(cli, "check_boundary_closed_form", no_boundary_scan)
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "") and message in err
 
@@ -665,6 +665,25 @@ class TestForkedWorkers:
         m, p = min(failing)
         assert serial == (code, "", f"{shown}: cell m={m} p={p} fails\n")
 
+    @pytest.mark.parametrize("argv", [
+        DISCOVER_ARGV, ["discover", "--family", "d", "--primes", "5..60"],
+    ])
+    def test_discover_forks_once_for_its_walks(self, capsys, monkeypatch, argv):
+        """At two workers discover forks one child for its walks and lifts
+        every weight in the parent, with the bytes and exit code of one
+        worker, a failing discovery included."""
+        forks = []
+
+        def counting_fork(_real=os.fork):
+            forks.append(os.getpid())
+            return _real()
+
+        monkeypatch.setattr(cli.os, "fork", counting_fork)
+        serial = run_cli(capsys, *argv, "--jobs", "1")
+        assert forks == []
+        assert run_cli(capsys, *argv, "--jobs", "2") == serial
+        assert forks == [os.getpid()]
+
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_results_of_any_picklable_kind_come_back_in_task_order(self, monkeypatch, jobs):
         _usable_cpus(monkeypatch, 3)
@@ -742,6 +761,18 @@ def test_a_run_never_imports_the_process_pool(jobs):
         "print(code, [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
     )
     assert _python(code) == "0 []"
+
+
+def test_only_a_json_run_imports_json():
+    code = (
+        "import sys; from supercong import cli; loaded = []; "
+        "runs = (['wz', '--grid', '2', '--telescope', '3..5', '--boundary', '3..5'], "
+        "['lemma', '--n', '2..4', '--format', 'csv'], ['--help'], "
+        "['table', '--n', '2..3', '--format', 'json']); "
+        "[loaded.append((cli.run(argv), 'json' in sys.modules)) for argv in runs]; "
+        "print(loaded)"
+    )
+    assert _python(code) == "[(0, False), (0, False), (0, False), (0, True)]"
 
 
 def test_a_closed_stdout_ends_the_run_with_exit_1_and_no_traceback():

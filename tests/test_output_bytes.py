@@ -62,6 +62,13 @@ FAILING_WZ_SCAN = {
     "json": "5a9025cb1ba812bbd67c629116376266c9a73f42f6248298f81d242c52b64ebb",
 }
 
+# `wz` of CASES with the boundary form failing at p = 11.
+FAILING_BOUNDARY_SCAN = {
+    "text": "cda0e629dce8bdc2c05819764a116e8294767a3b50953b1000c427344d73c508",
+    "csv": "ba35496f935f57c1a4fbd5e99642e3b7c30a825264d27f3f226d75398e3bfbdb",
+    "json": "46ca6bf5311078a7a70957f6904497d8461e676b96e5ac94a17758746cc91ae2",
+}
+
 
 def _run(capsys, argv):
     code = cli.run(argv)
@@ -116,6 +123,24 @@ def test_failing_wz_scan_bytes_and_no_row_after_first_failure(capsys, monkeypatc
     # (3, 1) was the last instance evaluated and read rows 3 and 4; each row
     # was built once and none past row 4
     assert built == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("fmt", sorted(FAILING_BOUNDARY_SCAN))
+def test_failing_boundary_scan_bytes_and_no_step_after_first_failure(capsys, monkeypatch, fmt):
+    stepped = []
+
+    def bad_step_from_9(p, _real=series._boundary_ratios):
+        stepped.append(p)
+        a, b, c, d = _real(p)
+        return (a + (p == 9), b, c, d)
+
+    monkeypatch.setattr(series, "_boundary_ratios", bad_step_from_9)
+    series.boundary_pairs(5)  # a walk past the scan's first p starts afresh
+    stepped.clear()
+    assert _run(capsys, CASES["wz"] + ["--format", fmt]) == (1, FAILING_BOUNDARY_SCAN[fmt])
+    # p = 11 is the first value off the bad step; the row still counts 13
+    # and 15, but the walk never steps past 11
+    assert stepped == [3, 5, 7, 9]
 
 
 @pytest.mark.parametrize("command", sorted(CASES))

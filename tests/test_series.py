@@ -2,7 +2,10 @@
 transformation, cross-checked against direct rising-factorial evaluation."""
 
 import math
+import operator
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -15,6 +18,8 @@ from supercong.series import (
     PreconditionViolated,
     SumSpec,
     boundary_closed_form,
+    boundary_pairs,
+    check_boundary_closed_form,
     check_telescoped_identity,
     check_wz_relation,
     f32_top_minus_one,
@@ -314,6 +319,70 @@ class TestBoundaryClosedForm:
         for p in (5, 7, 9, 15, 21, 199):
             direct, closed = boundary_closed_form(p)
             assert direct == closed
+
+
+def _agrees_with_oracle(p):
+    """check_boundary_closed_form(p) and both boundary_pairs(p) equal the
+    Fraction path: the verdict, F(h,h) and the closed form."""
+    direct, closed = boundary_closed_form(p)
+    f, c = boundary_pairs(p)
+    h = (p + 1) // 2
+    return (
+        check_boundary_closed_form(p) == operator.eq(direct, closed)
+        and all(type(x) is int for x in f + c)
+        and Fraction(*f) == wz_F(h, h) == direct
+        and Fraction(*c) == closed
+    )
+
+
+class TestBoundaryWalk:
+    """check_boundary_closed_form reads both sides of the boundary form off
+    one integer walk over odd p, compared by one cross-multiplication; the
+    Fraction boundary_closed_form and wz_F are the oracle."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(lo=st.integers(0, 160), width=st.integers(0, 40))
+    def test_odd_window_scan_equals_fraction_path(self, lo, width):
+        odd = range(max(lo | 1, 3), lo + width + 1, 2)
+        assert all(_agrees_with_oracle(p) for p in odd)
+
+    def test_descending_repeated_and_jumping_calls(self):
+        for p in (51, 49, 49, 3, 3, 201, 5, 99, 97, 99, 301, 7):
+            assert _agrees_with_oracle(p)
+            assert series._boundary_at[0][0] == p
+
+    def test_threads_scanning_different_windows(self):
+        # more threads than cores, switching often, each window restarting
+        # the shared walk under the others
+        windows = [range(lo, lo + 80, 2) for lo in (3, 81, 161, 241)]
+        got = {}
+        barrier = threading.Barrier(len(windows))
+
+        def scan(window):
+            barrier.wait()
+            got[window] = [(check_boundary_closed_form(p), boundary_pairs(p)) for p in window]
+
+        threads = [threading.Thread(target=scan, args=(w,)) for w in windows]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for window in windows:
+            for p, (verdict, (f, c)) in zip(window, got[window], strict=True):
+                direct, closed = boundary_closed_form(p)
+                assert verdict and (Fraction(*f), Fraction(*c)) == (direct, closed)
+
+    @pytest.mark.parametrize("p", [-1, 0, 1, 2, 4, 100])
+    def test_even_or_small_p_is_rejected(self, p):
+        for fn in (boundary_pairs, check_boundary_closed_form, boundary_closed_form):
+            with pytest.raises(PreconditionViolated):
+                fn(p)
 
 
 def whipple_sides_per_k(a, b, c, d, N):
