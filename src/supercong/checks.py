@@ -10,7 +10,6 @@ records valuations without pass/fail semantics.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -31,10 +30,6 @@ class IndexOutOfRange(ValueError):
 # ---------------------------------------------------------------------------
 
 TABLE1_WEIGHTS = (3, 5, 7)
-
-#: Largest n of a `lemma` or `table` scan, the CLI's cap on --n; the lemma
-#: verdict memo holds one scan's whole n range at it.
-N_CAP = 300
 
 
 def require_lemma_args(m: int, n: int = 2) -> None:
@@ -124,43 +119,47 @@ def _lemma_walk(ms: tuple[int, ...], n: int) -> list[tuple[tuple[int, int], tupl
     return [((x, q), (y, q * lcm)) for x, y in zip(plain, weighted)]
 
 
-def _equals(pair: tuple[int, int], value: Fraction) -> bool:
-    num, den = pair
-    return num * value.denominator == value.numerator * den
+def _lemma_holds(sums: tuple[tuple[int, int], ...], m: int, n: int, weighted: bool) -> bool:
+    """Whether the weighted (else the plain) sum of one _lemma_walk cell at
+    weight m and index n equals its closed form, by one cross-multiplication."""
+    closed = table1_g(m, n) if weighted else table1_f(m, n)
+    num, den = sums[weighted]
+    return num * closed.denominator == closed.numerator * den
 
 
-@functools.lru_cache(maxsize=N_CAP)
-def _lemma_verdicts(ms: tuple[int, ...], n: int) -> dict[int, tuple[bool, bool]]:
-    """{m: (plain sum equals table1_f, weighted sum equals table1_g)} for
-    every m of ms at n, from one _lemma_walk.  A scan's n range at most
-    N_CAP long stays memoised whole, so scans at each (m, sum) of the same
-    weights share one walk per n."""
-    return {
-        m: (_equals(f, table1_f(m, n)), _equals(g, table1_g(m, n)))
-        for m, (f, g) in zip(ms, _lemma_walk(ms, n))
-    }
-
-
-def _lemma_verdict(m: int, n: int, weights: Iterable[int] | None) -> tuple[bool, bool]:
-    ms = tuple(sorted(set(weights or (m,))))
-    if m not in ms:
-        raise ValueError(f"weight {m} is not among the walked weights {ms}")
-    for each in ms:
-        require_lemma_args(each, n)
-    return _lemma_verdicts(ms, n)[m]
-
-
-def check_lemma_f(m: int, n: int, weights: Iterable[int] | None = None) -> bool:
+def check_lemma_f(m: int, n: int) -> bool:
     """Unweighted lemma sum equals its closed form, exactly (not just
-    p-adically).  One walk at n serves every weight of weights (default
-    (m,)), and it is memoised for the next check at n of any of them."""
-    return _lemma_verdict(m, n, weights)[0]
+    p-adically)."""
+    require_lemma_args(m, n)
+    return _lemma_holds(_lemma_walk((m,), n)[0], m, n, False)
 
 
-def check_lemma_g(m: int, n: int, weights: Iterable[int] | None = None) -> bool:
-    """Weighted lemma sum equals its closed form, exactly; weights as for
-    check_lemma_f."""
-    return _lemma_verdict(m, n, weights)[1]
+def check_lemma_g(m: int, n: int) -> bool:
+    """Weighted lemma sum equals its closed form, exactly."""
+    require_lemma_args(m, n)
+    return _lemma_holds(_lemma_walk((m,), n)[0], m, n, True)
+
+
+_Scan = Iterator[tuple[tuple[int], bool]]  # (case, holds) in case order
+
+
+def _lemma_cell_scan(walks: Iterable[tuple[int, list]], i: int, m: int, weighted: bool) -> _Scan:
+    for n, cells in walks:
+        yield (n,), _lemma_holds(cells[i], m, n, weighted)
+
+
+def lemma_scans(ms: tuple[int, ...], lo: int, hi: int) -> list[tuple[str, int, _Scan]]:
+    """(check id, m, scan) for lemma_f and then lemma_g, each at every weight
+    m of ms, where scan yields ((n,), check_lemma_f(m, n)) or ((n,),
+    check_lemma_g(m, n)) for n = lo..hi.  The scans read one stream of
+    _lemma_walk(ms, n), one walk per n for every weight, and each compares
+    its own sums with their closed form only as far as it is read."""
+    for m in ms:
+        require_lemma_args(m, lo)
+    walks = itertools.tee(((n, _lemma_walk(ms, n)) for n in range(lo, hi + 1)), 2 * len(ms))
+    cells = itertools.product(((False, "lemma_f"), (True, "lemma_g")), enumerate(ms))
+    return [(check_id, m, _lemma_cell_scan(walk, i, m, weighted))
+            for ((weighted, check_id), (i, m)), walk in zip(cells, walks)]
 
 
 # ---------------------------------------------------------------------------

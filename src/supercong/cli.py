@@ -25,10 +25,8 @@ from .arith import CongruenceReport, primes_in_range
 from .checks import (
     CHECKS,
     DEFAULT_CHECK_IDS,
-    N_CAP,
     check,
-    check_lemma_f,
-    check_lemma_g,
+    lemma_scans,
     require_lemma_args,
     table1_f,
     table1_g,
@@ -41,7 +39,7 @@ from .conjectures import (
     discover_constant,
     residue_table,
 )
-from .series import check_boundary_closed_form, check_telescoped_identity, check_wz_relation
+from .series import boundary_scan, check_telescoped_identity, wz_relation_scan
 
 FORMATS = ("text", "csv", "json")
 
@@ -51,10 +49,10 @@ FORMATS = ("text", "csv", "json")
 #: every weight.
 PRIME_CAP = 10**7
 #: Work caps, each set where its largest accepted input takes a few seconds
-#: (see the README): `wz --grid`, the upper end of `lemma`/`table --n`
-#: (N_CAP, from checks, where it also sizes the lemma verdict memo), of
+#: (see the README): `wz --grid`, the upper end of `lemma`/`table --n`, of
 #: `wz --boundary`, of `wz --telescope` and of `verify --primes`.
 GRID_CAP = 200
+N_CAP = 300
 BOUNDARY_CAP = 3001
 TELESCOPE_CAP = 1500
 VERIFY_CAP = 2000
@@ -395,17 +393,15 @@ def _child(write_end: int, tasks: Sequence[Callable[[], Any]], start: int, step:
 
 
 def _scan(
-    check_id: str, scope: str, holds: Callable[..., bool], cases: Iterable[tuple], label: str
+    check_id: str, scope: str, results: Iterable[tuple[tuple, bool]], count: int, label: str
 ) -> ScanRecord:
-    """One record for holds(*case) over every case.  Every case is counted;
-    evaluation stops at the first failure, named label.format(*case)."""
-    count, first_failure = 0, None
-    for case in cases:
-        count += 1
-        if first_failure is None and not holds(*case):
-            first_failure = label.format(*case)
+    """One record for a scan of count cases, given as its (case, holds)
+    results in case order: every case is counted, and the results are read
+    up to the first case that fails, named label.format(*case), and no
+    further."""
     if not count:
         raise ValueError(f"{check_id}: no instances in {scope}")
+    first_failure = next((label.format(*case) for case, holds in results if not holds), None)
     return ScanRecord(check_id, scope, count, first_failure)
 
 
@@ -425,28 +421,23 @@ def _cmd_verify(args: argparse.Namespace) -> list[Callable[[], CongruenceReport]
 
 def _cmd_lemma(args: argparse.Namespace) -> list[Callable[[], ScanRecord]]:
     lo, hi = args.n
-    ms = tuple(sorted(args.m))
-    # every scan walks all of ms at each n, so the first scan's walks serve the rest
+    # the six scans of --m 3,5,7 share one walk per n
     return [
-        functools.partial(_scan, check_id, f"m={m},n={lo}..{hi}",
-                          functools.partial(fn, m, weights=ms),
-                          ((n,) for n in range(lo, hi + 1)), "n={}")
-        for check_id, fn in (("lemma_f", check_lemma_f), ("lemma_g", check_lemma_g))
-        for m in ms
+        functools.partial(_scan, check_id, f"m={m},n={lo}..{hi}", scan, hi - lo + 1, "n={}")
+        for check_id, m, scan in lemma_scans(tuple(sorted(args.m)), lo, hi)
     ]
 
 
 def _cmd_wz(args: argparse.Namespace) -> list[Callable[[], ScanRecord]]:
     (t_lo, t_hi), (b_lo, b_hi) = args.telescope, args.boundary
-    grid = range(1, args.grid + 1)
-    odd = range(max(b_lo | 1, 3), b_hi + 1, 2)
+    primes = primes_in_range(t_lo, t_hi)
     return [functools.partial(_scan, *scan) for scan in (
-        ("wz_relation", f"1<=k<=n<={args.grid}", check_wz_relation,
-         ((n, k) for n in grid for k in range(1, n + 1)), "n={},k={}"),
-        ("wz_telescoped", f"primes {t_lo}..{t_hi}", check_telescoped_identity,
-         ((p,) for p in primes_in_range(t_lo, t_hi)), "p={}"),
-        ("wz_boundary", f"odd p {b_lo}..{b_hi}", check_boundary_closed_form,
-         ((p,) for p in odd), "p={}"),
+        ("wz_relation", f"1<=k<=n<={args.grid}", wz_relation_scan(args.grid),
+         args.grid * (args.grid + 1) // 2, "n={},k={}"),
+        ("wz_telescoped", f"primes {t_lo}..{t_hi}",
+         (((p,), check_telescoped_identity(p)) for p in primes), len(primes), "p={}"),
+        ("wz_boundary", f"odd p {b_lo}..{b_hi}", boundary_scan(b_lo, b_hi),
+         len(range(max(b_lo | 1, 3), b_hi + 1, 2)), "p={}"),
     )]
 
 

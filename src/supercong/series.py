@@ -14,10 +14,8 @@ and the result deterministic.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import threading
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
@@ -189,7 +187,10 @@ def wz_G_tail(n: int) -> Fraction:
     return Fraction(*walk_total(steps, num, num, den))
 
 
-def _integer_row(num: int, den: int, ratios: list[tuple[int, int]]) -> tuple[list[int], int]:
+_Row = tuple[list[int], int]  # integer numerators over one denominator
+
+
+def _integer_row(num: int, den: int, ratios: list[tuple[int, int]]) -> _Row:
     """(nums, den) with nums[i]/den = num/den times the first i ratios a/b,
     for i = 0..len(ratios), then one 0 for the value after the row; no a is
     0.  Numerator i is num times the product of the first i a's and of the
@@ -205,23 +206,21 @@ def _integer_row(num: int, den: int, ratios: list[tuple[int, int]]) -> tuple[lis
     return nums, den * math.prod(b for _, b in ratios)
 
 
-@functools.lru_cache(maxsize=2)
-def _wz_rows(n: int) -> tuple[tuple[list[int], int], tuple[list[int], int]]:
-    """(F(n, 0..n+1), G(n, 1..n+1)), each as integer numerators over one
-    denominator: every value of row n that is not zero, then one zero.  A
-    scan over n = 1, 2, ... reads rows n and n+1, so two memoised rows build
-    each row once."""
+def _wz_rows(n: int) -> tuple[_Row, _Row]:
+    """(F(n, 0..n+1), G(n, 1..n+1)): every value of row n that is not zero,
+    then one zero."""
     f, g = _wz_row_starts(n)
     return (_integer_row(*f, list(itertools.islice(_wz_F_ratios(n), n))),
             _integer_row(*g, list(itertools.islice(_wz_G_ratios(n), max(n - 1, 0)))))
 
 
-@functools.lru_cache(maxsize=1)
-def _wz_pair(n: int) -> tuple[list[int], ...]:
+def _wz_pair(
+    n: int, rows: tuple[_Row, _Row], next_rows: tuple[_Row, _Row]
+) -> tuple[list[int], ...]:
     """The numerators of F(n, 0..n+2), G(n, 1..n+2) and G(n+1, 1..n+2) over
-    one common denominator, the lcm of their rows' denominators; a scan over
-    k at one n scales them once."""
-    rows = (*_wz_rows(n), _wz_rows(n + 1)[1])
+    one common denominator, the lcm of their rows' denominators, from
+    rows = _wz_rows(n) and next_rows = _wz_rows(n+1)."""
+    rows = (*rows, next_rows[1])
     lcm = math.lcm(*(den for _, den in rows))
     # each row ends in its first zero, and every later value is zero too
     return tuple(
@@ -230,13 +229,33 @@ def _wz_pair(n: int) -> tuple[list[int], ...]:
     )
 
 
+def _wz_holds(pair: tuple[list[int], ...], k: int) -> bool:
+    f, g, g_next = pair
+    return f[k - 1] - f[k] == g_next[k - 1] - g[k - 1]
+
+
 def check_wz_relation(n: int, k: int) -> bool:
-    """F(n,k-1) - F(n,k) == G(n+1,k) - G(n,k), exactly.  Stated for k >= 1."""
+    """F(n,k-1) - F(n,k) == G(n+1,k) - G(n,k), exactly.  Stated for n >= 0
+    and k >= 1."""
+    if n < 0:
+        raise PreconditionViolated(f"the pair relation is stated for n >= 0, got n={n}")
     if k < 1:
         raise PreconditionViolated(f"the pair relation is stated for k >= 1, got k={k}")
-    f, g, g_next = _wz_pair(n)
-    k = min(k, n + 2)  # from k = n+2 on, all four values are zero
-    return f[k - 1] - f[k] == g_next[k - 1] - g[k - 1]
+    # from k = n+2 on, all four values are zero
+    return _wz_holds(_wz_pair(n, _wz_rows(n), _wz_rows(n + 1)), min(k, n + 2))
+
+
+def wz_relation_scan(grid: int) -> Iterator[tuple[tuple[int, int], bool]]:
+    """((n, k), check_wz_relation(n, k)) for 1 <= k <= n <= grid, n-major.
+    The scan keeps rows n and n+1, so it builds each row once and brings
+    the rows of each n to one denominator once."""
+    rows = _wz_rows(1)
+    for n in range(1, grid + 1):
+        next_rows = _wz_rows(n + 1)
+        pair = _wz_pair(n, rows, next_rows)
+        for k in range(1, n + 1):
+            yield (n, k), _wz_holds(pair, k)
+        rows = next_rows
 
 
 def _require_odd(p: int) -> None:
@@ -298,35 +317,21 @@ def _boundary_walk() -> Iterator[tuple[int, tuple[int, int], tuple[int, int]]]:
         binomials = binomials * c // d
 
 
-_boundary_lock = threading.Lock()
-_boundary_at: list = [None, None]  # the walk's latest (p, F, closed), and the walk
-
-
-def boundary_pairs(p: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """boundary_closed_form(p) as two unreduced integer pairs (num, den).
-
-    They are read off one walk over odd p, which holds O(1) values: a call
-    at a p above the last call's steps the walk on, and a call below it
-    starts the walk afresh, so a scan up the odd p steps each p once.
-    """
-    _require_odd(p)
-    with _boundary_lock:
-        at, walk = _boundary_at
-        _boundary_at[:] = None, None  # a walk that raised is never resumed
-        if at is None or at[0] > p:
-            walk = _boundary_walk()
-            at = next(walk)
-        while at[0] < p:
-            at = next(walk)
-        _boundary_at[:] = at, walk
-    return at[1], at[2]
+def boundary_scan(lo: int, hi: int) -> Iterator[tuple[tuple[int], bool]]:
+    """((p,), operator.eq(*boundary_closed_form(p))) for odd p >= 3 in
+    lo..hi, read off one _boundary_walk: each verdict is one
+    cross-multiplication, with no gcd and no Fraction."""
+    walk = itertools.islice(_boundary_walk(), max((hi - 1) // 2, 0))  # p = 3..hi
+    for p, (f_num, f_den), (c_num, c_den) in walk:
+        if p >= lo:
+            yield (p,), f_num * c_den == c_num * f_den
 
 
 def check_boundary_closed_form(p: int) -> bool:
-    """operator.eq(*boundary_closed_form(p)), by one cross-multiplication of
-    boundary_pairs(p): no gcd and no Fraction."""
-    (f_num, f_den), (c_num, c_den) = boundary_pairs(p)
-    return f_num * c_den == c_num * f_den
+    """operator.eq(*boundary_closed_form(p)), by boundary_scan's walk up to p."""
+    _require_odd(p)
+    [(_, holds)] = boundary_scan(p, p)
+    return holds
 
 
 def _vanishes_within(base: Fraction, count: int) -> bool:

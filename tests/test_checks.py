@@ -2,6 +2,7 @@
 with independent brute-force oracles where the values were derived."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from supercong.checks import (
     check_lemma_g,
     check_lemma_sun3,
     check_ratio_expansion,
+    lemma_scans,
     table1_f,
     table1_g,
     table1_g_parts,
@@ -218,17 +220,44 @@ class TestLemmaIntegerWalk:
             )
 
     def test_checks_reject_what_the_closed_forms_reject(self):
-        for check_fn in (check_lemma_f, check_lemma_g):
-            for m, n in ((3, 1), (4, 5), (9, 2)):
+        for m, n in ((3, 1), (4, 5), (9, 2)):
+            for check_fn in (check_lemma_f, check_lemma_g):
                 with pytest.raises(ValueError):
                     check_fn(m, n)
-            with pytest.raises(ValueError, match="not among the walked weights"):
-                check_fn(3, 5, weights=(5, 7))
-            with pytest.raises(ValueError, match="closed forms exist"):
-                check_fn(3, 5, weights=(3, 9))
+            with pytest.raises(ValueError):
+                lemma_scans((3, m), n, 5)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        ms=st.lists(st.sampled_from((3, 5, 7)), min_size=1, max_size=3, unique=True)
+        .map(lambda ms: tuple(sorted(ms))),
+        lo=st.integers(2, 24),
+        width=st.integers(0, 6),
+        rnd=st.randoms(use_true_random=False),
+    )
+    @example(ms=(3, 5, 7), lo=2, width=0, rnd=random.Random(0))
+    def test_scans_equal_shuffled_checks_and_fraction_sums(self, ms, lo, width, rnd):
+        ns = range(lo, lo + width + 1)
+        scans = lemma_scans(ms, lo, ns[-1])
+        ids = [(check_id, m) for check_id in ("lemma_f", "lemma_g") for m in ms]
+        assert [(check_id, m) for check_id, m, _ in scans] == ids
+        results = {(check_id, m): list(scan) for check_id, m, scan in scans}
+        cases = [(check_id, m, n) for check_id, m in ids for n in ns]
+        rnd.shuffle(cases)
+        checks = {"lemma_f": check_lemma_f, "lemma_g": check_lemma_g}
+        checked = {(c, m, n): checks[c](m, n) for c, m, n in cases}
+        for n in ns:
+            base = [lemma_summand_direct(1, n, k) for k in range(n + 1)]
+            for m in ms:
+                terms = [t * (4 * k - 1) ** (m - 1) for k, t in enumerate(base)]
+                weighted = sum((t * lemma_weight_direct(k) for k, t in enumerate(terms)), Fraction(0))
+                direct = {"lemma_f": sum(terms) == table1_f(m, n), "lemma_g": weighted == table1_g(m, n)}
+                for c in checks:
+                    assert results[c, m][n - lo] == ((n,), True)
+                    assert checked[c, m, n] is direct[c] is True
 
     @pytest.mark.parametrize("weights,n_range,walked", [
-        ("7,3,5", "2..300", (3, 5, 7)),  # the cap: every n of the range stays memoised
+        ("7,3,5", "2..300", (3, 5, 7)),  # at the cap
         ("7", "2..40", (7,)),  # a single weight walks that weight alone
     ])
     def test_a_lemma_scan_walks_each_n_once(self, monkeypatch, capsys, weights, n_range, walked):
@@ -243,12 +272,10 @@ class TestLemmaIntegerWalk:
             return [((f.numerator, f.denominator), (g.numerator, g.denominator)) for f, g in cells]
 
         monkeypatch.setattr(checks, "_lemma_walk", closed_form_walk)
-        checks._lemma_verdicts.cache_clear()
         assert cli.run(["lemma", "--m", weights, "--n", n_range, "--format", "csv"]) == 0
         lo, hi = map(int, n_range.split(".."))
         assert walks == [(walked, n) for n in range(lo, hi + 1)]
         assert capsys.readouterr().out.count("\n") == 1 + 2 * len(walked)
-        checks._lemma_verdicts.cache_clear()
 
 
 class TestLemmaSun3:

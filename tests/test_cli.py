@@ -16,7 +16,7 @@ import pytest
 import supercong
 from supercong.arith import make_report
 from supercong.checks import check
-from supercong import cli, conjectures
+from supercong import checks, cli, conjectures, series
 from supercong.cli import (
     CONGRUENCE_CSV_HEADER,
     DISCOVERY_CSV_HEADER,
@@ -363,10 +363,10 @@ class TestVerifyCommand:
         ],
     )
     def test_empty_or_unbounded_range_exits_two(self, capsys, monkeypatch, argv, message):
-        def no_boundary_scan(p):
-            raise AssertionError(f"boundary form evaluated at p={p}")
+        def no_boundary_walk():
+            raise AssertionError("boundary form evaluated")
 
-        monkeypatch.setattr(cli, "check_boundary_closed_form", no_boundary_scan)
+        monkeypatch.setattr(series, "_boundary_walk", no_boundary_walk)
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "") and message in err
 
@@ -452,19 +452,19 @@ class TestOtherCommands:
         (ValueError, 2, "error: n=3 fails\n"),
         (conjectures.ValuationTooLow, 1, "counterexample candidate: n=3 fails\n"),
     ])
-    @pytest.mark.parametrize("argv,patched", [
-        (["table", "--m", "5", "--n", "2..4"], "table1_g"),
-        (["lemma", "--m", "3,5", "--n", "2..4"], "check_lemma_g"),
+    @pytest.mark.parametrize("argv,module", [
+        (["table", "--m", "5", "--n", "2..4"], cli),
+        (["lemma", "--m", "3,5", "--n", "2..4"], checks),
     ])
     def test_a_failing_table_or_lemma_task_ends_the_run(
-        self, capsys, monkeypatch, error, code, shown, argv, patched
+        self, capsys, monkeypatch, error, code, shown, argv, module
     ):
-        def fails_at_3(m, n, _real=getattr(cli, patched), **options):
+        def fails_at_3(m, n, _real=module.table1_g):
             if n == 3:
                 raise error(f"n={n} fails")
-            return _real(m, n, **options)
+            return _real(m, n)
 
-        monkeypatch.setattr(cli, patched, fails_at_3)
+        monkeypatch.setattr(module, "table1_g", fails_at_3)
         assert run_cli(capsys, *argv) == (code, "", shown)
 
     def test_lemma_rejects_bad_weight(self, capsys):

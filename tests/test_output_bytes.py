@@ -14,7 +14,7 @@ import io
 
 import pytest
 
-from supercong import cli, series
+from supercong import checks, cli, series
 
 CASES = {
     "verify": ["verify", "--checks", "lemma_sun1_printed,thm1,van_hamme", "--primes", "3..7",
@@ -89,16 +89,27 @@ def test_stdout_bytes_at_two_workers(capsys, monkeypatch, command, fmt):
     assert _run(capsys, CASES[command] + ["--format", fmt, "--jobs", "2"]) == EXPECTED[command, fmt]
 
 
+def _relation_fails_at_3_2(monkeypatch, built):
+    """Make the pair relation first fail at (n, k) = (3, 2): the F ratio of
+    row 3 at k = 2 steps one off, so F(3, k) is wrong from k = 2 on.  Each
+    row n built is appended to built."""
+
+    def f_ratios(n, _real=series._wz_F_ratios):
+        built.append(n)
+        return ((a + ((n, k) == (3, 2)), b) for k, (a, b) in enumerate(_real(n), 1))
+
+    monkeypatch.setattr(series, "_wz_F_ratios", f_ratios)
+
+
 @pytest.mark.parametrize("fmt", sorted(FAILING_SCAN))
 def test_failing_scan_bytes_and_no_evaluation_after_first_failure(capsys, monkeypatch, fmt):
     calls = []
 
-    def fails_at_4(m, n, weights):
+    def fails_at_4(m, n, _real=checks.table1_f):
         calls.append((m, n))
-        assert weights == (3, 5)  # each scan walks every weight of the command
-        return n != 4
+        return _real(m, n) + (n == 4)
 
-    monkeypatch.setattr(cli, "check_lemma_f", fails_at_4)
+    monkeypatch.setattr(checks, "table1_f", fails_at_4)
     assert _run(capsys, CASES["lemma"] + ["--format", fmt]) == (1, FAILING_SCAN[fmt])
     # the rows still count n = 5, 6, but never evaluate them
     assert calls == [(m, n) for m in (3, 5) for n in (2, 3, 4)]
@@ -107,18 +118,7 @@ def test_failing_scan_bytes_and_no_evaluation_after_first_failure(capsys, monkey
 @pytest.mark.parametrize("fmt", sorted(FAILING_WZ_SCAN))
 def test_failing_wz_scan_bytes_and_no_row_after_first_failure(capsys, monkeypatch, fmt):
     built = []
-
-    def recording_f_ratios(n, _real=series._wz_F_ratios):
-        built.append(n)
-        return _real(n)
-
-    def fails_at_3_2(n, k, _real=series.check_wz_relation):
-        return (n, k) != (3, 2) and _real(n, k)
-
-    monkeypatch.setattr(series, "_wz_F_ratios", recording_f_ratios)
-    monkeypatch.setattr(cli, "check_wz_relation", fails_at_3_2)
-    series._wz_rows.cache_clear()
-    series._wz_pair.cache_clear()
+    _relation_fails_at_3_2(monkeypatch, built)
     assert _run(capsys, CASES["wz"] + ["--format", fmt]) == (1, FAILING_WZ_SCAN[fmt])
     # (3, 1) was the last instance evaluated and read rows 3 and 4; each row
     # was built once and none past row 4
@@ -135,8 +135,6 @@ def test_failing_boundary_scan_bytes_and_no_step_after_first_failure(capsys, mon
         return (a + (p == 9), b, c, d)
 
     monkeypatch.setattr(series, "_boundary_ratios", bad_step_from_9)
-    series.boundary_pairs(5)  # a walk past the scan's first p starts afresh
-    stepped.clear()
     assert _run(capsys, CASES["wz"] + ["--format", fmt]) == (1, FAILING_BOUNDARY_SCAN[fmt])
     # p = 11 is the first value off the bad step; the row still counts 13
     # and 15, but the walk never steps past 11
@@ -147,7 +145,7 @@ def test_failing_boundary_scan_bytes_and_no_step_after_first_failure(capsys, mon
 def test_csv_rows_are_as_wide_as_their_header(capsys, monkeypatch, command):
     # A lemma scope ("m=3,n=2..6") and a failing pair relation ("n=3,k=2")
     # hold commas, so those fields must be quoted.
-    monkeypatch.setattr(cli, "check_wz_relation", lambda n, k: (n, k) != (3, 2))
+    _relation_fails_at_3_2(monkeypatch, [])
     cli.run(CASES[command] + ["--format", "csv"])
     header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
     assert rows and all(len(row) == len(header) for row in rows)

@@ -1,6 +1,7 @@
 """Summand families, the telescoping F/G pair, and the terminating
 transformation, cross-checked against direct rising-factorial evaluation."""
 
+import itertools
 import math
 import operator
 import random
@@ -18,7 +19,7 @@ from supercong.series import (
     PreconditionViolated,
     SumSpec,
     boundary_closed_form,
-    boundary_pairs,
+    boundary_scan,
     check_boundary_closed_form,
     check_telescoped_identity,
     check_wz_relation,
@@ -30,6 +31,7 @@ from supercong.series import (
     wz_F,
     wz_G,
     wz_G_tail,
+    wz_relation_scan,
 )
 from supercong.special import poch_neg_half, pochhammer
 
@@ -152,6 +154,11 @@ class TestWZPair:
         with pytest.raises(PreconditionViolated):
             check_wz_relation(3, 0)
 
+    @pytest.mark.parametrize("n", [-1, -2, -40])
+    def test_relation_needs_non_negative_n(self, n):
+        with pytest.raises(PreconditionViolated, match=f"n >= 0, got n={n}"):
+            check_wz_relation(n, 1)
+
     def test_telescoped_identity(self):
         for p in (3, 5, 7, 97):
             assert check_telescoped_identity(p)
@@ -251,19 +258,12 @@ class TestTermWalk:
             assert q == start[2] * math.prod(b for _, b, _ in steps[:i])
 
 
-def _clear_wz_memos():
-    series._wz_rows.cache_clear()
-    series._wz_pair.cache_clear()
-
-
 class TestWZRows:
     """check_wz_relation reads F and G off integer rows over one denominator
-    per row, stepped along k, with at most two rows memoised and each row
-    pair brought to one common denominator; the direct factorial formulas
-    are the oracle."""
+    per row, stepped along k, and brings each row pair to one common
+    denominator; the direct factorial formulas are the oracle."""
 
     def test_rows_equal_direct_values(self):
-        _clear_wz_memos()
         for n in range(0, 61):
             (f, f_den), (g, g_den) = series._wz_rows(n)
             assert all(type(x) is int for x in f + g)
@@ -273,10 +273,10 @@ class TestWZRows:
             assert f[-1] == g[-1] == 0
 
     def test_pair_rows_share_one_denominator(self):
-        _clear_wz_memos()
         for n in range(0, 61):
-            f, g, g_next = series._wz_pair(n)
-            den = math.lcm(*(d for _, d in (*series._wz_rows(n), series._wz_rows(n + 1)[1])))
+            rows, next_rows = series._wz_rows(n), series._wz_rows(n + 1)
+            f, g, g_next = series._wz_pair(n, rows, next_rows)
+            den = math.lcm(*(d for _, d in (*rows, next_rows[1])))
             for k in range(0, n + 3):
                 assert Fraction(f[k], den) == wz_F(n, k)
                 if k >= 1:
@@ -289,19 +289,33 @@ class TestWZRows:
         min_size=1, max_size=30,
     ))
     def test_relation_in_any_order_equals_direct(self, cases):
-        _clear_wz_memos()
         for n, k in cases + [(n, n + 1) for n, _ in cases]:
             direct = wz_F(n, k - 1) - wz_F(n, k) == wz_G(n + 1, k) - wz_G(n, k)
             assert check_wz_relation(n, k) == direct
-            assert series._wz_rows.cache_info().currsize <= 2
-            assert series._wz_pair.cache_info().currsize <= 1
 
-    def test_a_row_scan_builds_each_row_once(self):
-        _clear_wz_memos()
-        assert all(check_wz_relation(n, k) for n in range(1, 31) for k in range(1, n + 1))
-        info = series._wz_rows.cache_info()
-        assert (info.misses, info.currsize) == (31, 2)
-        assert series._wz_pair.cache_info().misses == 30
+    @settings(max_examples=20, deadline=None)
+    @given(grid=st.integers(1, 25), rnd=st.randoms(use_true_random=False))
+    @example(grid=1, rnd=random.Random(0))
+    def test_scan_equals_shuffled_checks_and_fraction_oracle(self, grid, rnd):
+        scan = list(wz_relation_scan(grid))
+        cases = [(n, k) for n in range(1, grid + 1) for k in range(1, n + 1)]
+        assert [case for case, _ in scan] == cases
+        rnd.shuffle(cases)
+        checked = {(n, k): check_wz_relation(n, k) for n, k in cases}
+        for (n, k), holds in scan:
+            direct = wz_F(n, k - 1) - wz_F(n, k) == wz_G(n + 1, k) - wz_G(n, k)
+            assert holds is checked[n, k] is direct is True
+
+    def test_a_row_scan_builds_each_row_once(self, monkeypatch):
+        built = []
+
+        def recording_f_ratios(n, _real=series._wz_F_ratios):
+            built.append(n)
+            return _real(n)
+
+        monkeypatch.setattr(series, "_wz_F_ratios", recording_f_ratios)
+        assert all(holds for _, holds in wz_relation_scan(30))
+        assert built == list(range(1, 32))
 
     def test_tail_is_a_prefix_of_the_G_row(self):
         for n in range(2, 40):
@@ -321,46 +335,44 @@ class TestBoundaryClosedForm:
             assert direct == closed
 
 
-def _agrees_with_oracle(p):
-    """check_boundary_closed_form(p) and both boundary_pairs(p) equal the
-    Fraction path: the verdict, F(h,h) and the closed form."""
-    direct, closed = boundary_closed_form(p)
-    f, c = boundary_pairs(p)
-    h = (p + 1) // 2
-    return (
-        check_boundary_closed_form(p) == operator.eq(direct, closed)
-        and all(type(x) is int for x in f + c)
-        and Fraction(*f) == wz_F(h, h) == direct
-        and Fraction(*c) == closed
-    )
-
-
 class TestBoundaryWalk:
-    """check_boundary_closed_form reads both sides of the boundary form off
-    one integer walk over odd p, compared by one cross-multiplication; the
-    Fraction boundary_closed_form and wz_F are the oracle."""
+    """boundary_scan and check_boundary_closed_form read both sides of the
+    boundary form off one integer walk over odd p, compared by one
+    cross-multiplication; the Fraction boundary_closed_form and wz_F are
+    the oracle."""
+
+    def test_walk_pairs_equal_fraction_path(self):
+        walk = itertools.islice(series._boundary_walk(), 150)
+        for p, f, c in walk:
+            direct, closed = boundary_closed_form(p)
+            assert all(type(x) is int for x in f + c)
+            assert Fraction(*f) == wz_F((p + 1) // 2, (p + 1) // 2) == direct
+            assert Fraction(*c) == closed
 
     @settings(max_examples=30, deadline=None)
-    @given(lo=st.integers(0, 160), width=st.integers(0, 40))
-    def test_odd_window_scan_equals_fraction_path(self, lo, width):
-        odd = range(max(lo | 1, 3), lo + width + 1, 2)
-        assert all(_agrees_with_oracle(p) for p in odd)
+    @given(lo=st.integers(0, 160), width=st.integers(0, 40), rnd=st.randoms(use_true_random=False))
+    def test_odd_window_scan_equals_fraction_path(self, lo, width, rnd):
+        odd = list(range(max(lo | 1, 3), lo + width + 1, 2))
+        scan = list(boundary_scan(lo, lo + width))
+        assert [case for case, _ in scan] == [(p,) for p in odd]
+        rnd.shuffle(odd)
+        checked = {p: check_boundary_closed_form(p) for p in odd}
+        for (p,), holds in scan:
+            assert holds is checked[p] is operator.eq(*boundary_closed_form(p)) is True
 
     def test_descending_repeated_and_jumping_calls(self):
         for p in (51, 49, 49, 3, 3, 201, 5, 99, 97, 99, 301, 7):
-            assert _agrees_with_oracle(p)
-            assert series._boundary_at[0][0] == p
+            assert check_boundary_closed_form(p) is operator.eq(*boundary_closed_form(p))
 
     def test_threads_scanning_different_windows(self):
-        # more threads than cores, switching often, each window restarting
-        # the shared walk under the others
+        # more threads than cores, switching often
         windows = [range(lo, lo + 80, 2) for lo in (3, 81, 161, 241)]
         got = {}
         barrier = threading.Barrier(len(windows))
 
         def scan(window):
             barrier.wait()
-            got[window] = [(check_boundary_closed_form(p), boundary_pairs(p)) for p in window]
+            got[window] = [check_boundary_closed_form(p) for p in window]
 
         threads = [threading.Thread(target=scan, args=(w,)) for w in windows]
         interval = sys.getswitchinterval()
@@ -374,13 +386,12 @@ class TestBoundaryWalk:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         for window in windows:
-            for p, (verdict, (f, c)) in zip(window, got[window], strict=True):
-                direct, closed = boundary_closed_form(p)
-                assert verdict and (Fraction(*f), Fraction(*c)) == (direct, closed)
+            for p, verdict in zip(window, got[window], strict=True):
+                assert verdict is operator.eq(*boundary_closed_form(p)) is True
 
     @pytest.mark.parametrize("p", [-1, 0, 1, 2, 4, 100])
     def test_even_or_small_p_is_rejected(self, p):
-        for fn in (boundary_pairs, check_boundary_closed_form, boundary_closed_form):
+        for fn in (check_boundary_closed_form, boundary_closed_form):
             with pytest.raises(PreconditionViolated):
                 fn(p)
 
