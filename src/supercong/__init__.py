@@ -63,8 +63,6 @@ from .series import (
     wz_G,
 )
 from .special import (
-    check_morley,
-    check_wolstenholme,
     euler_number,
     gamma_ratio_half_shift,
     h2,

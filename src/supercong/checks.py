@@ -1,5 +1,7 @@
-"""Named congruence checks over the summand families, plus the exact
-closed-form identities and per-index lemma instances backing them.
+"""Named congruence checks, one registry (CHECKS) for every congruence the
+package tests at a prime: the summand families' congruences, the lemmas
+behind them and the classical Wolstenholme and Morley congruences.  Beside
+it: the exact closed-form identities and per-index lemma instances.
 
 Every check produces a CongruenceReport carrying the exact achieved valuation
 of lhs - rhs, so over-performance (a sum beating its required modulus) is
@@ -372,6 +374,11 @@ CHECKS: dict[str, CheckDef] = {
         )
         for m in TABLE1_WEIGHTS
     },
+    # Wolstenholme (1862) and Morley (1895)
+    "wolstenholme": CheckDef(5, 3, None, lambda p: (math.comb(2 * p, p), 2, None)),
+    "morley": CheckDef(
+        5, 3, None, lambda p: (math.comb(p - 1, (p - 1) // 2), _sgn(p) * 4 ** (p - 1), None),
+    ),
     "lemma_sun3": CheckDef(
         5, 4, None,
         lambda p: _worst_k(p, _lemma_sun3_residues(p), lambda k: _lemma_sun3_values(p, k)),
@@ -388,8 +395,9 @@ CHECKS: dict[str, CheckDef] = {
     },
 }
 
-#: Canonical scan set: every registered check except the erratum documentation id.
-DEFAULT_CHECK_IDS = tuple(sorted(i for i in CHECKS if i != "lemma_sun1_printed"))
+#: Canonical scan set: every registered check except the erratum documentation
+#: id and the two classical congruences, which run only when named.
+DEFAULT_CHECK_IDS = tuple(sorted(set(CHECKS) - {"lemma_sun1_printed", "morley", "wolstenholme"}))
 
 
 def check(check_id: str, p: int, *, informational: bool = False) -> CongruenceReport:

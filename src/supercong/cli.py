@@ -4,8 +4,10 @@ deterministic text/CSV/JSON output.
 
 Exit codes: 0 when every emitted record passes, 1 when any record fails (a
 genuine valuation shortfall or broken identity), 2 on usage errors.
-Informational rows (pass = null) never fail a run.  Output is sorted by
-(check_id, p, m) and is byte-identical across worker counts.
+Informational rows (pass = null) never fail a run.  Records come in a fixed
+order, byte-identical across worker counts: verify by (check_id, p), lemma
+by (check_id, m), wz as wz_relation, wz_telescoped, wz_boundary, discover
+by m and table by (m, n).
 """
 
 from __future__ import annotations
@@ -509,7 +511,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _declare(sub, "verify", _cmd_verify, _CONGRUENCE,
              "scan named congruence checks over a prime range",
              ("--checks", dict(type=_check_ids, default="all", help="comma-separated check ids,"
-                               " or 'all' (default; excludes lemma_sun1_printed)")),
+                               " or 'all' (default; excludes lemma_sun1_printed, morley"
+                               " and wolstenholme)")),
              verify_primes,
              ("--include-p3", dict(action="store_true", help="emit informational p=3 rows"
                                    " (pass=null) for checks floored at p>=5")),

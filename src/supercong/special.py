@@ -1,6 +1,6 @@
-"""Rising factorials, second-order harmonic numbers, Euler numbers, rational
-Gamma-ratio shifts, and the two classical central-binomial congruences
-(Wolstenholme, Morley).
+"""Special functions: the one prefix cache of growing exact sequences, rising
+factorials, second-order harmonic numbers, Euler numbers and rational
+Gamma-ratio shifts.  The congruences built on them are checks.CHECKS entries.
 
 Gamma ratios are never evaluated as Gamma values: every ratio used downstream
 reduces to a quotient of rising factorials through Gamma(x+1) = x*Gamma(x),
@@ -16,7 +16,7 @@ import threading
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .arith import CongruenceReport, Rational, make_report, require_prime
+from .arith import Rational
 
 # Every growing exact sequence of the package, keyed by name: the values
 # computed so far and the iterator that yields the rest.
@@ -125,16 +125,3 @@ def gamma_ratio_half_shift(p: int) -> Fraction:
         raise ValueError(f"p must be odd and >= 3, got {p}")
     h = (p - 1) // 2
     return pochhammer(Fraction(3, 2), h) / pochhammer(1 - Fraction(p, 2), h)
-
-
-def check_wolstenholme(p: int) -> CongruenceReport:
-    """C(2p, p) = 2 (mod p^3) for primes p > 3."""
-    p = require_prime(p, "Wolstenholme's congruence", floor=5)
-    return make_report("wolstenholme", p, math.comb(2 * p, p), 2, 3)
-
-
-def check_morley(p: int) -> CongruenceReport:
-    """C(p-1, (p-1)/2) = (-1)^((p-1)/2) * 4^(p-1) (mod p^3) for primes p > 3."""
-    p = require_prime(p, "Morley's congruence", floor=5)
-    h = (p - 1) // 2
-    return make_report("morley", p, math.comb(p - 1, h), (-1) ** h * 4 ** (p - 1), 3)

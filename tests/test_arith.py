@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import supercong
-from supercong import checks, conjectures, special
+from supercong import checks, conjectures
 from supercong.arith import (
     INFINITE,
     InconsistentInput,
@@ -207,7 +207,7 @@ class TestCheckedPrime:
         reports = [
             make_report("t", require_prime(7, "t"), Fraction(1, 3), 50, 2, k=1),
             checks.check("thm1", 5),
-            special.check_wolstenholme(5),
+            checks.check("wolstenholme", 5),
             conjectures.verify_conjecture("C", 5, 7, 1, 23, "half"),
         ]
         assert [type(rep.p) for rep in reports] == [int] * 4
@@ -236,8 +236,8 @@ class TestRequirePrime:
             lambda: require_prime(3, "x", floor=5),
             lambda: checks.check("thm1", 3),
             lambda: checks.check_lemma_sun3(3, 1),
-            lambda: special.check_wolstenholme(3),
-            lambda: special.check_morley(3),
+            lambda: checks.check("wolstenholme", 3),
+            lambda: checks.check("morley", 3),
             lambda: conjectures.discover_constant("C", 1, [3, 5, 7]),
         ],
     )
@@ -254,7 +254,7 @@ class TestRequirePrime:
             lambda: make_report("x", 15, 0, 1, 1),
             lambda: checks.check("thm2", 9),
             lambda: checks.check_ratio_expansion(1, 0, 2),
-            lambda: special.check_wolstenholme(9),
+            lambda: checks.check("wolstenholme", 9),
             lambda: conjectures.conj_sum("C", 1, 9, 1, "half"),
             lambda: conjectures.extract_residue("D", 1, 4, 1, "both"),
             lambda: conjectures.discover_constant("C", 1, [5, 9]),

@@ -403,9 +403,24 @@ class TestCheckRegistry:
             check("no_such_check", 5)
 
     def test_default_ids_exclude_printed_variant(self):
-        assert "lemma_sun1_printed" not in DEFAULT_CHECK_IDS
-        assert "lemma_sun1_printed" in CHECKS
-        assert set(DEFAULT_CHECK_IDS) == set(CHECKS) - {"lemma_sun1_printed"}
+        # the 18 ids that verify and --checks all run, in their sorted order
+        assert DEFAULT_CHECK_IDS == (
+            "boundary_mod", "combined_m3", "combined_m5", "combined_m7", "gs0", "h2_cong",
+            "lemma_sun1", "lemma_sun3", "ratio_expansion_mod2", "ratio_expansion_mod4",
+            "sun_refinement", "tail_congruence", "thm1", "thm2", "thm3_m3", "thm3_m5",
+            "thm3_m7", "van_hamme",
+        )
+        opt_in = {"lemma_sun1_printed", "morley", "wolstenholme"}
+        assert opt_in <= set(CHECKS)
+        assert set(DEFAULT_CHECK_IDS) == set(CHECKS) - opt_in
+
+    @pytest.mark.parametrize("check_id,lhs,rhs", [("wolstenholme", 20, 2), ("morley", 2, -16)])
+    def test_classical_informational_p3(self, check_id, lhs, rhs):
+        # C(6,3) - 2 = 18 and C(2,1) - (-1)^1 4^2 = 18 = 2 * 3^2: one short of p^3
+        rep = check(check_id, 3, informational=True)
+        assert (rep.lhs, rep.rhs, rep.lhs - rep.rhs) == (lhs, rhs, 18)
+        assert rep.achieved_valuation == 2 and rep.required_valuation == 3
+        assert rep.passed is None and rep.m is None
 
 
 class TestLemmaSun1Variants:

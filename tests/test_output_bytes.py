@@ -4,7 +4,8 @@ Each case pins the exit code and the SHA-256 of stdout, so any change to a
 record's fields, their order, the text layout, the CSV headers or the
 exact `num/den` and `inf` renderings shows up here.  The cases include an
 informational p = 3 row, failing `lemma_sun1_printed` rows, the worst-k
-records of the three aggregate checks from p = 3 on, the inconsistent
+records of the three aggregate checks from p = 3 on, Wolstenholme's and
+Morley's congruences with their informational p = 3 rows, the inconsistent
 family d, m = 15 discovery and a failing identity scan.
 """
 
@@ -25,6 +26,7 @@ CASES = {
     "table": ["table", "--m", "3,5", "--n", "2..4"],
     "worst_k": ["verify", "--checks", "lemma_sun3,ratio_expansion_mod2,ratio_expansion_mod4",
                 "--primes", "3..61", "--include-p3"],
+    "classical": ["verify", "--checks", "wolstenholme,morley", "--primes", "3..13", "--include-p3"],
 }
 
 EXPECTED = {
@@ -46,6 +48,9 @@ EXPECTED = {
     ("worst_k", "text"): (0, "2a8e43d633625d136f695a89251c2ce0b79711b666395cb4f867e973fdcbe7e4"),
     ("worst_k", "csv"): (0, "16d282bde7d1913a4df03c93bcf7bd39e8558d3d5414ed9df29e9cfa23025344"),
     ("worst_k", "json"): (0, "6c0debfe216643c14cfc255bc8a3338f669dad3e83388c1e258e56f87ed4946c"),
+    ("classical", "text"): (0, "f2b7d3c76e9e31e04221f9ce4f7cc2aff4103d732579e64c1c86c0077dc19b8c"),
+    ("classical", "csv"): (0, "48ae95f0d6cf070fb9140d8be9d5bb396e0e1c9a0851f5798bb574fed4a0412a"),
+    ("classical", "json"): (0, "0a36761e935624999cab9b3c3fe271ac98d849218a541346ad02aa4ca407a0bd"),
 }
 
 # `lemma` of CASES with check_lemma_f failing at n = 4.
@@ -81,7 +86,8 @@ def test_stdout_bytes(capsys, command, fmt):
 
 
 @pytest.mark.parametrize(
-    "command,fmt", [key for key in sorted(EXPECTED) if key[0] in ("verify", "discover", "worst_k")]
+    "command,fmt",
+    [key for key in sorted(EXPECTED) if key[0] in ("verify", "discover", "worst_k", "classical")],
 )
 def test_stdout_bytes_at_two_workers(capsys, monkeypatch, command, fmt):
     # fork even on a one-CPU host

@@ -5,6 +5,7 @@ import itertools
 import math
 import operator
 import random
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -33,7 +34,7 @@ from supercong.series import (
     wz_G_tail,
     wz_relation_scan,
 )
-from supercong.special import poch_neg_half, pochhammer
+from supercong.special import euler_number, h2, poch_neg_half, pochhammer
 
 HALF = Fraction(1, 2)
 
@@ -522,3 +523,23 @@ class TestPochhammerRatioProduct:
     def test_rejects_even_p(self):
         with pytest.raises(PreconditionViolated):
             pochhammer_ratio_product(4, 1)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: term_value(SumSpec("A", 1, 3), -1), "k must be non-negative, got -1"),
+        (lambda: wz_F(-1, 0), "n and k must be non-negative"),
+        (lambda: wz_F(0, -1), "n and k must be non-negative"),
+        (lambda: wz_G(-1, 0), "n and k must be non-negative"),
+        (lambda: wz_G(0, -1), "n and k must be non-negative"),
+        (lambda: whipple_terminating(1, 2, 3, 4, -1), "N must be non-negative, got -1"),
+        (lambda: pochhammer_ratio_product(5, -1), "k must be non-negative, got -1"),
+        (lambda: poch_neg_half(-1), "index must be non-negative, got -1"),
+        (lambda: h2(-1), "n must be non-negative, got -1"),
+        (lambda: euler_number(-1), "n must be non-negative, got -1"),
+    ],
+)
+def test_negative_index_is_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

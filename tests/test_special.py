@@ -9,9 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from supercong.arith import InvalidPrime
+from supercong.checks import check
 from supercong.special import (
-    check_morley,
-    check_wolstenholme,
     euler_number,
     gamma_ratio_half_shift,
     h2,
@@ -118,27 +117,29 @@ class TestGammaRatioHalfShift:
 
 
 class TestClassicalCongruences:
+    """Wolstenholme's and Morley's congruences, registered checks."""
+
     def test_wolstenholme_at_5(self):
-        rep = check_wolstenholme(5)
+        rep = check("wolstenholme", 5)
         assert rep.lhs - rep.rhs == 250  # C(10,5) - 2 = 2 * 5^3
         assert rep.achieved_valuation == 3 and rep.passed
 
     def test_wolstenholme_scan(self):
         for p in (7, 11, 13, 97, 199):
-            assert check_wolstenholme(p).passed
+            assert check("wolstenholme", p).passed
 
     def test_morley_at_5(self):
-        rep = check_morley(5)
+        rep = check("morley", 5)
         assert rep.lhs == 6 and rep.rhs == 256
         assert rep.achieved_valuation == 3 and rep.passed
 
     def test_morley_scan(self):
         for p in (7, 11, 13, 97, 199):
-            assert check_morley(p).passed
+            assert check("morley", p).passed
 
     def test_domain_floor(self):
-        for fn in (check_wolstenholme, check_morley):
+        for check_id in ("wolstenholme", "morley"):
             with pytest.raises(InvalidPrime):
-                fn(3)
+                check(check_id, 3)
             with pytest.raises(InvalidPrime):
-                fn(9)
+                check(check_id, 9)
