@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .arith import CongruenceReport, PrimeTooSmall, make_report, require_prime, split_power, vp
 from .series import family_sum, pochhammer_ratio_product, wz_F, wz_G_tail
-from .special import cached, euler_number, h2, poch_neg_half, poch_pos_half
+from .special import cached, euler_number, h2, poch_pos_half
 
 
 class IndexOutOfRange(ValueError):
@@ -77,15 +77,16 @@ def table1_g(m: int, n: int) -> Fraction:
     return rational + coeff * h2(n)
 
 
-def _weights() -> Iterator[Fraction]:
-    terms = (Fraction(1, 4 * j * j) - Fraction(1, (2 * j - 3) ** 2) for j in itertools.count(1))
-    return itertools.accumulate(terms, initial=Fraction(0))
-
-
-def _weight(k: int) -> Fraction:
-    """Inner weight sum_{j=1..k} (1/(2j)^2 - 1/(2j-3)^2) of the order-4 product
-    expansion; the weighted lemma sum carries the same weights as integers."""
-    return cached("weights", _weights, k)
+def _shifted_steps() -> Iterator[tuple[int, int, int]]:
+    """The factors (c - e)/(d - e), c = (2j-3)^2 and d = (2j)^2, of
+    prod_{j=1..k} ((2j-3)^2 - e)/((2j)^2 - e) for j = 1, 2, ..., to first
+    order in e: (cd + (c - d)e)/d^2 as (cd, c - d, d^2).  The product's e^0
+    coefficient is u_k^2, u_k = (-1/2)_k/k!, and its e coefficient u_k^2 w_k
+    with w_k = sum_{j=1..k} (1/(2j)^2 - 1/(2j-3)^2), the weight of the
+    order-4 ratio expansion and of the weighted lemma sum."""
+    for j in itertools.count(1):
+        c, d = (2 * j - 3) ** 2, 4 * j * j
+        yield c * d, c - d, d * d
 
 
 def _lemma_walk(ms: tuple[int, ...], n: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
@@ -94,31 +95,27 @@ def _lemma_walk(ms: tuple[int, ...], n: int) -> list[tuple[tuple[int, int], tupl
 
         t_k = (4k-1)^m (-1/2)_k^2 (-n)_k (n-1)_k / ((1)_k^2 (n+1/2)_k (3/2-n)_k),
 
-    plain and with each term times _weight(k), as unreduced (numerator,
-    denominator) pairs, from one walk along k for every m.
-
-    The walk keeps the term without its (4k-1)^m factor as p/q, stepped by
-    the ratio t_k/t_(k-1) without that factor, and weight k as an integer
-    w/L over the common denominator L = lcm of (2j)^2 and (2j-3)^2 for
-    j <= n.  Each m keeps its own two running sums over the shared q, by
-    walk_total's recurrence.
+    plain and with each term times the weight w_k of _shifted_steps, as
+    (numerator, denominator) pairs over one denominator, from one walk along
+    k for every m.  The walk keeps the term without its (4k-1)^m factor as
+    (p0 + e p1)/q, its ratio's (2k-3)^2/(2k)^2 factor taken from
+    _shifted_steps, so p1/q is the term times w_k.  Each m keeps its own two
+    running sums over q, by walk_total's recurrence.
     """
-    lcm = math.lcm(*range(2, 2 * n + 1, 2), *range(1, 2 * n - 2, 2)) ** 2
-    p = q = 1
-    w = 0
+    p0 = q = 1
+    p1 = 0
     plain = [-1] * len(ms)  # k = 0: term (-1)^m = -1, weight 0
     weighted = [0] * len(ms)
-    for k in range(1, n + 1):
-        b = k * k * (2 * n + 2 * k - 1) * (2 * k - 2 * n + 1)
-        p *= (2 * k - 3) ** 2 * (k - 1 - n) * (n + k - 2)
+    for k, (cd, c_d, d2) in zip(range(1, n + 1), _shifted_steps()):
+        x = 4 * (k - 1 - n) * (n + k - 2)  # (2k-3)^2/k^2 = 4c/d
+        b = d2 * (2 * n + 2 * k - 1) * (2 * k - 2 * n + 1)
+        p0, p1 = p0 * cd * x, (p1 * cd + p0 * c_d) * x
         q *= b
-        w += lcm // (4 * k * k) - lcm // (2 * k - 3) ** 2
-        wp = w * p
         for i, m in enumerate(ms):
             c = (4 * k - 1) ** m
-            plain[i] = plain[i] * b + c * p
-            weighted[i] = weighted[i] * b + c * wp
-    return [((x, q), (y, q * lcm)) for x, y in zip(plain, weighted)]
+            plain[i] = plain[i] * b + c * p0
+            weighted[i] = weighted[i] * b + c * p1
+    return [((x, q), (y, q)) for x, y in zip(plain, weighted)]
 
 
 def _lemma_holds(sums: tuple[tuple[int, int], ...], m: int, n: int, weighted: bool) -> bool:
@@ -211,7 +208,9 @@ def check_ratio_expansion(p: int, k: int, order: int) -> CongruenceReport:
         order 4:  (-1/2)_k^2/k!^2 * (1 + p^2 sum_{j=1..k} (1/(2j)^2 - 1/(2j-3)^2))
         order 2:  (-1/2)_k^2/k!^2
 
-    for odd primes and 0 <= k <= (p+1)/2; required valuation = order.
+    for odd primes and 0 <= k <= (p+1)/2; required valuation = order.  The
+    order-4 rhs is that product, the lhs, with p^2 read as e and truncated
+    after its first order in e (_shifted_steps); order 2 keeps e^0 alone.
     """
     if order not in (2, 4):
         raise ValueError(f"order must be 2 or 4, got {order}")
@@ -223,9 +222,11 @@ def check_ratio_expansion(p: int, k: int, order: int) -> CongruenceReport:
 
 
 def _ratio_expansion_values(p: int, k: int, order: int) -> tuple[Fraction, Fraction]:
-    u2 = (poch_neg_half(k) / math.factorial(k)) ** 2
-    rhs = u2 if order == 2 else u2 * (1 + p * p * _weight(k))
-    return pochhammer_ratio_product(p, k), rhs
+    a0, a1, b = 1, 0, 1
+    for cd, c_d, d2 in itertools.islice(_shifted_steps(), k):
+        a0, a1, b = a0 * cd, a1 * cd + a0 * c_d, b * d2
+    e = p * p if order == 4 else 0
+    return pochhammer_ratio_product(p, k), Fraction(a0 + e * a1, b)
 
 
 # ---------------------------------------------------------------------------
@@ -311,24 +312,20 @@ def _lemma_sun3_residues(p: int) -> Iterator[tuple[int, int, int, int, int]]:
 
 
 def _ratio_expansion_residues(p: int, order: int) -> Iterator[tuple[int, int, int, int, int]]:
-    # From k-1 to k, lhs advances by (c^2 - p^2)/(d^2 - p^2) and
-    # u = (-1/2)_k/k! by c/d, where c = 2k-3 and d = 2k; the order-4 weight
-    # wn/wd adds 1/d^2 - 1/c^2.  For k <= (p+1)/2, d lies in [2, p+1] and c
-    # in [-1, p-2], so neither is 0 mod p and both sides are p-adic units.
+    # From k-1 to k, lhs advances by (c^2 - p^2)/(d^2 - p^2), c = 2k-3 and
+    # d = 2k, and rhs is _ratio_expansion_values' walk mod p^N.  For k <=
+    # (p+1)/2, d lies in [2, p+1] and c in [-1, p-2], so neither is 0 mod p
+    # and both sides are p-adic units.
     mod = p**WORST_K_DIGITS
-    ln = ld = un = ud = wd = 1
-    wn = 0
+    e = p * p if order == 4 else 0
+    ln = ld = a0 = b = 1
+    a1 = 0
     yield 0, 1, 1, 1, 1
-    for k in range(1, (p + 1) // 2 + 1):
+    for k, (cd, c_d, d2) in zip(range(1, (p + 1) // 2 + 1), _shifted_steps()):
         c, d = 2 * k - 3, 2 * k
         ln, ld = ln * (c * c - p * p) % mod, ld * (d * d - p * p) % mod
-        un, ud = un * c % mod, ud * d % mod
-        rn, rd = un * un, ud * ud
-        if order == 4:
-            c2, d2 = c * c, d * d
-            wn, wd = (wn * c2 * d2 + wd * (c2 - d2)) % mod, wd * c2 * d2 % mod
-            rn, rd = rn * (wd + p * p * wn), rd * wd
-        yield k, ln, ld, rn % mod, rd % mod
+        a0, a1, b = a0 * cd % mod, (a1 * cd + a0 * c_d) % mod, b * d2 % mod
+        yield k, ln, ld, (a0 + e * a1) % mod, b
 
 
 CHECKS: dict[str, CheckDef] = {

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from supercong.arith import InvalidPrime, PrimePower, reduce_mod
+from supercong.arith import InvalidPrime, PrimePower, primes_in_range, reduce_mod
 from supercong.checks import (
     CHECKS,
     DEFAULT_CHECK_IDS,
@@ -25,6 +25,7 @@ from supercong.checks import (
     table1_g,
     table1_g_parts,
 )
+from supercong.series import pochhammer_ratio_product
 from supercong.special import h2, pochhammer
 
 HALF = Fraction(1, 2)
@@ -332,6 +333,24 @@ class TestRatioExpansion:
 
     def test_p7_k4_order2(self):
         assert check_ratio_expansion(7, 4, 2).passed
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        pk=st.sampled_from(primes_in_range(3, 401))
+        .flatmap(lambda p: st.tuples(st.just(p), st.integers(0, (p + 1) // 2))),
+        order=st.sampled_from((2, 4)),
+    )
+    @example(pk=(3, 2), order=4)
+    @example(pk=(5, 3), order=4)
+    @example(pk=(401, 201), order=4)
+    @example(pk=(401, 201), order=2)
+    def test_rhs_is_the_expansion_summed_directly(self, pk, order):
+        # the weight summed as Fractions, apart from the walk both sides share
+        p, k = pk
+        rep = check_ratio_expansion(p, k, order)
+        u2 = (pochhammer(-HALF, k) / math.factorial(k)) ** 2
+        assert rep.rhs == (u2 * (1 + p * p * lemma_weight_direct(k)) if order == 4 else u2)
+        assert rep.lhs == pochhammer_ratio_product(p, k)
 
     def test_index_and_order_validation(self):
         with pytest.raises(IndexOutOfRange):
