@@ -179,14 +179,23 @@ def make_report(
     r: int | None = None,
     k: int | None = None,
     informational: bool = False,
+    prime_checked: bool = False,
 ) -> CongruenceReport:
-    """Build a report, computing the achieved valuation from exact rationals.
+    """Build a report, computing the achieved valuation from exact rationals
+    as v_p(ln rd - rn ld) - v_p(ld) - v_p(rd), lhs = ln/ld and rhs = rn/rd:
+    no reduced difference, so no gcd of one.
 
-    p must be an odd prime (InvalidPrime otherwise); the report holds it as
-    a plain int.  informational=True records no verdict (passed is None).
+    p must be an odd prime (InvalidPrime otherwise), tested here unless
+    prime_checked says require_prime returned it; the report holds it as a
+    plain int.  informational=True records no verdict (passed is None).
     """
-    p = require_prime(p, "make_report")
-    lhs, rhs = Fraction(lhs), Fraction(rhs)
-    achieved = vp(lhs - rhs, p)
+    if not prime_checked:
+        p = require_prime(p, "make_report")
+    if type(lhs) is not Fraction or type(rhs) is not Fraction:  # Fraction(x) copies x slowly
+        lhs, rhs = Fraction(lhs), Fraction(rhs)
+    ld, rd = lhs.denominator, rhs.denominator
+    cross = lhs.numerator * rd - rhs.numerator * ld
+    achieved = INFINITE if cross == 0 else (
+        split_power(cross, p)[0] - split_power(ld, p)[0] - split_power(rd, p)[0])
     passed = None if informational else achieved >= required
     return CongruenceReport(check_id, p, lhs, rhs, required, achieved, passed, m=m, r=r, k=k)

@@ -19,8 +19,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .arith import CongruenceReport, PrimeTooSmall, make_report, require_prime, split_power, vp
-from .series import family_sum, pochhammer_ratio_product, wz_F, wz_G_tail
-from .special import cached, euler_number, h2, poch_pos_half
+from .series import boundary_term, family_sum, pochhammer_ratio_product
+from .special import cached, euler_number, h2
 
 
 class IndexOutOfRange(ValueError):
@@ -167,21 +167,16 @@ def lemma_scans(ms: tuple[int, ...], lo: int, hi: int) -> list[tuple[str, int, _
 
 
 def _lemma_sun3_values(p: int, k: int) -> tuple[Fraction, Fraction]:
+    # (1/2)_n = (2n-1)!!/2^n turns the lhs into the integer quotient
+    # sign (p!!)^2 (2h+2k-1)!! / (2^(3h+1-k) h!^2 (h+1-k)! ((2k-1)!!)^2)
     h = (p - 1) // 2
     sign = -1 if (h + 1 + k) % 2 else 1
-    lhs = (
-        sign
-        * 2
-        * poch_pos_half(h + 1) ** 2
-        * poch_pos_half(h + k)
-        / (
-            Fraction(math.factorial(h)) ** 2
-            * math.factorial(h + 1 - k)
-            * poch_pos_half(k) ** 2
-        )
-    )
+    p_odd = math.prod(range(1, p + 1, 2))
+    num = sign * p_odd * p_odd * math.prod(range(p + 2, p + 2 * k - 1, 2), start=p_odd)
+    k_odd = math.prod(range(1, 2 * k, 2))
+    den = math.factorial(h) ** 2 * math.factorial(h + 1 - k) * k_odd * k_odd << 3 * h + 1 - k
     rhs = Fraction(p**3 * 4**k, 2 * k * (2 * k - 1) * math.comb(2 * k, k))
-    return lhs, rhs
+    return Fraction(num, den), rhs
 
 
 def check_lemma_sun3(p: int, k: int) -> CongruenceReport:
@@ -275,57 +270,61 @@ WORST_K_DIGITS = 12
 
 
 def _worst_k(
-    p: int,
-    residues: Iterable[tuple[int, int, int, int, int]],
-    values: Callable[[int], tuple[Fraction, Fraction]],
+    p: int, first: int, crosses: list[int], values: Callable[[int], tuple[Fraction, Fraction]]
 ) -> tuple[Fraction, Fraction, int]:
     """(lhs, rhs, k) at the first k with the least v_p(lhs - rhs), where
-    values(k) is the exact (lhs, rhs) and residues walks (k, ln, ld, rn, rd)
-    with lhs = ln/ld and rhs = rn/rd mod p^N, N = WORST_K_DIGITS.  With ld
-    and rd prime to p, v_p(ln rd - rn ld mod p^N) is the exact valuation
-    wherever it is below N; when every k reaches N, values compares them."""
-    mod = p**WORST_K_DIGITS
-    found = []  # (capped valuation, k) in increasing k
-    for k, ln, ld, rn, rd in residues:
-        cross = (ln * rd - rn * ld) % mod
-        found.append((split_power(cross, p)[0] if cross else WORST_K_DIGITS, k))
-    v, k = min(found)
-    if v == WORST_K_DIGITS:
-        return min(((*values(k), k) for _, k in found), key=lambda t: vp(t[0] - t[1], p))
-    return (*values(k), k)
+    values(k) is the exact (lhs, rhs) and crosses[i], at k = first + i, is
+    lhs - rhs times a p-adic unit mod p^N, N = WORST_K_DIGITS: its valuation
+    is the exact one wherever it is below N.  A cross divisible by p^v, v
+    the least valuation so far, cannot lower it and is not split.  When
+    every k reaches N, values compares them."""
+    v, worst, least = WORST_K_DIGITS, None, p**WORST_K_DIGITS  # least = p^v
+    for k, cross in enumerate(crosses, first):
+        if cross % least:
+            v, worst = split_power(cross, p)[0], k
+            least = p**v
+    if worst is None:
+        ks = range(first, first + len(crosses))
+        return min(((*values(k), k) for k in ks), key=lambda t: vp(t[0] - t[1], p))
+    return (*values(worst), worst)
 
 
-def _lemma_sun3_residues(p: int) -> Iterator[tuple[int, int, int, int, int]]:
-    # At k = 1 both sides are p^3 times a ratio of integers below p.  From
-    # k-1 to k, lhs advances by -2(2h+2k-1)(h+2-k)/(2k-1)^2 and rhs by
-    # (2k-2)(2k-3)/(2k-1)^2, and (2k-1)^2 <= (p-2)^2 is prime to p.
+def _lemma_sun3_crosses(p: int) -> list[int]:
+    """_worst_k's crosses of lemma_sun3 at p, from k = 1.  At k = 1 both
+    sides are p^3 times a ratio of integers below p.  From k-1 to k, lhs
+    advances by -2(2h+2k-1)(h+2-k)/(2k-1)^2 and rhs by (2k-2)(2k-3)/(2k-1)^2:
+    over one denominator, prime to p, so the cross steps by the numerators."""
     mod, h = p**WORST_K_DIGITS, (p - 1) // 2
     lhs, rhs = _lemma_sun3_values(p, 1)
-    ln, ld = lhs.numerator % mod, lhs.denominator % mod
-    rn, rd = rhs.numerator % mod, rhs.denominator % mod
-    yield 1, ln, ld, rn, rd
+    ln, rn = lhs.numerator * rhs.denominator % mod, rhs.numerator * lhs.denominator % mod
+    crosses = [ln - rn]
     for k in range(2, h + 1):
-        d = (2 * k - 1) ** 2
-        ln, ld = ln * -2 * (2 * h + 2 * k - 1) * (h + 2 - k) % mod, ld * d % mod
-        rn, rd = rn * (2 * k - 2) * (2 * k - 3) % mod, rd * d % mod
-        yield k, ln, ld, rn, rd
+        ln = ln * -2 * (2 * h + 2 * k - 1) * (h + 2 - k) % mod
+        rn = rn * (2 * k - 2) * (2 * k - 3) % mod
+        crosses.append(ln - rn)
+    return crosses
 
 
-def _ratio_expansion_residues(p: int, order: int) -> Iterator[tuple[int, int, int, int, int]]:
-    # From k-1 to k, lhs advances by (c^2 - p^2)/(d^2 - p^2), c = 2k-3 and
-    # d = 2k, and rhs is _ratio_expansion_values' walk mod p^N.  For k <=
-    # (p+1)/2, d lies in [2, p+1] and c in [-1, p-2], so neither is 0 mod p
-    # and both sides are p-adic units.
-    mod = p**WORST_K_DIGITS
-    e = p * p if order == 4 else 0
-    ln = ld = a0 = b = 1
-    a1 = 0
-    yield 0, 1, 1, 1, 1
-    for k, (cd, c_d, d2) in zip(range(1, (p + 1) // 2 + 1), _shifted_steps()):
-        c, d = 2 * k - 3, 2 * k
-        ln, ld = ln * (c * c - p * p) % mod, ld * (d * d - p * p) % mod
-        a0, a1, b = a0 * cd % mod, (a1 * cd + a0 * c_d) % mod, b * d2 % mod
-        yield k, ln, ld, (a0 + e * a1) % mod, b
+def _ratio_expansion_crosses(p: int, order: int) -> list[int]:
+    """_worst_k's crosses of ratio_expansion_mod<order> at p, from k = 0.
+    With _shifted_steps' (cd, c - d, d^2) and e = p^2, lhs is the product
+    of the steps (c - e)/(d - e) = (cd + (c - d)e - e^2)/(d^2 - e^2) and rhs
+    that of cd/d^2, times 1 + e w at order 4, w the sum of the steps'
+    (c - d)/(cd).  For k <= (p+1)/2, c and d are squares of integers in
+    [-1, p+1] other than 0 and p, so every factor is a p-adic unit, and
+    lhs - rhs is rhs (x/y - 1 - e w) for x/y the product of the steps'
+    ratios: the cross is x - y - e w y, times w's denominator."""
+    mod, e, e2 = p**WORST_K_DIGITS, p * p, p**4
+    x, y, w_num, w_den = 1, 1, 0, 1
+    crosses = [0]
+    for cd, c_d, d2 in itertools.islice(_shifted_steps(), (p + 1) // 2):
+        x, y = x * ((cd + c_d * e - e2) * d2) % mod, y * ((d2 - e2) * cd) % mod
+        if order == 2:
+            crosses.append(x - y)
+        else:
+            w_num, w_den = (w_num * cd + c_d * w_den) % mod, w_den * cd % mod
+            crosses.append(((x - y) * w_den - e * w_num * y) % mod)
+    return crosses
 
 
 CHECKS: dict[str, CheckDef] = {
@@ -351,13 +350,15 @@ CHECKS: dict[str, CheckDef] = {
     "lemma_sun1_printed": CheckDef(
         5, 1, None, lambda p: (_central_binomial_sum(p), euler_number(p - 1) - 1 + _sgn(p), None),
     ),
+    # the G-tail sum_{k=1..h} G(h+1, k) by the telescoped identity: thm1's
+    # lhs less F(h, h), h = (p+1)/2
     "tail_congruence": CheckDef(
         5, 4, None,
-        lambda p: (wz_G_tail((p + 3) // 2), p**3 * (2 - _sgn(p) - euler_number(p - 3)), None),
+        lambda p: (_sum_a(1, p) - boundary_term(p), p**3 * (2 - _sgn(p) - euler_number(p - 3)),
+                   None),
     ),
     "boundary_mod": CheckDef(
-        5, 4, None,
-        lambda p: (wz_F((p + 1) // 2, (p + 1) // 2), Fraction(_sgn(p) * (p**3 - p)), None),
+        5, 4, None, lambda p: (boundary_term(p), Fraction(_sgn(p) * (p**3 - p)), None),
     ),
     "h2_cong": CheckDef(5, 1, None, lambda p: (h2((p + 1) // 2), Fraction(4), None)),
     **{
@@ -378,13 +379,13 @@ CHECKS: dict[str, CheckDef] = {
     ),
     "lemma_sun3": CheckDef(
         5, 4, None,
-        lambda p: _worst_k(p, _lemma_sun3_residues(p), lambda k: _lemma_sun3_values(p, k)),
+        lambda p: _worst_k(p, 1, _lemma_sun3_crosses(p), lambda k: _lemma_sun3_values(p, k)),
     ),
     **{
         f"ratio_expansion_mod{order}": CheckDef(
             3, order, None,
             lambda p, order=order: _worst_k(
-                p, _ratio_expansion_residues(p, order),
+                p, 0, _ratio_expansion_crosses(p, order),
                 lambda k: _ratio_expansion_values(p, k, order),
             ),
         )
@@ -413,5 +414,5 @@ def check(check_id: str, p: int, *, informational: bool = False) -> CongruenceRe
     lhs, rhs, k = spec.values(p)
     return make_report(
         check_id, p, lhs, rhs, spec.required,
-        m=spec.m, k=k, informational=informational and p < spec.floor,
+        m=spec.m, k=k, informational=informational and p < spec.floor, prime_checked=True,
     )

@@ -112,17 +112,18 @@ def _short(s: str, width: int = 30) -> str:
 
 class _Kind(NamedTuple):
     """How one record kind renders.  Its named fields are the record's own
-    attributes, as _plain shows them, followed by those derived from them;
-    json and csv name the fields each format carries, in order (the JSON
-    object leaves out a json name that is not among the fields), and text is
-    the str.format template of a text row, where None shows as "-".  A run's
-    text output starts with text_header, if any, and passes when every
-    record does."""
+    attributes, as _plain shows them, followed by those derived from them,
+    and for text rows alone by text_derived's; json and csv name the fields
+    each format carries, in order (the JSON object leaves out a json name
+    that is not among the fields), and text is the str.format template of a
+    text row, where None shows as "-".  A run's text output starts with
+    text_header, if any, and passes when every record does."""
 
     json: tuple[str, ...]
     csv: tuple[str, ...]
     text: str
     derived: Callable[[dict[str, Any]], dict[str, object]] = lambda fields: {}
+    text_derived: Callable[[dict[str, Any]], dict[str, object]] = lambda fields: {}
     passes: Callable[[Any], bool] = lambda record: True
     text_header: str | None = None
 
@@ -141,12 +142,14 @@ _CONGRUENCE = _Kind(
     json=_CONGRUENCE_COLUMNS + ("informational",),
     csv=_CONGRUENCE_COLUMNS,
     text=_CONGRUENCE_TEXT,
-    derived=lambda f: {
-        "pass": f["passed"],
+    derived=lambda f: {"pass": f["passed"]} | (
+        {"informational": True} if f["passed"] is None else {}
+    ),
+    text_derived=lambda f: {
         "lhs_short": _short(f["lhs"]),
         "rhs_short": _short(f["rhs"]),
         "status": "info" if f["passed"] is None else ("pass" if f["passed"] else "FAIL"),
-    } | ({"informational": True} if f["passed"] is None else {}),
+    },
     passes=lambda rep: rep.passed is not False,  # informational rows never fail
     text_header=CONGRUENCE_TEXT_HEADER,
 )
@@ -160,8 +163,8 @@ _DISCOVERY = _Kind(
         "n_primes": len(f["evidence"]),
         "prime_min": min(f["evidence"])[0],
         "prime_max": max(f["evidence"])[0],
-        "consistent_text": "true" if f["consistent"] else "FALSE",
     },
+    text_derived=lambda f: {"consistent_text": "true" if f["consistent"] else "FALSE"},
     passes=lambda res: res.consistent,
 )
 _SCAN_COLUMNS = ("check_id", "scope", "instances", "pass", "first_failure")
@@ -169,8 +172,8 @@ _SCAN = _Kind(
     json=_SCAN_COLUMNS,
     csv=_SCAN_COLUMNS,
     text="{check_id:<16} {scope:<16} {instances:>6} instances  {status}",
-    derived=lambda f: {
-        "pass": f["first_failure"] is None,
+    derived=lambda f: {"pass": f["first_failure"] is None},
+    text_derived=lambda f: {
         "status": "pass" if f["first_failure"] is None else f"FAIL at {f['first_failure']}",
     },
     passes=lambda rec: rec.first_failure is None,
@@ -187,6 +190,7 @@ _KINDS = {
 CONGRUENCE_CSV_HEADER = ",".join(_CONGRUENCE.csv)
 DISCOVERY_CSV_HEADER = ",".join(_DISCOVERY.csv)
 _digit_limit_lock = threading.Lock()
+_json_encoder = None  # built by the first JSON record: text, csv and --help never import json
 
 
 def serialize_report(report: CongruenceReport | DiscoveryResult | ScanRecord, fmt: str = "json") -> str:
@@ -197,6 +201,7 @@ def serialize_report(report: CongruenceReport | DiscoveryResult | ScanRecord, fm
     use the same column order as their stream headers (emitted separately);
     a CSV field holding a comma, quote or newline is quoted as in RFC 4180.
     """
+    global _json_encoder
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
     with _digit_limit_lock:  # the limit is process-wide: one rendering lifts it at a time
@@ -208,12 +213,14 @@ def serialize_report(report: CongruenceReport | DiscoveryResult | ScanRecord, fm
             fields = {name: _plain(value) for name, value in report._asdict().items()}
             fields.update(kind.derived(fields))
             if fmt == "json":
-                import json  # loaded by JSON runs only: text, csv and --help never need it
+                if _json_encoder is None:
+                    import json
 
-                shown = {k: fields[k] for k in kind.json if k in fields}
-                return json.dumps(shown, separators=(",", ":"))
+                    _json_encoder = json.JSONEncoder(separators=(",", ":"))
+                return _json_encoder.encode({k: fields[k] for k in kind.json if k in fields})
             if fmt == "csv":
                 return ",".join(_csv_cell(fields[c]) for c in kind.csv)
+            fields.update(kind.text_derived(fields))
             return kind.text.format_map({k: "-" if v is None else v for k, v in fields.items()})
         finally:
             if limit:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
@@ -315,6 +316,18 @@ def _boundary_walk() -> Iterator[tuple[int, tuple[int, int], tuple[int, int]]]:
         f_num *= a
         f_den *= b
         binomials = binomials * c // d
+
+
+def boundary_term(p: int) -> Fraction:
+    """F(h, h), h = (p+1)/2, for odd p >= 3, kept across calls:
+    _boundary_walk's value at p = 3 stepped from p to p+2 by
+    _boundary_ratios' a/b as reduced Fractions, so each step takes gcds with
+    small integers only."""
+    def terms() -> Iterator[Fraction]:
+        _, start, _ = next(_boundary_walk())
+        steps = (Fraction(*_boundary_ratios(q)[:2]) for q in itertools.count(3, 2))
+        return itertools.accumulate(steps, operator.mul, initial=Fraction(*start))
+    return cached("F(h,h)", terms, (p - 3) // 2)
 
 
 def boundary_scan(lo: int, hi: int) -> Iterator[tuple[tuple[int], bool]]:

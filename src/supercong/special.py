@@ -29,6 +29,7 @@ def cached(key: object, make_iterator: Callable[[], Iterator], k: int):
 
     The first call for a key starts the iterator; later calls extend the kept
     prefix under one lock, and indices already computed are read without it.
+    The iterator runs under that lock, so it may read no cached sequence.
     An exception inside the iterator (an interrupt, say) ends a generator for
     good, so the key is dropped and the next call starts it again.
     """
@@ -64,11 +65,6 @@ def _rising(a: Fraction) -> Iterator[Fraction]:
 def poch_neg_half(k: int) -> Fraction:
     """(-1/2)_k, the rising factorial the telescoping pair is built from."""
     return cached("(-1/2)_k", lambda: _rising(Fraction(-1, 2)), k)
-
-
-def poch_pos_half(k: int) -> Fraction:
-    """(1/2)_k."""
-    return cached("(1/2)_k", lambda: _rising(Fraction(1, 2)), k)
 
 
 def inv_pochhammer_int(m: int) -> Fraction:

@@ -6,7 +6,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import supercong
@@ -168,7 +168,41 @@ class TestCrtLift:
             assert x % m == r
 
 
+@st.composite
+def report_sides(draw):
+    """(p, lhs, rhs): ints or rationals with p in the numerator or the
+    denominator, rhs equal to lhs, unrelated to it, or lhs plus a multiple
+    of a power of p."""
+    p = draw(PRIMES)
+
+    def side():
+        x = draw(st.one_of(st.integers(-10**6, 10**6), RATIONALS))
+        e = draw(st.integers(-4, 4))
+        return x * p**e if e >= 0 else x / Fraction(p) ** -e  # an int stays an int
+
+    lhs, kind = side(), draw(st.sampled_from(("equal", "free", "close")))
+    if kind == "equal":
+        return p, lhs, lhs
+    return p, lhs, side() if kind == "free" else lhs + side() * p ** draw(st.integers(0, 8))
+
+
 class TestReports:
+    @settings(max_examples=150)
+    @given(sides=report_sides(), required=st.integers(0, 8), informational=st.booleans())
+    @example(sides=(5, Fraction(3, 25), Fraction(3, 25)), required=4, informational=False)
+    @example(sides=(7, 49, Fraction(1, 7)), required=1, informational=False)
+    @example(sides=(3, Fraction(2, 27), Fraction(5, 27)), required=0, informational=True)
+    @example(sides=(11, 7, 7 + 11**5), required=5, informational=False)
+    def test_valuation_is_that_of_the_reduced_difference(self, sides, required, informational):
+        p, lhs, rhs = sides
+        rep = make_report("t", p, lhs, rhs, required, informational=informational)
+        assert rep.achieved_valuation == vp(Fraction(lhs) - Fraction(rhs), p)
+        assert rep.passed == (None if informational else rep.achieved_valuation >= required)
+        assert (rep.lhs, rep.rhs) == (lhs, rhs)
+        assert type(rep.lhs) is type(rep.rhs) is Fraction
+        assert make_report("t", p, lhs, rhs, required, informational=informational,
+                           prime_checked=True) == rep
+
     def test_pass_iff_valuation_reached(self):
         rep = make_report("demo", 5, Fraction(1, 2), Fraction(1, 2) + 125, 3)
         assert rep.achieved_valuation == 3 and rep.passed
@@ -197,6 +231,15 @@ class TestCheckedPrime:
     def test_plain_int_is_tested_once(self, primality_tests):
         assert vp(Fraction(49, 3), 7) == 2
         assert primality_tests == [7]
+
+    def test_a_check_tests_its_prime_once(self, primality_tests):
+        for check_id in checks.DEFAULT_CHECK_IDS:
+            primality_tests.clear()
+            checks.check(check_id, 13)
+            assert primality_tests == [13], check_id
+        primality_tests.clear()
+        checks.check("thm1", 3, informational=True)
+        assert primality_tests == [3]
 
     def test_checked_prime_still_meets_the_floor(self):
         p = require_prime(31, "t")

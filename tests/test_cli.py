@@ -7,6 +7,7 @@ import os
 import signal
 import subprocess
 import sys
+import textwrap
 import threading
 import time
 from fractions import Fraction
@@ -170,13 +171,13 @@ class TestLongIntegers:
     def test_a_rendering_that_starts_during_another_still_prints(self, monkeypatch):
         # the second thread starts while the first holds the lifted limit
         # and is still converting; the first must not restore 4300 under it
-        dumps = json.dumps
+        encode = json.JSONEncoder.encode
 
-        def slow_dumps(*args, **kwargs):
+        def slow_encode(*args, **kwargs):
             time.sleep(0.01)
-            return dumps(*args, **kwargs)
+            return encode(*args, **kwargs)
 
-        monkeypatch.setattr(json, "dumps", slow_dumps)
+        monkeypatch.setattr(json.JSONEncoder, "encode", slow_encode)
         res = DiscoveryResult("D", 1, 1, LONG, ((5, 0, 125),), True)
         lines, errors = [], []
 
@@ -751,6 +752,29 @@ def test_importing_the_cli_never_imports_dataclasses_or_inspect():
     code = ("import sys; import supercong.cli; "
             "print(sorted({m.partition('.')[0] for m in sys.modules} - sys.stdlib_module_names))")
     assert _python(code, "-S") == "['__main__', 'supercong']"
+
+
+def test_every_name_the_benchmark_tracer_wraps_resolves_after_importing_the_cli():
+    # perfbench/tracer.py looks up each of its TIMED and COUNTED names, as
+    # "<layer>.<function>", in sys.modules["supercong.<layer>"] right after
+    # `import supercong.cli`: a lazily imported layer, or a renamed or
+    # deleted function, fails every traced benchmark run
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "perfbench")
+    code = textwrap.dedent(f"""
+        import json, sys
+        sys.path.insert(0, {perfbench!r})
+        import tracer
+        import supercong.cli
+        names = tracer.TIMED + tracer.COUNTED
+        missing = [name for name in names if not callable(getattr(
+            sys.modules.get("supercong." + name.split(".")[0]), name.split(".")[1], None))]
+        if not missing:
+            tracer.Tracer().install()
+        print(json.dumps([len(names), missing]))
+    """)
+    count, missing = json.loads(_python(code))
+    assert count > 0 and missing == []
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

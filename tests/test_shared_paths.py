@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 from supercong import arith, checks, series, special
 from supercong.arith import primes_in_range
 from supercong.checks import DEFAULT_CHECK_IDS, check, check_lemma_sun3, check_ratio_expansion
-from supercong.series import SumSpec, partial_sum, summands, term_value, wz_G
-from supercong.special import euler_number, h2, poch_neg_half, poch_pos_half, pochhammer
+from supercong.series import SumSpec, partial_sum, summands, term_value, wz_F, wz_G
+from supercong.special import euler_number, h2, poch_neg_half, pochhammer
 
 POOL = primes_in_range(3, 151)
 
@@ -82,13 +82,11 @@ class TestPrefixSums:
                 sum((Fraction(1, j * j) for j in range(1, h + 1)), Fraction(0)),
                 euler[(p - 3) // 2],
                 pochhammer(Fraction(-1, 2), h),
-                pochhammer(Fraction(1, 2), h),
             )
 
         def from_cache(p):
             h = (p + 1) // 2
-            return (checks._sum_b(5, p), h2(h), euler_number(p - 3), poch_neg_half(h),
-                    poch_pos_half(h))
+            return checks._sum_b(5, p), h2(h), euler_number(p - 3), poch_neg_half(h)
 
         expected = {p: direct(p) for p in POOL}
         orders = [POOL, POOL[::-1], POOL[1::2], POOL[::-2]] * 2
@@ -116,7 +114,7 @@ class TestPrefixSums:
                 lengths = {key: len(values) for key, (values, _) in special._CACHE.items()}
                 assert lengths == {
                     ("B", 5): h + 1, "h2": h + 1, "E_2j": (POOL[-1] - 3) // 2 + 1,
-                    "(-1/2)_k": h + 1, "(1/2)_k": h + 1,
+                    "(-1/2)_k": h + 1,
                 }
         finally:
             sys.setswitchinterval(interval)
@@ -183,14 +181,19 @@ WORST_K_PRIMES = primes_in_range(3, 401)
 
 
 def _worst_k_cases(p):
-    """(check id, residue walk, exact per-index values) of each worst-k search at p."""
-    yield "lemma_sun3", checks._lemma_sun3_residues(p), lambda k: checks._lemma_sun3_values(p, k)
+    """(check id, first k, crosses, exact per-index values) of each worst-k
+    search at p."""
+    yield "lemma_sun3", 1, checks._lemma_sun3_crosses(p), lambda k: checks._lemma_sun3_values(p, k)
     for order in (2, 4):
         yield (
-            f"ratio_expansion_mod{order}",
-            checks._ratio_expansion_residues(p, order),
+            f"ratio_expansion_mod{order}", 0,
+            checks._ratio_expansion_crosses(p, order),
             lambda k, order=order: checks._ratio_expansion_values(p, k, order),
         )
+
+
+def _capped_valuation(cross, p, digits):
+    return arith.split_power(cross, p)[0] if cross % p**digits else digits
 
 
 def _per_index_worst(p, ks, values):
@@ -208,8 +211,8 @@ class TestWorstKResidues:
     @example(p=5)
     @example(p=397)
     def test_same_instance_as_exact_search(self, p):
-        for check_id, residues, values in _worst_k_cases(p):
-            ks = [k for k, *_ in residues]
+        for check_id, first, crosses, values in _worst_k_cases(p):
+            ks = range(first, first + len(crosses))
             assert checks.CHECKS[check_id].values(p) == _per_index_worst(p, ks, values)
 
     @settings(max_examples=15, deadline=None)
@@ -217,14 +220,13 @@ class TestWorstKResidues:
     @example(p=3)
     @example(p=5)
     @example(p=397)
-    def test_every_residue_step_equals_the_closed_forms(self, p):
-        modulus = arith.PrimePower(p, checks.WORST_K_DIGITS)
-        mod = modulus.modulus
-        for _, residues, values in _worst_k_cases(p):
-            for k, ln, ld, rn, rd in residues:
+    def test_every_cross_has_the_exact_valuation_below_the_precision(self, p):
+        digits = checks.WORST_K_DIGITS
+        for _, first, crosses, values in _worst_k_cases(p):
+            assert -(p**digits) < min(crosses) and max(crosses) < p**digits
+            for k, cross in enumerate(crosses, first):
                 lhs, rhs = values(k)
-                assert ln * pow(ld, -1, mod) % mod == arith.reduce_mod(lhs, modulus)
-                assert rn * pow(rd, -1, mod) % mod == arith.reduce_mod(rhs, modulus)
+                assert _capped_valuation(cross, p, digits) == min(arith.vp(lhs - rhs, p), digits)
 
     def test_lemma_sun3_at_three_in_informational_mode(self):
         rep = check("lemma_sun3", 3, informational=True)
@@ -235,10 +237,9 @@ class TestWorstKResidues:
     @pytest.mark.parametrize("p", [3, 5, 7, 31, 199, 401])
     def test_every_k_at_the_precision_falls_back_to_the_exact_search(self, p, monkeypatch):
         monkeypatch.setattr(checks, "WORST_K_DIGITS", 1)
-        for check_id, residues, values in _worst_k_cases(p):
-            walk = list(residues)
-            assert all((ln * rd - rn * ld) % p == 0 for _, ln, ld, rn, rd in walk)
-            ks = [k for k, *_ in walk]
+        for check_id, first, crosses, values in _worst_k_cases(p):
+            assert all(cross % p == 0 for cross in crosses)
+            ks = range(first, first + len(crosses))
             assert checks.CHECKS[check_id].values(p) == _per_index_worst(p, ks, values)
 
     @pytest.mark.parametrize("p", [3, 5, 7, 31, 199, 401])
@@ -253,13 +254,32 @@ class TestWorstKResidues:
         # at k = 1 the sides 2/1 and 4/2 are equal though their numerators
         # differ; at k = 2, 1/3 and 16/3 differ by 5
         values = {1: (Fraction(2), Fraction(2)), 2: (Fraction(1, 3), Fraction(16, 3))}
-        residues = [(1, 2, 1, 4, 2), (2, 1, 3, 16, 3)]
-        assert checks._worst_k(5, residues, values.get) == (*values[2], 2)
+        crosses = [ln * rd - rn * ld for ln, ld, rn, rd in ((2, 1, 4, 2), (1, 3, 16, 3))]
+        assert checks._worst_k(5, 1, crosses, values.get) == (*values[2], 2)
+
+    def test_only_a_cross_below_the_least_valuation_is_split(self, monkeypatch):
+        split = []
+
+        def recording(n, p, _real=arith.split_power):
+            split.append(n)
+            return _real(n, p)
+
+        monkeypatch.setattr(checks, "split_power", recording)
+        # valuations 3, 2, 1, 1, 2, 0 at k = 4..9: the first k of valuation 0 is the worst
+        crosses = [125, 50, -15, 20, 25, 3]
+        values = {k: (Fraction(k), Fraction(0)) for k in range(4, 10)}
+        assert checks._worst_k(5, 4, crosses, values.get) == (Fraction(9), Fraction(0), 9)
+        assert split == [125, 50, -15, 3]
+        split.clear()
+        # a tie keeps its first k
+        assert checks._worst_k(5, 4, crosses[:5], values.get)[2] == 6
+        assert split == [125, 50, -15]
 
     @pytest.mark.parametrize("p", [3, 5, 13, 101])
     def test_lemma_sun3_walk_stops_at_the_last_index(self, p):
-        h = (p - 1) // 2
-        assert [k for k, *_ in checks._lemma_sun3_residues(p)] == list(range(1, h + 1))
+        assert len(checks._lemma_sun3_crosses(p)) == (p - 1) // 2
+        for order in (2, 4):
+            assert len(checks._ratio_expansion_crosses(p, order)) == (p + 1) // 2 + 1
 
 
 class TestTelescopedIdentity:
@@ -274,6 +294,25 @@ class TestTelescopedIdentity:
             assert check("thm1", p).lhs == (
                 check("boundary_mod", p).lhs + check("tail_congruence", p).lhs
             )
+
+    @settings(max_examples=3, deadline=None)
+    @given(order=st.permutations(primes_in_range(5, 400)))
+    @example(order=primes_in_range(5, 400)[::-1])
+    def test_shortcuts_match_wz_F_and_wz_G_tail_from_cold_caches(self, order):
+        # boundary_mod reads F(h, h) off the boundary walk, and
+        # tail_congruence its G-tail as thm1's lhs less that F(h, h); wz_F
+        # and wz_G_tail, the wz scan's independent sides, are their oracles,
+        # and with them each record is the one built from the oracle
+        special._CACHE.clear()
+        for p in order:
+            h, sgn = (p + 1) // 2, checks._sgn(p)
+            boundary, tail = series.boundary_term(p), checks.CHECKS["tail_congruence"].values(p)[0]
+            assert (boundary, tail) == (wz_F(h, h), series.wz_G_tail((p + 3) // 2))
+            assert check("boundary_mod", p) == arith.make_report(
+                "boundary_mod", p, wz_F(h, h), Fraction(sgn * (p**3 - p)), 4)
+            assert check("tail_congruence", p) == arith.make_report(
+                "tail_congruence", p, series.wz_G_tail((p + 3) // 2),
+                p**3 * (2 - sgn - euler_number(p - 3)), 4)
 
     def test_a_tail_without_its_last_term_fails(self, monkeypatch):
         def short_tail(n, _real=series.wz_G_tail):
