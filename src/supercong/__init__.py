@@ -47,24 +47,20 @@ from .conjectures import (
     verify_conjecture,
 )
 from .series import (
-    ParameterSingularity,
     PreconditionViolated,
     SumSpec,
     boundary_closed_form,
     check_boundary_closed_form,
     check_telescoped_identity,
     check_wz_relation,
-    f32_top_minus_one,
     partial_sum,
     pochhammer_ratio_product,
     term_value,
-    whipple_terminating,
     wz_F,
     wz_G,
 )
 from .special import (
     euler_number,
-    gamma_ratio_half_shift,
     h2,
     inv_pochhammer_int,
     pochhammer,

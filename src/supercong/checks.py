@@ -269,33 +269,36 @@ def _central_binomial_sum(p: int) -> Fraction:
 WORST_K_DIGITS = 12
 
 
-def _worst_k(
-    p: int, first: int, crosses: list[int], values: Callable[[int], tuple[Fraction, Fraction]]
-) -> tuple[Fraction, Fraction, int]:
-    """(lhs, rhs, k) at the first k with the least v_p(lhs - rhs), where
-    values(k) is the exact (lhs, rhs) and crosses[i], at k = first + i, is
-    lhs - rhs times a p-adic unit mod p^N, N = WORST_K_DIGITS: its valuation
-    is the exact one wherever it is below N.  A cross divisible by p^v, v
-    the least valuation so far, cannot lower it and is not split.  When
-    every k reaches N, values compares them."""
-    v, worst, least = WORST_K_DIGITS, None, p**WORST_K_DIGITS  # least = p^v
+def _least_k(p: int, first: int, crosses: list[int]) -> int | None:
+    """The first k with the least v_p(lhs - rhs) below N = WORST_K_DIGITS,
+    or None when every k reaches N, where crosses[i], at k = first + i, is
+    lhs - rhs times a p-adic unit mod p^N: its valuation is the exact one
+    wherever it is below N.  A cross divisible by p^v, v the least
+    valuation so far, cannot lower it and is not split."""
+    worst, least = None, p**WORST_K_DIGITS  # least = p^v
     for k, cross in enumerate(crosses, first):
         if cross % least:
-            v, worst = split_power(cross, p)[0], k
-            least = p**v
+            worst, least = k, p ** split_power(cross, p)[0]
+    return worst
+
+
+def _worst_k(
+    p: int, ks: range, worst: int | None, values: Callable[[int], tuple[Fraction, Fraction]]
+) -> tuple[Fraction, Fraction, int]:
+    """(lhs, rhs, k) at the first k of ks with the least v_p(lhs - rhs),
+    where values(k) is the exact (lhs, rhs) and worst is _least_k's k:
+    values compares every k only when none is below N."""
     if worst is None:
-        ks = range(first, first + len(crosses))
         return min(((*values(k), k) for k in ks), key=lambda t: vp(t[0] - t[1], p))
     return (*values(worst), worst)
 
 
-def _lemma_sun3_crosses(p: int) -> list[int]:
-    """_worst_k's crosses of lemma_sun3 at p, from k = 1.  At k = 1 both
-    sides are p^3 times a ratio of integers below p.  From k-1 to k, lhs
-    advances by -2(2h+2k-1)(h+2-k)/(2k-1)^2 and rhs by (2k-2)(2k-3)/(2k-1)^2:
-    over one denominator, prime to p, so the cross steps by the numerators."""
-    mod, h = p**WORST_K_DIGITS, (p - 1) // 2
-    lhs, rhs = _lemma_sun3_values(p, 1)
+def _lemma_sun3_crosses(p: int, start: tuple[Fraction, Fraction]) -> list[int]:
+    """_least_k's crosses of lemma_sun3 at p, from k = 1, where both sides
+    are p^3 times a unit: start = (lhs, rhs).  From k-1 to k, lhs advances
+    by -2(2h+2k-1)(h+2-k)/(2k-1)^2 and rhs by (2k-2)(2k-3)/(2k-1)^2: over one
+    denominator, prime to p, so the cross steps by the numerators."""
+    mod, h, (lhs, rhs) = p**WORST_K_DIGITS, (p - 1) // 2, start
     ln, rn = lhs.numerator * rhs.denominator % mod, rhs.numerator * lhs.denominator % mod
     crosses = [ln - rn]
     for k in range(2, h + 1):
@@ -305,26 +308,44 @@ def _lemma_sun3_crosses(p: int) -> list[int]:
     return crosses
 
 
-def _ratio_expansion_crosses(p: int, order: int) -> list[int]:
-    """_worst_k's crosses of ratio_expansion_mod<order> at p, from k = 0.
-    With _shifted_steps' (cd, c - d, d^2) and e = p^2, lhs is the product
-    of the steps (c - e)/(d - e) = (cd + (c - d)e - e^2)/(d^2 - e^2) and rhs
-    that of cd/d^2, times 1 + e w at order 4, w the sum of the steps'
-    (c - d)/(cd).  For k <= (p+1)/2, c and d are squares of integers in
-    [-1, p+1] other than 0 and p, so every factor is a p-adic unit, and
-    lhs - rhs is rhs (x/y - 1 - e w) for x/y the product of the steps'
-    ratios: the cross is x - y - e w y, times w's denominator."""
+def _lemma_sun3_worst(p: int) -> tuple[Fraction, Fraction, int]:
+    """lemma_sun3's (lhs, rhs, k) at p, with the pair at k = 1, the worst k
+    at every prime checked, built once."""
+    start = _lemma_sun3_values(p, 1)
+    crosses = _lemma_sun3_crosses(p, start)
+    return _worst_k(p, range(1, len(crosses) + 1), _least_k(p, 1, crosses),
+                    lambda k: start if k == 1 else _lemma_sun3_values(p, k))
+
+
+def _ratio_expansion_crosses(p: int) -> tuple[list[int], list[int]]:
+    """_least_k's crosses of ratio_expansion_mod2 and _mod4 at p, from
+    k = 0, off one walk.  With _shifted_steps' (cd, c - d, d^2) and
+    e = p^2, lhs is the product of the steps (c - e)/(d - e) =
+    (cd + (c - d)e - e^2)/(d^2 - e^2) and rhs that of cd/d^2, times 1 + e w
+    at order 4, w the sum of the steps' (c - d)/(cd).  For k <= (p+1)/2, c
+    and d are squares of integers in [-1, p+1] other than 0 and p, so every
+    factor is a p-adic unit, and lhs - rhs is rhs (x/y - 1 - e w) for x/y
+    the product of the steps' ratios: the cross is x - y at order 2 and
+    x - y - e w y, times w's denominator, at order 4."""
     mod, e, e2 = p**WORST_K_DIGITS, p * p, p**4
     x, y, w_num, w_den = 1, 1, 0, 1
-    crosses = [0]
+    crosses = [0], [0]
     for cd, c_d, d2 in itertools.islice(_shifted_steps(), (p + 1) // 2):
         x, y = x * ((cd + c_d * e - e2) * d2) % mod, y * ((d2 - e2) * cd) % mod
-        if order == 2:
-            crosses.append(x - y)
-        else:
-            w_num, w_den = (w_num * cd + c_d * w_den) % mod, w_den * cd % mod
-            crosses.append(((x - y) * w_den - e * w_num * y) % mod)
+        w_num, w_den = (w_num * cd + c_d * w_den) % mod, w_den * cd % mod
+        crosses[0].append(x - y)
+        crosses[1].append(((x - y) * w_den - e * w_num * y) % mod)
     return crosses
+
+
+def _ratio_expansion_worst(p: int, order: int) -> tuple[Fraction, Fraction, int]:
+    """ratio_expansion_mod<order>'s (lhs, rhs, k) at p.  One walk finds
+    _least_k's k of both orders, and special.cached keeps the two per p
+    and precision, so the other order's check reads its k."""
+    def least_ks() -> Iterator[int | None]:  # a generator: the walk runs on the first read only
+        yield from [_least_k(p, 0, crosses) for crosses in _ratio_expansion_crosses(p)]
+    worst = cached(("ratio_expansion", p, WORST_K_DIGITS), least_ks, order // 4)
+    return _worst_k(p, range((p + 3) // 2), worst, lambda k: _ratio_expansion_values(p, k, order))
 
 
 CHECKS: dict[str, CheckDef] = {
@@ -377,18 +398,10 @@ CHECKS: dict[str, CheckDef] = {
     "morley": CheckDef(
         5, 3, None, lambda p: (math.comb(p - 1, (p - 1) // 2), _sgn(p) * 4 ** (p - 1), None),
     ),
-    "lemma_sun3": CheckDef(
-        5, 4, None,
-        lambda p: _worst_k(p, 1, _lemma_sun3_crosses(p), lambda k: _lemma_sun3_values(p, k)),
-    ),
+    "lemma_sun3": CheckDef(5, 4, None, _lemma_sun3_worst),
     **{
         f"ratio_expansion_mod{order}": CheckDef(
-            3, order, None,
-            lambda p, order=order: _worst_k(
-                p, 0, _ratio_expansion_crosses(p, order),
-                lambda k: _ratio_expansion_values(p, k, order),
-            ),
-        )
+            3, order, None, lambda p, order=order: _ratio_expansion_worst(p, order))
         for order in (2, 4)
     },
 }

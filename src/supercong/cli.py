@@ -83,13 +83,42 @@ def _table_row(m: int, n: int) -> _TableRow:
 
 
 def _plain(value):
-    """A field value as every format shows it: a rational as exact "num/den",
-    an infinite valuation as "inf"."""
+    """A field value as every format shows it (JSON rows in quotes): a
+    rational as exact "num/den", an infinite valuation as "inf"."""
     if type(value) is Fraction:  # not isinstance: Fraction's ABC check is slow
         return f"{value.numerator}/{value.denominator}"
     if type(value) is float and math.isinf(value):
         return "inf"
     return value
+
+
+class _JsonEscapes(dict):
+    """str.translate's table of JSON text: printable ASCII as itself but for
+    the short escapes, and any other character as one \\uXXXX per UTF-16
+    code unit."""
+
+    def __missing__(self, code: int) -> str:
+        utf16 = chr(code).encode("utf-16-be", "surrogatepass")
+        return "".join(f"\\u{utf16[i:i + 2].hex()}" for i in range(0, len(utf16), 2))
+
+
+_JSON_ESCAPES = _JsonEscapes({n: chr(n) for n in range(32, 127)}
+                             | {ord(c): "\\" + e for c, e in zip('"\\\b\f\n\r\t', '"\\bfnrt')})
+
+
+# A record's field value as JSON text, by its type: byte for byte as
+# json.JSONEncoder with separators (",", ":") writes _plain(value), ASCII
+# only, and integers of any length while the digit limit is lifted.
+_JSON_TEXT: dict[type, Callable[[Any], str]] = {
+    type(None): {None: "null"}.__getitem__,
+    bool: {False: "false", True: "true"}.__getitem__,
+    int: int.__repr__,
+    float: {math.inf: '"inf"'}.__getitem__,  # the one float a record holds
+    Fraction: lambda value: f'"{value.numerator}/{value.denominator}"',  # nothing to escape
+    str: lambda value: '"' + value.translate(_JSON_ESCAPES) + '"',
+    list: lambda values: "[" + ",".join([_JSON_TEXT[type(v)](v) for v in values]) + "]",
+}
+_JSON_TEXT[tuple] = _JSON_TEXT[list]
 
 
 def _csv_cell(value) -> str:
@@ -112,10 +141,10 @@ def _short(s: str, width: int = 30) -> str:
 
 class _Kind(NamedTuple):
     """How one record kind renders.  Its named fields are the record's own
-    attributes, as _plain shows them, followed by those derived from them,
-    and for text rows alone by text_derived's; json and csv name the fields
-    each format carries, in order (the JSON object leaves out a json name
-    that is not among the fields), and text is the str.format template of a
+    attributes followed by those derived from them, and for text rows alone
+    by text_derived's; json and csv name the fields each format carries, in
+    order (JSON rows as _JSON_TEXT shows them, then json_tail's text, and
+    the others as _plain does), and text is the str.format template of a
     text row, where None shows as "-".  A run's text output starts with
     text_header, if any, and passes when every record does."""
 
@@ -124,6 +153,7 @@ class _Kind(NamedTuple):
     text: str
     derived: Callable[[dict[str, Any]], dict[str, object]] = lambda fields: {}
     text_derived: Callable[[dict[str, Any]], dict[str, object]] = lambda fields: {}
+    json_tail: Callable[[dict[str, Any]], str] = lambda fields: ""
     passes: Callable[[Any], bool] = lambda record: True
     text_header: str | None = None
 
@@ -139,17 +169,16 @@ CONGRUENCE_TEXT_HEADER = _CONGRUENCE_TEXT.format(
 _CONGRUENCE_COLUMNS = ("check_id", "p", "m", "r", "lhs", "rhs", "required_valuation",
                        "achieved_valuation", "pass")
 _CONGRUENCE = _Kind(
-    json=_CONGRUENCE_COLUMNS + ("informational",),
+    json=_CONGRUENCE_COLUMNS,
     csv=_CONGRUENCE_COLUMNS,
     text=_CONGRUENCE_TEXT,
-    derived=lambda f: {"pass": f["passed"]} | (
-        {"informational": True} if f["passed"] is None else {}
-    ),
+    derived=lambda f: {"pass": f["passed"]},
     text_derived=lambda f: {
         "lhs_short": _short(f["lhs"]),
         "rhs_short": _short(f["rhs"]),
         "status": "info" if f["passed"] is None else ("pass" if f["passed"] else "FAIL"),
     },
+    json_tail=lambda f: ',"informational":true' if f["passed"] is None else "",
     passes=lambda rep: rep.passed is not False,  # informational rows never fail
     text_header=CONGRUENCE_TEXT_HEADER,
 )
@@ -186,11 +215,13 @@ _KINDS = {
     ScanRecord: _SCAN,
     _TableRow: _TABLE,
 }
+# the %-template of each kind's JSON rows: a slot for each json field, then json_tail's
+_JSON_ROWS = {record_type: "{" + ",".join(f'"{name}":%s' for name in kind.json) + "%s}"
+              for record_type, kind in _KINDS.items()}
 
 CONGRUENCE_CSV_HEADER = ",".join(_CONGRUENCE.csv)
 DISCOVERY_CSV_HEADER = ",".join(_DISCOVERY.csv)
 _digit_limit_lock = threading.Lock()
-_json_encoder = None  # built by the first JSON record: text, csv and --help never import json
 
 
 def serialize_report(report: CongruenceReport | DiscoveryResult | ScanRecord, fmt: str = "json") -> str:
@@ -201,7 +232,6 @@ def serialize_report(report: CongruenceReport | DiscoveryResult | ScanRecord, fm
     use the same column order as their stream headers (emitted separately);
     a CSV field holding a comma, quote or newline is quoted as in RFC 4180.
     """
-    global _json_encoder
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
     with _digit_limit_lock:  # the limit is process-wide: one rendering lifts it at a time
@@ -210,14 +240,12 @@ def serialize_report(report: CongruenceReport | DiscoveryResult | ScanRecord, fm
             sys.set_int_max_str_digits(0)
         try:
             kind = _KINDS[type(report)]
-            fields = {name: _plain(value) for name, value in report._asdict().items()}
+            fields = report._asdict()
             fields.update(kind.derived(fields))
             if fmt == "json":
-                if _json_encoder is None:
-                    import json
-
-                    _json_encoder = json.JSONEncoder(separators=(",", ":"))
-                return _json_encoder.encode({k: fields[k] for k in kind.json if k in fields})
+                texts = [_JSON_TEXT[type(v)](v) for v in map(fields.__getitem__, kind.json)]
+                return _JSON_ROWS[type(report)] % (*texts, kind.json_tail(fields))
+            fields = {name: _plain(value) for name, value in fields.items()}
             if fmt == "csv":
                 return ",".join(_csv_cell(fields[c]) for c in kind.csv)
             fields.update(kind.text_derived(fields))

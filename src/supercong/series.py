@@ -1,6 +1,5 @@
-"""Truncated hypergeometric sums, the telescoping F/G pair, and terminating
-instances of the very-well-poised 6F5(-1) <-> 3F2(1) transformation, all in
-exact rational arithmetic.
+"""Truncated hypergeometric sums and the telescoping F/G pair, all in exact
+rational arithmetic.
 
 Summand families (the weight exponent m is always odd):
 
@@ -20,16 +19,11 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
-from .arith import Rational
 from .special import cached, inv_pochhammer_int, poch_neg_half, pochhammer
 
 
 class PreconditionViolated(ValueError):
     """An operation was called outside its stated domain."""
-
-
-class ParameterSingularity(ValueError):
-    """A denominator rising factorial vanishes for the given parameters."""
 
 
 class SumSpec(NamedTuple("SumSpec", [("family", str), ("m", int), ("upper", int)])):
@@ -118,12 +112,29 @@ def walk_total(
     return x, q
 
 
+def _family_numerators(family: str, m: int) -> Iterator[int]:
+    """N_k = 4^(power (k+1)) times the family's sum over 0..k, for k = 0,
+    1, 2, ...  Summand_factors' U_k = u_k^power is G_k/4^(power (k+1)) with
+    G_k an integer (u_k 4^k is -2 Cat(k-1) or C(2k, k)), so G_k steps from
+    G_(k-1) by one exact division, and N_k = 4^power N_(k-1) + sign w^m G_k:
+    no gcd and no Fraction per term."""
+    bits = 2 * _FAMILY[family].power
+    total, scale = 0, 1
+    for sign, w, a, b in summand_factors(family):
+        scale = (scale * a << bits) // b
+        total = (total << bits) + sign * w**m * scale
+        yield total
+
+
 def family_sum(family: str, m: int, upper: int) -> Fraction:
-    """partial_sum(SumSpec(family, m, upper)) read off running totals kept per
-    (family, m): the sum at one upper limit is a prefix of every longer one.
-    The totals are reduced Fractions: their denominators are powers of 2, so
-    reducing each is cheaper than one gcd of walk_total's unreduced numbers."""
-    return cached((family, m), lambda: itertools.accumulate(summands(family, m)), upper)
+    """partial_sum(SumSpec(family, m, upper)) read off the numerators N_k of
+    _family_numerators, kept per (family, m): the sum at one upper limit is
+    a prefix of every longer one.  A read reduces N_upper/4^(power
+    (upper+1)) by the trailing zero bits of N_upper alone."""
+    num = cached((family, m), lambda: _family_numerators(family, m), upper)
+    bits = 2 * _FAMILY[family].power * (upper + 1)
+    zeros = min((num & -num).bit_length() - 1, bits) if num else bits
+    return Fraction(num >> zeros, 1 << bits - zeros)
 
 
 def wz_F(n: int, k: int) -> Fraction:
@@ -345,57 +356,6 @@ def check_boundary_closed_form(p: int) -> bool:
     _require_odd(p)
     [(_, holds)] = boundary_scan(p, p)
     return holds
-
-
-def _vanishes_within(base: Fraction, count: int) -> bool:
-    # (x)_k = 0 for some 1 <= k <= count iff x is an integer in [-(count-1), 0]
-    return base.denominator == 1 and -(count - 1) <= base.numerator <= 0
-
-
-def _terminating_sum(
-    tops: tuple[Fraction, ...], bottoms: tuple[Fraction, ...], sign: int, N: int
-) -> Fraction:
-    """sum_{k=0..N} sign^k prod (top)_k / (k! prod (bottom)_k), one walk_total
-    along the term ratios sign prod (top+k) / ((k+1) prod (bottom+k)) for
-    k < N, so no bottom+k past N-1 is ever divided by."""
-    ratios = (
-        sign * math.prod(x + k for x in tops) / ((k + 1) * math.prod(y + k for y in bottoms))
-        for k in range(N)
-    )
-    return Fraction(*walk_total(((t.numerator, t.denominator, 1) for t in ratios), 1, 1, 1))
-
-
-def whipple_terminating(a: Rational, b: Rational, c: Rational, d: Rational, N: int) -> bool:
-    """Terminating transform check with e = -N:
-
-        sum_{k=0..N} (-1)^k (a)_k (1+a/2)_k (b)_k (c)_k (d)_k (-N)_k
-                     / (k! (a/2)_k (1+a-b)_k (1+a-c)_k (1+a-d)_k (1+a+N)_k)
-        == ((1+a)_N / (1+a-d)_N)
-           * sum_{k=0..N} (1+a-b-c)_k (d)_k (-N)_k / (k! (1+a-b)_k (1+a-c)_k)
-
-    The prefactor is the Gamma-ratio of the transformation reduced to rising
-    factorials by the shift property.  Raises ParameterSingularity when a
-    denominator rising factorial vanishes within the summation range.
-    """
-    if N < 0:
-        raise ValueError(f"N must be non-negative, got {N}")
-    a, b, c, d = (Fraction(x) for x in (a, b, c, d))
-    e = Fraction(-N)
-    lower = (a / 2, 1 + a - b, 1 + a - c, 1 + a - d, 1 + a - e)
-    for base in lower:
-        if _vanishes_within(base, N):
-            raise ParameterSingularity(f"denominator factor ({base})_k vanishes for some k <= {N}")
-    lhs = _terminating_sum((a, 1 + a / 2, b, c, d, e), lower, -1, N)
-    rhs = _terminating_sum((1 + a - b - c, d, e), lower[1:3], 1, N)
-    prefactor = pochhammer(1 + a, N) / pochhammer(1 + a - d, N)
-    return lhs == prefactor * rhs
-
-
-def f32_top_minus_one(d: Rational, e: Rational, lower: Rational) -> Fraction:
-    """Exact two-term value 1 - d*e/lower^2 of a 3F2(1) whose top parameter is
-    -1 and whose two lower parameters both equal `lower`."""
-    d, e, lower = Fraction(d), Fraction(e), Fraction(lower)
-    return 1 - d * e / lower**2  # lower = 0 raises ZeroDivisionError
 
 
 def pochhammer_ratio_product(p: int, k: int) -> Fraction:

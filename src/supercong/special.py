@@ -1,10 +1,6 @@
 """Special functions: the one prefix cache of growing exact sequences, rising
-factorials, second-order harmonic numbers, Euler numbers and rational
-Gamma-ratio shifts.  The congruences built on them are checks.CHECKS entries.
-
-Gamma ratios are never evaluated as Gamma values: every ratio used downstream
-reduces to a quotient of rising factorials through Gamma(x+1) = x*Gamma(x),
-keeping the whole package in exact rationals.
+factorials, second-order harmonic numbers and Euler numbers, all exact.  The
+congruences built on them are checks.CHECKS entries.
 """
 
 from __future__ import annotations
@@ -110,14 +106,3 @@ def euler_number(n: int) -> int:
         raise ValueError(f"n must be non-negative, got {n}")
     return 0 if n % 2 else cached("E_2j", _even_euler_values, n // 2)
 
-
-def gamma_ratio_half_shift(p: int) -> Fraction:
-    """Gamma(1 + p/2) Gamma(1 - p/2) / (Gamma(1/2) Gamma(3/2)) for odd p >= 3.
-
-    Reduced via the shift Gamma(x+1) = x*Gamma(x) to the exact quotient
-    (3/2)_h / (1 - p/2)_h with h = (p-1)/2, which equals p * (-1)^((p-1)/2).
-    """
-    if p < 3 or p % 2 == 0:
-        raise ValueError(f"p must be odd and >= 3, got {p}")
-    h = (p - 1) // 2
-    return pochhammer(Fraction(3, 2), h) / pochhammer(1 - Fraction(p, 2), h)

@@ -20,15 +20,15 @@ from supercong.checks import (
 )
 from supercong.conjectures import discover_constant, verify_conjecture
 from supercong.series import (
-    ParameterSingularity,
     boundary_closed_form,
     check_telescoped_identity,
     check_wz_relation,
-    whipple_terminating,
     wz_F,
     wz_G,
 )
-from supercong.special import gamma_ratio_half_shift, pochhammer
+from supercong.special import pochhammer
+
+from oracles import ParameterSingularity, gamma_ratio_half_shift, whipple_terminating
 
 HALF = Fraction(1, 2)
 PRIMES_199 = primes_in_range(5, 199)

@@ -13,9 +13,11 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import supercong
-from supercong.arith import make_report
+from supercong.arith import INFINITE, CongruenceReport, make_report
 from supercong.checks import check
 from supercong import checks, cli, conjectures, series
 from supercong.cli import (
@@ -96,6 +98,63 @@ class TestSerializeReport:
 LONG = -(10**4999 + 7)
 
 
+def _encoder_row(record):
+    """A JSON row as a dict of the record's fields written by one
+    json.JSONEncoder: the oracle of the template renderer.  Rationals show
+    as "num/den", an infinite valuation as "inf", and an informational
+    congruence row carries "informational": true."""
+    if isinstance(record, CongruenceReport):
+        names = ("check_id", "p", "m", "r", "lhs", "rhs", "required_valuation",
+                 "achieved_valuation", "pass")
+        names += ("informational",) if record.passed is None else ()
+        derived = {"pass": record.passed, "informational": True}
+    elif isinstance(record, DiscoveryResult):
+        names = ("family", "m", "r", "constant", "consistent", "primes", "evidence")
+        derived = {"primes": [p for p, _, _ in record.evidence]}
+    elif isinstance(record, cli.ScanRecord):
+        names = ("check_id", "scope", "instances", "pass", "first_failure")
+        derived = {"pass": record.first_failure is None}
+    else:
+        names, derived = ("m", "n", "f", "g"), {}
+    with _int_digit_limit(0):
+        fields = {
+            name: f"{value.numerator}/{value.denominator}" if type(value) is Fraction
+            else "inf" if value == INFINITE else value
+            for name, value in record._asdict().items()
+        }
+        fields.update(derived)
+        encoder = json.JSONEncoder(separators=(",", ":"))
+        return encoder.encode({name: fields[name] for name in names})
+
+
+# integers of every size, past the 4300-digit limit on int-to-str conversion too
+LONG_INTEGERS = st.integers(10**4300, 10**4400)
+INTEGERS = st.one_of(st.integers(), LONG_INTEGERS, LONG_INTEGERS.map(lambda n: -n))
+FRACTIONS = st.builds(Fraction, INTEGERS, INTEGERS.filter(bool))
+MAYBE_INTS = st.one_of(st.none(), INTEGERS)
+RECORDS = st.one_of(
+    st.builds(CongruenceReport, st.text(), INTEGERS, FRACTIONS, FRACTIONS, INTEGERS,
+              st.one_of(INTEGERS, st.just(INFINITE)), st.one_of(st.none(), st.booleans()),
+              MAYBE_INTS, MAYBE_INTS, MAYBE_INTS),
+    st.builds(DiscoveryResult, st.text(), INTEGERS, INTEGERS, INTEGERS,
+              st.lists(st.tuples(INTEGERS, INTEGERS, INTEGERS), min_size=1).map(tuple),
+              st.booleans()),
+    st.builds(cli.ScanRecord, st.text(), st.text(), INTEGERS, st.one_of(st.none(), st.text())),
+    st.builds(cli._TableRow, INTEGERS, INTEGERS, FRACTIONS, FRACTIONS),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(RECORDS)
+@example(check("thm1", 3, informational=True))
+@example(make_report("a\"\\\n\x7f\u00e9\U0001f600", 5, Fraction(-1, 3), Fraction(-1, 3), 2))
+@example(DiscoveryResult("D", 15, 1, 138480, ((5, 30, 125), (7, 1, 343)), False))
+@example(cli.ScanRecord("lemma_f", "m=3,n=2..50", 49, "n=7"))
+def test_json_rows_equal_the_encoder_rows(record):
+    assert serialize_report(record, "json") == _encoder_row(record)
+
+
+
 @contextlib.contextmanager
 def _int_digit_limit(limit):
     """The interpreter's int-to-str digit limit set to limit (0: none) for the
@@ -171,13 +230,11 @@ class TestLongIntegers:
     def test_a_rendering_that_starts_during_another_still_prints(self, monkeypatch):
         # the second thread starts while the first holds the lifted limit
         # and is still converting; the first must not restore 4300 under it
-        encode = json.JSONEncoder.encode
-
-        def slow_encode(*args, **kwargs):
+        def slow_int_text(value):
             time.sleep(0.01)
-            return encode(*args, **kwargs)
+            return int.__repr__(value)
 
-        monkeypatch.setattr(json.JSONEncoder, "encode", slow_encode)
+        monkeypatch.setitem(cli._JSON_TEXT, int, slow_int_text)
         res = DiscoveryResult("D", 1, 1, LONG, ((5, 0, 125),), True)
         lines, errors = [], []
 
@@ -787,16 +844,18 @@ def test_a_run_never_imports_the_process_pool(jobs):
     assert _python(code) == "0 []"
 
 
-def test_only_a_json_run_imports_json():
+def test_no_run_imports_json():
+    # JSON rows are rendered from templates, so not even a JSON run loads json
     code = (
         "import sys; from supercong import cli; loaded = []; "
         "runs = (['wz', '--grid', '2', '--telescope', '3..5', '--boundary', '3..5'], "
         "['lemma', '--n', '2..4', '--format', 'csv'], ['--help'], "
-        "['table', '--n', '2..3', '--format', 'json']); "
+        "['table', '--n', '2..3', '--format', 'json'], "
+        "['verify', '--primes', '3..13', '--include-p3', '--format', 'json']); "
         "[loaded.append((cli.run(argv), 'json' in sys.modules)) for argv in runs]; "
         "print(loaded)"
     )
-    assert _python(code) == "[(0, False), (0, False), (0, False), (0, True)]"
+    assert _python(code) == "[(0, False), (0, False), (0, False), (0, False), (0, False)]"
 
 
 def test_a_closed_stdout_ends_the_run_with_exit_1_and_no_traceback():

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from supercong import series
 from supercong.series import (
-    ParameterSingularity,
     PreconditionViolated,
     SumSpec,
     boundary_closed_form,
@@ -24,17 +23,17 @@ from supercong.series import (
     check_boundary_closed_form,
     check_telescoped_identity,
     check_wz_relation,
-    f32_top_minus_one,
     partial_sum,
     pochhammer_ratio_product,
     term_value,
-    whipple_terminating,
     wz_F,
     wz_G,
     wz_G_tail,
     wz_relation_scan,
 )
 from supercong.special import euler_number, h2, poch_neg_half, pochhammer
+
+from oracles import ParameterSingularity, f32_top_minus_one, terminating_sum, whipple_terminating
 
 HALF = Fraction(1, 2)
 
@@ -434,8 +433,8 @@ class TestWhipple:
                 whipple_terminating(a, b, c, d, N)
             return
         e, lower = Fraction(-N), (a / 2, 1 + a - b, 1 + a - c, 1 + a - d, 1 + a + N)
-        assert series._terminating_sum((a, 1 + a / 2, b, c, d, e), lower, -1, N) == sum(lhs)
-        assert series._terminating_sum((1 + a - b - c, d, e), lower[1:3], 1, N) == sum(rhs)
+        assert terminating_sum((a, 1 + a / 2, b, c, d, e), lower, -1, N) == sum(lhs)
+        assert terminating_sum((1 + a - b - c, d, e), lower[1:3], 1, N) == sum(rhs)
         prefactor = pochhammer(1 + a, N) / pochhammer(1 + a - d, N)
         assert sum(lhs) == prefactor * sum(rhs)
         assert whipple_terminating(a, b, c, d, N)

@@ -9,6 +9,7 @@ earlier examples left in them.
 
 import itertools
 import math
+import random
 import sys
 import threading
 from fractions import Fraction
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from supercong import arith, checks, series, special
 from supercong.arith import primes_in_range
 from supercong.checks import DEFAULT_CHECK_IDS, check, check_lemma_sun3, check_ratio_expansion
+from supercong.cli import run
 from supercong.series import SumSpec, partial_sum, summands, term_value, wz_F, wz_G
 from supercong.special import euler_number, h2, poch_neg_half, pochhammer
 
@@ -119,6 +121,62 @@ class TestPrefixSums:
         finally:
             sys.setswitchinterval(interval)
 
+    @pytest.mark.parametrize("m", [1, 3, 5, 7, 9])
+    @pytest.mark.parametrize("family", ["A", "B", "V"])
+    def test_family_sum_at_every_index_from_cold_caches_in_shuffled_order(self, family, m):
+        # partial_sum's prefixes, one summand at a time, against the
+        # integer walk read at 0..600 in a shuffled order from a cold cache
+        expected = list(itertools.accumulate(itertools.islice(summands(family, m), 601)))
+        assert expected[-1] == partial_sum(SumSpec(family, m, 600))
+        order = list(range(601))
+        random.Random(f"{family}{m}").shuffle(order)
+        special._CACHE.clear()
+        for upper in order:
+            value = series.family_sum(family, m, upper)
+            assert value == expected[upper], upper
+            den = value.denominator
+            assert math.gcd(value.numerator, den) == 1 and den & (den - 1) == 0, upper
+        assert len(special._CACHE[family, m][0]) == 601
+
+    def test_ratio_walks_keep_two_indices_per_prime(self, capsys):
+        # verify reads the worst k of both ratio expansion orders off one
+        # walk per prime and keeps those two values alone, not the crosses
+        special._CACHE.clear()
+        assert run(["verify", "--primes", "5..400", "--format", "json"]) == 0
+        capsys.readouterr()
+        kept = {key: values for key, (values, _) in special._CACHE.items()
+                if isinstance(key, tuple) and key[0] == "ratio_expansion"}
+        assert sorted(key[1] for key in kept) == primes_in_range(5, 400)
+        assert all(len(values) == 2 and all(k is None or type(k) is int for k in values)
+                   for values in kept.values())
+
+    @pytest.mark.parametrize("cold", [True, False])
+    def test_both_ratio_orders_at_a_prime_share_one_walk(self, monkeypatch, cold):
+        walks = []
+
+        def counting(p, _real=checks._ratio_expansion_crosses):
+            walks.append(p)
+            return _real(p)
+
+        monkeypatch.setattr(checks, "_ratio_expansion_crosses", counting)
+        _maybe_cold(cold)
+        special._CACHE.pop(("ratio_expansion", 997, checks.WORST_K_DIGITS), None)
+        reports = [check(f"ratio_expansion_mod{order}", 997) for order in (4, 2, 4, 2)]
+        assert walks == [997] and reports[:2] == reports[2:]
+
+    def test_lemma_sun3_builds_the_pair_at_its_worst_k_once(self, monkeypatch):
+        built = []
+
+        def counting(p, k, _real=checks._lemma_sun3_values):
+            built.append(k)
+            return _real(p, k)
+
+        monkeypatch.setattr(checks, "_lemma_sun3_values", counting)
+        for p in (5, 7, 101, 499):
+            built.clear()
+            rep = check("lemma_sun3", p)
+            assert rep.k == 1 and built == [1]
+
     def test_error_inside_a_sequence_restarts_it(self):
         starts = []
 
@@ -183,13 +241,21 @@ WORST_K_PRIMES = primes_in_range(3, 401)
 def _worst_k_cases(p):
     """(check id, first k, crosses, exact per-index values) of each worst-k
     search at p."""
-    yield "lemma_sun3", 1, checks._lemma_sun3_crosses(p), lambda k: checks._lemma_sun3_values(p, k)
-    for order in (2, 4):
+    yield (
+        "lemma_sun3", 1, checks._lemma_sun3_crosses(p, checks._lemma_sun3_values(p, 1)),
+        lambda k: checks._lemma_sun3_values(p, k),
+    )
+    for order, crosses in zip((2, 4), checks._ratio_expansion_crosses(p)):
         yield (
-            f"ratio_expansion_mod{order}", 0,
-            checks._ratio_expansion_crosses(p, order),
+            f"ratio_expansion_mod{order}", 0, crosses,
             lambda k, order=order: checks._ratio_expansion_values(p, k, order),
         )
+
+
+def _worst_k(p, first, crosses, values):
+    """The (lhs, rhs, k) that the search over crosses from k = first picks."""
+    ks = range(first, first + len(crosses))
+    return checks._worst_k(p, ks, checks._least_k(p, first, crosses), values)
 
 
 def _capped_valuation(cross, p, digits):
@@ -255,7 +321,7 @@ class TestWorstKResidues:
         # differ; at k = 2, 1/3 and 16/3 differ by 5
         values = {1: (Fraction(2), Fraction(2)), 2: (Fraction(1, 3), Fraction(16, 3))}
         crosses = [ln * rd - rn * ld for ln, ld, rn, rd in ((2, 1, 4, 2), (1, 3, 16, 3))]
-        assert checks._worst_k(5, 1, crosses, values.get) == (*values[2], 2)
+        assert _worst_k(5, 1, crosses, values.get) == (*values[2], 2)
 
     def test_only_a_cross_below_the_least_valuation_is_split(self, monkeypatch):
         split = []
@@ -268,18 +334,18 @@ class TestWorstKResidues:
         # valuations 3, 2, 1, 1, 2, 0 at k = 4..9: the first k of valuation 0 is the worst
         crosses = [125, 50, -15, 20, 25, 3]
         values = {k: (Fraction(k), Fraction(0)) for k in range(4, 10)}
-        assert checks._worst_k(5, 4, crosses, values.get) == (Fraction(9), Fraction(0), 9)
+        assert _worst_k(5, 4, crosses, values.get) == (Fraction(9), Fraction(0), 9)
         assert split == [125, 50, -15, 3]
         split.clear()
         # a tie keeps its first k
-        assert checks._worst_k(5, 4, crosses[:5], values.get)[2] == 6
+        assert _worst_k(5, 4, crosses[:5], values.get)[2] == 6
         assert split == [125, 50, -15]
 
     @pytest.mark.parametrize("p", [3, 5, 13, 101])
     def test_lemma_sun3_walk_stops_at_the_last_index(self, p):
-        assert len(checks._lemma_sun3_crosses(p)) == (p - 1) // 2
-        for order in (2, 4):
-            assert len(checks._ratio_expansion_crosses(p, order)) == (p + 1) // 2 + 1
+        assert len(checks._lemma_sun3_crosses(p, checks._lemma_sun3_values(p, 1))) == (p - 1) // 2
+        for crosses in checks._ratio_expansion_crosses(p):
+            assert len(crosses) == (p + 1) // 2 + 1
 
 
 class TestTelescopedIdentity:

@@ -12,11 +12,12 @@ from supercong.arith import InvalidPrime
 from supercong.checks import check
 from supercong.special import (
     euler_number,
-    gamma_ratio_half_shift,
     h2,
     inv_pochhammer_int,
     pochhammer,
 )
+
+from oracles import gamma_ratio_half_shift
 
 RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
