@@ -183,7 +183,8 @@ def make_report(
 ) -> CongruenceReport:
     """Build a report, computing the achieved valuation from exact rationals
     as v_p(ln rd - rn ld) - v_p(ld) - v_p(rd), lhs = ln/ld and rhs = rn/rd:
-    no reduced difference, so no gcd of one.
+    no reduced difference, so no gcd of one.  v_p(ln rd - rn ld) is read
+    off its residue mod p^8 unless p^8 divides it, as it rarely does.
 
     p must be an odd prime (InvalidPrime otherwise), tested here unless
     prime_checked says require_prime returned it; the report holds it as a
@@ -195,7 +196,7 @@ def make_report(
         lhs, rhs = Fraction(lhs), Fraction(rhs)
     ld, rd = lhs.denominator, rhs.denominator
     cross = lhs.numerator * rd - rhs.numerator * ld
-    achieved = INFINITE if cross == 0 else (
-        split_power(cross, p)[0] - split_power(ld, p)[0] - split_power(rd, p)[0])
+    achieved = INFINITE if cross == 0 else (split_power(cross % p**8 or cross, p)[0]
+                                             - split_power(ld, p)[0] - split_power(rd, p)[0])
     passed = None if informational else achieved >= required
     return CongruenceReport(check_id, p, lhs, rhs, required, achieved, passed, m=m, r=r, k=k)

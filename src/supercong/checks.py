@@ -263,6 +263,17 @@ def _central_binomial_sum(p: int) -> Fraction:
     return cached("central", sums, (p - 1) // 2)
 
 
+def _combined(m: int, p: int) -> tuple[Fraction, Fraction, None]:
+    """combined_m<m>'s values at p: the B sum and table1_f(m, h) - p^2
+    table1_g(m, h), h = (p+1)/2, built as one Fraction from the integers of
+    table1_g_parts and of H_h^(2)."""
+    h = (p + 1) // 2
+    (rational, coeff), harmonic = table1_g_parts(m, h), h2(h)
+    a, b, c, d = rational.numerator, rational.denominator, harmonic.numerator, harmonic.denominator
+    num = table1_f(m, h).numerator * b * d - p * p * (a * d + coeff.numerator * c * b)
+    return _sum_b(m, p), Fraction(num, b * d), None
+
+
 #: The worst-k searches read valuations off residues mod p^WORST_K_DIGITS.
 #: Every value >= 1 gives the same reports: a least valuation below it is
 #: exact, and when every k reaches it the exact values decide.
@@ -326,15 +337,16 @@ def _ratio_expansion_crosses(p: int) -> tuple[list[int], list[int]]:
     and d are squares of integers in [-1, p+1] other than 0 and p, so every
     factor is a p-adic unit, and lhs - rhs is rhs (x/y - 1 - e w) for x/y
     the product of the steps' ratios: the cross is x - y at order 2 and
-    x - y - e w y, times w's denominator, at order 4."""
+    x - y - e u at order 4, where u = y w, an integer, steps to
+    (u cd + y (c - d))(d^2 - e^2), y's old value: no denominator is kept."""
     mod, e, e2 = p**WORST_K_DIGITS, p * p, p**4
-    x, y, w_num, w_den = 1, 1, 0, 1
+    x, y, u = 1, 1, 0
     crosses = [0], [0]
     for cd, c_d, d2 in itertools.islice(_shifted_steps(), (p + 1) // 2):
-        x, y = x * ((cd + c_d * e - e2) * d2) % mod, y * ((d2 - e2) * cd) % mod
-        w_num, w_den = (w_num * cd + c_d * w_den) % mod, w_den * cd % mod
+        x, y, u = (x * ((cd + c_d * e - e2) * d2) % mod, y * (d2 - e2) * cd % mod,
+                   (u * cd + y * c_d) * (d2 - e2) % mod)
         crosses[0].append(x - y)
-        crosses[1].append(((x - y) * w_den - e * w_num * y) % mod)
+        crosses[1].append((x - y - e * u) % mod)
     return crosses
 
 
@@ -383,14 +395,7 @@ CHECKS: dict[str, CheckDef] = {
     ),
     "h2_cong": CheckDef(5, 1, None, lambda p: (h2((p + 1) // 2), Fraction(4), None)),
     **{
-        f"combined_m{m}": CheckDef(
-            5, 4, m,
-            lambda p, m=m: (
-                _sum_b(m, p),
-                table1_f(m, (p + 1) // 2) - p * p * table1_g(m, (p + 1) // 2),
-                None,
-            ),
-        )
+        f"combined_m{m}": CheckDef(5, 4, m, lambda p, m=m: _combined(m, p))
         for m in TABLE1_WEIGHTS
     },
     # Wolstenholme (1862) and Morley (1895)

@@ -13,6 +13,7 @@ by m and table by (m, n).
 from __future__ import annotations
 
 import argparse
+import atexit
 import functools
 import itertools
 import math
@@ -113,7 +114,6 @@ _JSON_TEXT: dict[type, Callable[[Any], str]] = {
     type(None): {None: "null"}.__getitem__,
     bool: {False: "false", True: "true"}.__getitem__,
     int: int.__repr__,
-    float: {math.inf: '"inf"'}.__getitem__,  # the one float a record holds
     Fraction: lambda value: f'"{value.numerator}/{value.denominator}"',  # nothing to escape
     str: lambda value: '"' + value.translate(_JSON_ESCAPES) + '"',
     list: lambda values: "[" + ",".join([_JSON_TEXT[type(v)](v) for v in values]) + "]",
@@ -143,17 +143,17 @@ class _Kind(NamedTuple):
     """How one record kind renders.  Its named fields are the record's own
     attributes followed by those derived from them, and for text rows alone
     by text_derived's; json and csv name the fields each format carries, in
-    order (JSON rows as _JSON_TEXT shows them, then json_tail's text, and
-    the others as _plain does), and text is the str.format template of a
-    text row, where None shows as "-".  A run's text output starts with
-    text_header, if any, and passes when every record does."""
+    order (JSON rows as _JSON_TEXT shows them, or as json_slots fills them
+    straight from the record, and the others as _plain does), and text is
+    the str.format template of a text row, where None shows as "-".  A run's
+    text output starts with text_header, if any, and passes when every record does."""
 
     json: tuple[str, ...]
     csv: tuple[str, ...]
     text: str
     derived: Callable[[dict[str, Any]], dict[str, object]] = lambda fields: {}
     text_derived: Callable[[dict[str, Any]], dict[str, object]] = lambda fields: {}
-    json_tail: Callable[[dict[str, Any]], str] = lambda fields: ""
+    json_slots: Callable[[Any], tuple] | None = None
     passes: Callable[[Any], bool] = lambda record: True
     text_header: str | None = None
 
@@ -168,6 +168,19 @@ CONGRUENCE_TEXT_HEADER = _CONGRUENCE_TEXT.format(
 )
 _CONGRUENCE_COLUMNS = ("check_id", "p", "m", "r", "lhs", "rhs", "required_valuation",
                        "achieved_valuation", "pass")
+# the last slot of a congruence row: an informational row ends in one more field
+_PASS_JSON = {True: "true", False: "false", None: 'null,"informational":true'}
+
+
+def _congruence_json(rep: CongruenceReport) -> tuple:
+    """The slots of a congruence record's JSON row, filled straight from the record."""
+    check_id, p, lhs, rhs, required, achieved, passed, m, r, _ = rep
+    return ('"' + check_id.translate(_JSON_ESCAPES) + '"', p, "null" if m is None else m,
+            "null" if r is None else r, f'"{lhs.numerator}/{lhs.denominator}"',
+            f'"{rhs.numerator}/{rhs.denominator}"', required,
+            '"inf"' if achieved == math.inf else achieved, _PASS_JSON[passed])
+
+
 _CONGRUENCE = _Kind(
     json=_CONGRUENCE_COLUMNS,
     csv=_CONGRUENCE_COLUMNS,
@@ -178,7 +191,7 @@ _CONGRUENCE = _Kind(
         "rhs_short": _short(f["rhs"]),
         "status": "info" if f["passed"] is None else ("pass" if f["passed"] else "FAIL"),
     },
-    json_tail=lambda f: ',"informational":true' if f["passed"] is None else "",
+    json_slots=_congruence_json,
     passes=lambda rep: rep.passed is not False,  # informational rows never fail
     text_header=CONGRUENCE_TEXT_HEADER,
 )
@@ -215,8 +228,8 @@ _KINDS = {
     ScanRecord: _SCAN,
     _TableRow: _TABLE,
 }
-# the %-template of each kind's JSON rows: a slot for each json field, then json_tail's
-_JSON_ROWS = {record_type: "{" + ",".join(f'"{name}":%s' for name in kind.json) + "%s}"
+# the %-template of each kind's JSON rows: a slot for each json field
+_JSON_ROWS = {record_type: "{" + ",".join(f'"{name}":%s' for name in kind.json) + "}"
               for record_type, kind in _KINDS.items()}
 
 CONGRUENCE_CSV_HEADER = ",".join(_CONGRUENCE.csv)
@@ -240,11 +253,13 @@ def serialize_report(report: CongruenceReport | DiscoveryResult | ScanRecord, fm
             sys.set_int_max_str_digits(0)
         try:
             kind = _KINDS[type(report)]
+            if fmt == "json" and kind.json_slots:
+                return _JSON_ROWS[type(report)] % kind.json_slots(report)
             fields = report._asdict()
             fields.update(kind.derived(fields))
             if fmt == "json":
                 texts = [_JSON_TEXT[type(v)](v) for v in map(fields.__getitem__, kind.json)]
-                return _JSON_ROWS[type(report)] % (*texts, kind.json_tail(fields))
+                return _JSON_ROWS[type(report)] % tuple(texts)
             fields = {name: _plain(value) for name, value in fields.items()}
             if fmt == "csv":
                 return ",".join(_csv_cell(fields[c]) for c in kind.csv)
@@ -604,15 +619,20 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> None:
+    """The console script: run(argv), the atexit handlers, a flush of stdout and stderr,
+    then os._exit(code) with no interpreter teardown; an exception in run ends as usual."""
     try:
         code = run(argv)
         sys.stdout.flush()
     except BrokenPipeError:
-        # The reader closed stdout: point it at devnull so the flush at exit
-        # cannot fail again, and end with exit 1 and no traceback.
+        # The reader closed stdout: point it at devnull so no later flush
+        # can fail again, and end with exit 1 and no traceback.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
-    sys.exit(code)
+    atexit._run_exitfuncs()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -112,29 +112,32 @@ def walk_total(
     return x, q
 
 
-def _family_numerators(family: str, m: int) -> Iterator[int]:
-    """N_k = 4^(power (k+1)) times the family's sum over 0..k, for k = 0,
-    1, 2, ...  Summand_factors' U_k = u_k^power is G_k/4^(power (k+1)) with
-    G_k an integer (u_k 4^k is -2 Cat(k-1) or C(2k, k)), so G_k steps from
-    G_(k-1) by one exact division, and N_k = 4^power N_(k-1) + sign w^m G_k:
-    no gcd and no Fraction per term."""
+def _family_numerators(family: str, m: int) -> Iterator[list]:
+    """[N_k], a list family_sum may reduce in place, for k = 0, 1, 2, ...:
+    N_k = 4^(power (k+1)) times the family's sum over 0..k.  Summand_factors'
+    U_k = u_k^power is G_k/4^(power (k+1)), G_k an integer (u_k 4^k is
+    -2 Cat(k-1) or C(2k, k)) that steps by one exact division, and
+    N_k = 4^power N_(k-1) + sign w^m G_k: no gcd and no Fraction per term."""
     bits = 2 * _FAMILY[family].power
     total, scale = 0, 1
     for sign, w, a, b in summand_factors(family):
         scale = (scale * a << bits) // b
         total = (total << bits) + sign * w**m * scale
-        yield total
+        yield [total]
 
 
 def family_sum(family: str, m: int, upper: int) -> Fraction:
     """partial_sum(SumSpec(family, m, upper)) read off the numerators N_k of
     _family_numerators, kept per (family, m): the sum at one upper limit is
-    a prefix of every longer one.  A read reduces N_upper/4^(power
-    (upper+1)) by the trailing zero bits of N_upper alone."""
-    num = cached((family, m), lambda: _family_numerators(family, m), upper)
-    bits = 2 * _FAMILY[family].power * (upper + 1)
-    zeros = min((num & -num).bit_length() - 1, bits) if num else bits
-    return Fraction(num >> zeros, 1 << bits - zeros)
+    a prefix of every longer one.  The first read of an index reduces
+    N_upper/4^(power (upper+1)), by the trailing zero bits of N_upper alone,
+    and the Fraction takes N_upper's place in its list: later reads take no gcd."""
+    cell = cached((family, m), lambda: _family_numerators(family, m), upper)
+    if type(num := cell[0]) is int:
+        bits = 2 * _FAMILY[family].power * (upper + 1)
+        zeros = min((num & -num).bit_length() - 1, bits) if num else bits
+        cell[0] = Fraction(num >> zeros, 1 << bits - zeros)
+    return cell[0]
 
 
 def wz_F(n: int, k: int) -> Fraction:

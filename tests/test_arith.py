@@ -186,6 +186,22 @@ def report_sides(draw):
     return p, lhs, side() if kind == "free" else lhs + side() * p ** draw(st.integers(0, 8))
 
 
+@st.composite
+def valued_sides(draw):
+    """(p, lhs, rhs): lhs and lhs - rhs each a p-adic unit of up to 900
+    bits over one of up to 900 bits, times p^v for v in -5..40, or rhs
+    equal to lhs."""
+    p = draw(st.sampled_from((3, 5, 7, 199, 1999)))
+
+    def valued():
+        num, den = (draw(st.integers(0, 2**900)) * p + draw(st.integers(1, p - 1)) for _ in "nd")
+        return Fraction(draw(st.sampled_from((1, -1))) * num, den) * Fraction(p) ** draw(
+            st.integers(-5, 40))
+
+    lhs = valued()
+    return p, lhs, lhs if draw(st.booleans()) else lhs - valued()
+
+
 class TestReports:
     @settings(max_examples=150)
     @given(sides=report_sides(), required=st.integers(0, 8), informational=st.booleans())
@@ -202,6 +218,15 @@ class TestReports:
         assert type(rep.lhs) is type(rep.rhs) is Fraction
         assert make_report("t", p, lhs, rhs, required, informational=informational,
                            prime_checked=True) == rep
+
+    @settings(max_examples=300)
+    @given(sides=valued_sides())
+    @example(sides=(1999, Fraction(3, 1999**5), Fraction(3, 1999**5)))
+    @example(sides=(3, Fraction(2**900 + 1, 7), Fraction(2**900 + 1, 7) - Fraction(2, 3**5)))
+    @example(sides=(5, 5**40, 5**40 - 5**8))  # p^8 divides the cross: the exact split
+    def test_valuation_below_and_past_the_residue_digits(self, sides):
+        p, lhs, rhs = sides
+        assert make_report("t", p, lhs, rhs, 1).achieved_valuation == vp(lhs - rhs, p)
 
     def test_pass_iff_valuation_reached(self):
         rep = make_report("demo", 5, Fraction(1, 2), Fraction(1, 2) + 125, 3)

@@ -13,6 +13,7 @@ from supercong.arith import InvalidPrime, PrimePower, primes_in_range, reduce_mo
 from supercong.checks import (
     CHECKS,
     DEFAULT_CHECK_IDS,
+    TABLE1_WEIGHTS,
     IndexOutOfRange,
     PrimeTooSmall,
     check,
@@ -414,6 +415,15 @@ class TestCheckRegistry:
     def test_thm2_allows_p3(self):
         rep = check("thm2", 3)
         assert rep.passed and rep.achieved_valuation >= 2
+
+    @pytest.mark.parametrize("m", TABLE1_WEIGHTS)
+    def test_combined_rhs_is_the_closed_form_at_every_prime(self, m):
+        # combined_m's rhs is built as one Fraction of integers; its oracle
+        # is the closed forms' Fraction arithmetic
+        for p in primes_in_range(3, 400):
+            h = (p + 1) // 2
+            expected = table1_f(m, h) - p * p * table1_g(m, h)
+            assert check(f"combined_m{m}", p, informational=True).rhs == expected, p
 
     def test_rejects_composites_and_unknown_ids(self):
         with pytest.raises(InvalidPrime):

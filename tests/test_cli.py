@@ -2,6 +2,7 @@
 
 import contextlib
 import functools
+import hashlib
 import json
 import os
 import signal
@@ -28,6 +29,29 @@ from supercong.cli import (
 )
 from supercong.conjectures import DiscoveryResult, discover_constant, residue_table
 from supercong.series import PreconditionViolated
+
+
+# How a child interpreter starts the CLI: as `python -m supercong.cli` does
+# (through runpy when code runs first), or by calling cli.main itself.
+ENTRIES = ("-m", "main")
+
+
+def _console(entry, argv, prelude="", env=None):
+    """(exit code, stdout, stderr) of a child interpreter that runs the
+    statements of prelude and then the CLI on argv through entry, with this
+    checkout's supercong importable and env (default os.environ)."""
+    if entry == "main":
+        args = ["-c", f"{prelude}\nfrom supercong.cli import main\nmain({list(argv)!r})"]
+    elif prelude:
+        args = ["-c", f"{prelude}\nimport runpy, sys\nsys.argv[1:] = {list(argv)!r}\n"
+                "runpy.run_module('supercong.cli', run_name='__main__', alter_sys=True)"]
+    else:
+        args = ["-m", "supercong.cli", *argv]
+    env = dict(os.environ if env is None else env)
+    src = os.path.dirname(os.path.dirname(supercong.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=60)
+    return done.returncode, done.stdout, done.stderr
 
 
 def run_cli(capsys, *argv):
@@ -634,10 +658,10 @@ class TestOtherCommands:
             (["verify", "--primes", "11..7"], 2),
         ],
     )
-    def test_console_entry_point_exits_with_the_run_code(self, capsys, argv, code):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert exc.value.code == code
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_console_entry_point_exits_with_the_run_code(self, argv, code, entry):
+        # main ends its process by os._exit, so it runs in a child interpreter
+        assert _console(entry, argv)[0] == code
 
     @pytest.mark.parametrize(
         "command,shown",
@@ -872,3 +896,34 @@ def test_a_closed_stdout_ends_the_run_with_exit_1_and_no_traceback():
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (1, b"")
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_an_atexit_handler_registered_before_main_runs_once(entry):
+    prelude = "import atexit, sys\natexit.register(lambda: print('handler ran', file=sys.stderr))"
+    argv = ["verify", "--checks", "thm1", "--primes", "5..7"]
+    code, out, err = _console(entry, argv, prelude)
+    assert (code, err.decode()) == (0, "handler ran\n") and out.startswith(b"check_id")
+
+
+@pytest.mark.parametrize("case,fmt", [("worst_k", "json"), ("verify", "text"), ("discover", "csv")])
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_buffered_stdout_to_a_pipe_is_written_whole(entry, case, fmt):
+    # without PYTHONUNBUFFERED stdout is block-buffered, and what is still
+    # in its buffer when main ends must reach the pipe
+    from test_output_bytes import CASES, EXPECTED
+
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    code, out, err = _console(entry, CASES[case] + ["--format", fmt], env=env)
+    assert (code, hashlib.sha256(out).hexdigest(), err) == (*EXPECTED[case, fmt], b"")
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_an_exception_inside_run_prints_its_traceback(entry):
+    # a check that raises what run does not catch: main does not end the
+    # process itself, and the interpreter's own exit path reports it
+    prelude = ("from supercong import checks\n"
+               "checks.CHECKS['thm1'] = checks.CHECKS['thm1']._replace(values=lambda p: 1 // 0)")
+    code, _, err = _console(entry, ["verify", "--checks", "thm1", "--primes", "5..7"], prelude)
+    assert code == 1
+    assert err.startswith(b"Traceback") and b"ZeroDivisionError" in err.splitlines()[-1]

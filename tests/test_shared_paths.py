@@ -138,6 +138,28 @@ class TestPrefixSums:
             assert math.gcd(value.numerator, den) == 1 and den & (den - 1) == 0, upper
         assert len(special._CACHE[family, m][0]) == 601
 
+    def test_each_shared_family_sum_is_reduced_once(self, monkeypatch):
+        # two checks read each of five of the seven sums at every prime; a
+        # second read returns the Fraction that the first one reduced
+        reads = {}
+
+        def recording(family, m, upper, _real=series.family_sum):
+            value = _real(family, m, upper)
+            reads.setdefault((family, m, upper), []).append(value)
+            return value
+
+        monkeypatch.setattr(checks, "family_sum", recording)
+        tasks = [(check_id, p) for check_id in DEFAULT_CHECK_IDS for p in primes_in_range(5, 199)]
+        random.Random(30).shuffle(tasks)
+        special._CACHE.clear()
+        for check_id, p in tasks:
+            check(check_id, p)
+        shared = {key: values for key, values in reads.items() if len(values) > 1}
+        assert {key[:2] for key in shared} == {("A", 1), ("B", 3), ("B", 5), ("B", 7), ("V", 1)}
+        assert len(shared) == 5 * len(primes_in_range(5, 199))
+        assert all(len(values) == 2 and values[0] is values[1] for values in shared.values())
+        assert all(values[0] == partial_sum(SumSpec(*key)) for key, values in reads.items())
+
     def test_ratio_walks_keep_two_indices_per_prime(self, capsys):
         # verify reads the worst k of both ratio expansion orders off one
         # walk per prime and keeps those two values alone, not the crosses
