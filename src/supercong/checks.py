@@ -1,7 +1,7 @@
 """Named congruence checks, one registry (CHECKS) for every congruence the
 package tests at a prime: the summand families' congruences, the lemmas
 behind them and the classical Wolstenholme and Morley congruences.  Beside
-it: the exact closed-form identities and per-index lemma instances.
+it: per-index lemma instances.  The lemma sums' closed forms live in lemma.
 
 Every check produces a CongruenceReport carrying the exact achieved valuation
 of lhs - rhs, so over-performance (a sum beating its required modulus) is
@@ -16,149 +16,27 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .arith import CongruenceReport, PrimeTooSmall, make_report, require_prime, split_power, vp
+# checks reads four of these; the rest stay importable from checks, their former home
+from .lemma import (
+    TABLE1_WEIGHTS,
+    _lemma_walk,
+    _shifted_steps,
+    check_lemma_f,
+    check_lemma_g,
+    lemma_scans,
+    table1_f,
+    table1_g,
+    table1_g_parts,
+)
 from .series import boundary_term, family_sum, pochhammer_ratio_product
 from .special import cached, euler_number, h2
 
 
 class IndexOutOfRange(ValueError):
     """A per-index lemma instance was requested outside its stated index range."""
-
-
-# ---------------------------------------------------------------------------
-# Closed forms for the two lemma sums, per weight exponent m in {3, 5, 7}.
-# ---------------------------------------------------------------------------
-
-TABLE1_WEIGHTS = (3, 5, 7)
-
-
-def require_lemma_args(m: int, n: int = 2) -> None:
-    """Raise ValueError unless m is in TABLE1_WEIGHTS and n >= 2, where the
-    closed forms and the lemma sums are stated; the default n checks m alone."""
-    if m not in TABLE1_WEIGHTS:
-        raise ValueError(f"closed forms exist for m in {TABLE1_WEIGHTS}, got {m}")
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-
-
-def table1_f(m: int, n: int) -> Fraction:
-    """Closed form of the unweighted lemma sum."""
-    require_lemma_args(m, n)
-    if m == 3:
-        return Fraction(0)
-    base = -64 * n * (n - 1) * (2 * n - 1)
-    if m == 5:
-        return Fraction(base)
-    return Fraction(base * (24 * n * n - 24 * n + 11))
-
-
-def table1_g_parts(m: int, n: int) -> tuple[Fraction, Fraction]:
-    """(rational part, coefficient of H_n^(2)) of the weighted closed form."""
-    require_lemma_args(m, n)
-    den = 4 * n * n * (n - 1) ** 2
-    if m == 3:
-        return Fraction((2 * n - 1) ** 2 * (7 * n * n - 7 * n + 1), den), Fraction(0)
-    if m == 5:
-        poly = 256 * n**6 - 640 * n**5 + 320 * n**4 + 414 * n**3 - 493 * n**2 + 145 * n - 1
-        return Fraction((2 * n - 1) * poly, den), Fraction(32 * n * (n - 1) * (2 * n - 1))
-    poly = (
-        6144 * n**8 - 21504 * n**7 + 24320 * n**6 - 1920 * n**5
-        - 18496 * n**4 + 17582 * n**3 - 7557 * n**2 + 1433 * n - 1
-    )
-    coeff = 32 * n * (n - 1) * (2 * n - 1) * (24 * n * n - 24 * n + 11)
-    return Fraction((2 * n - 1) * poly, den), Fraction(coeff)
-
-
-def table1_g(m: int, n: int) -> Fraction:
-    """Weighted closed form: rational part + H-coefficient * H_n^(2)."""
-    rational, coeff = table1_g_parts(m, n)
-    return rational + coeff * h2(n)
-
-
-def _shifted_steps() -> Iterator[tuple[int, int, int]]:
-    """The factors (c - e)/(d - e), c = (2j-3)^2 and d = (2j)^2, of
-    prod_{j=1..k} ((2j-3)^2 - e)/((2j)^2 - e) for j = 1, 2, ..., to first
-    order in e: (cd + (c - d)e)/d^2 as (cd, c - d, d^2).  The product's e^0
-    coefficient is u_k^2, u_k = (-1/2)_k/k!, and its e coefficient u_k^2 w_k
-    with w_k = sum_{j=1..k} (1/(2j)^2 - 1/(2j-3)^2), the weight of the
-    order-4 ratio expansion and of the weighted lemma sum."""
-    for j in itertools.count(1):
-        c, d = (2 * j - 3) ** 2, 4 * j * j
-        yield c * d, c - d, d * d
-
-
-def _lemma_walk(ms: tuple[int, ...], n: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """For each weight m of ms, the sums over k = 0..n of the terminating
-    lemma summand
-
-        t_k = (4k-1)^m (-1/2)_k^2 (-n)_k (n-1)_k / ((1)_k^2 (n+1/2)_k (3/2-n)_k),
-
-    plain and with each term times the weight w_k of _shifted_steps, as
-    (numerator, denominator) pairs over one denominator, from one walk along
-    k for every m.  The walk keeps the term without its (4k-1)^m factor as
-    (p0 + e p1)/q, its ratio's (2k-3)^2/(2k)^2 factor taken from
-    _shifted_steps, so p1/q is the term times w_k.  Each m keeps its own two
-    running sums over q, by walk_total's recurrence.
-    """
-    p0 = q = 1
-    p1 = 0
-    plain = [-1] * len(ms)  # k = 0: term (-1)^m = -1, weight 0
-    weighted = [0] * len(ms)
-    for k, (cd, c_d, d2) in zip(range(1, n + 1), _shifted_steps()):
-        x = 4 * (k - 1 - n) * (n + k - 2)  # (2k-3)^2/k^2 = 4c/d
-        b = d2 * (2 * n + 2 * k - 1) * (2 * k - 2 * n + 1)
-        p0, p1 = p0 * cd * x, (p1 * cd + p0 * c_d) * x
-        q *= b
-        for i, m in enumerate(ms):
-            c = (4 * k - 1) ** m
-            plain[i] = plain[i] * b + c * p0
-            weighted[i] = weighted[i] * b + c * p1
-    return [((x, q), (y, q)) for x, y in zip(plain, weighted)]
-
-
-def _lemma_holds(sums: tuple[tuple[int, int], ...], m: int, n: int, weighted: bool) -> bool:
-    """Whether the weighted (else the plain) sum of one _lemma_walk cell at
-    weight m and index n equals its closed form, by one cross-multiplication."""
-    closed = table1_g(m, n) if weighted else table1_f(m, n)
-    num, den = sums[weighted]
-    return num * closed.denominator == closed.numerator * den
-
-
-def check_lemma_f(m: int, n: int) -> bool:
-    """Unweighted lemma sum equals its closed form, exactly (not just
-    p-adically)."""
-    require_lemma_args(m, n)
-    return _lemma_holds(_lemma_walk((m,), n)[0], m, n, False)
-
-
-def check_lemma_g(m: int, n: int) -> bool:
-    """Weighted lemma sum equals its closed form, exactly."""
-    require_lemma_args(m, n)
-    return _lemma_holds(_lemma_walk((m,), n)[0], m, n, True)
-
-
-_Scan = Iterator[tuple[tuple[int], bool]]  # (case, holds) in case order
-
-
-def _lemma_cell_scan(walks: Iterable[tuple[int, list]], i: int, m: int, weighted: bool) -> _Scan:
-    for n, cells in walks:
-        yield (n,), _lemma_holds(cells[i], m, n, weighted)
-
-
-def lemma_scans(ms: tuple[int, ...], lo: int, hi: int) -> list[tuple[str, int, _Scan]]:
-    """(check id, m, scan) for lemma_f and then lemma_g, each at every weight
-    m of ms, where scan yields ((n,), check_lemma_f(m, n)) or ((n,),
-    check_lemma_g(m, n)) for n = lo..hi.  The scans read one stream of
-    _lemma_walk(ms, n), one walk per n for every weight, and each compares
-    its own sums with their closed form only as far as it is read."""
-    for m in ms:
-        require_lemma_args(m, lo)
-    walks = itertools.tee(((n, _lemma_walk(ms, n)) for n in range(lo, hi + 1)), 2 * len(ms))
-    cells = itertools.product(((False, "lemma_f"), (True, "lemma_g")), enumerate(ms))
-    return [(check_id, m, _lemma_cell_scan(walk, i, m, weighted))
-            for ((weighted, check_id), (i, m)), walk in zip(cells, walks)]
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import atexit
 import functools
+import io
 import itertools
 import math
 import operator
@@ -24,27 +25,12 @@ import threading
 from fractions import Fraction
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
-from .arith import CongruenceReport, primes_in_range
-from .checks import (
-    CHECKS,
-    DEFAULT_CHECK_IDS,
-    check,
-    lemma_scans,
-    require_lemma_args,
-    table1_f,
-    table1_g,
-)
-from .conjectures import (
-    FAMILIES,
-    DiscoveryResult,
-    InconsistentInput,
-    ValuationTooLow,
-    discover_constant,
-    residue_table,
-)
-from .series import boundary_scan, check_telescoped_identity, wz_relation_scan
+# Each layer runs on the first read of one of its attributes (see the
+# package root), so a command runs the layers it uses and no other.
+from . import arith, checks, conjectures, lemma, series
 
 FORMATS = ("text", "csv", "json")
+COMMANDS = ("verify", "lemma", "wz", "discover", "table")
 
 #: Largest upper end accepted for --primes: the prime sieve allocates one
 #: byte per integer up to it.  It also caps discover's work, the sum of p^r
@@ -59,6 +45,8 @@ N_CAP = 300
 BOUNDARY_CAP = 3001
 TELESCOPE_CAP = 1500
 VERIFY_CAP = 2000
+#: run() writes its output in slices of this many characters.
+_BATCH = 1 << 16
 
 
 class ScanRecord(NamedTuple):
@@ -80,7 +68,7 @@ class _TableRow(NamedTuple):
 
 
 def _table_row(m: int, n: int) -> _TableRow:
-    return _TableRow(m, n, table1_f(m, n), table1_g(m, n))
+    return _TableRow(m, n, lemma.table1_f(m, n), lemma.table1_g(m, n))
 
 
 def _plain(value):
@@ -172,7 +160,7 @@ _CONGRUENCE_COLUMNS = ("check_id", "p", "m", "r", "lhs", "rhs", "required_valuat
 _PASS_JSON = {True: "true", False: "false", None: 'null,"informational":true'}
 
 
-def _congruence_json(rep: CongruenceReport) -> tuple:
+def _congruence_json(rep: arith.CongruenceReport) -> tuple:
     """The slots of a congruence record's JSON row, filled straight from the record."""
     check_id, p, lhs, rhs, required, achieved, passed, m, r, _ = rep
     return ('"' + check_id.translate(_JSON_ESCAPES) + '"', p, "null" if m is None else m,
@@ -222,22 +210,25 @@ _SCAN = _Kind(
 )
 _TABLE_COLUMNS = ("m", "n", "f", "g")
 _TABLE = _Kind(json=_TABLE_COLUMNS, csv=_TABLE_COLUMNS, text="m={m} n={n:<3} f={f:<20} g={g}")
+# by the name of the record's type, so that no layer runs to key them
 _KINDS = {
-    CongruenceReport: _CONGRUENCE,
-    DiscoveryResult: _DISCOVERY,
-    ScanRecord: _SCAN,
-    _TableRow: _TABLE,
+    "CongruenceReport": _CONGRUENCE,
+    "DiscoveryResult": _DISCOVERY,
+    "ScanRecord": _SCAN,
+    "_TableRow": _TABLE,
 }
 # the %-template of each kind's JSON rows: a slot for each json field
-_JSON_ROWS = {record_type: "{" + ",".join(f'"{name}":%s' for name in kind.json) + "}"
-              for record_type, kind in _KINDS.items()}
+_JSON_ROWS = {type_name: "{" + ",".join(f'"{name}":%s' for name in kind.json) + "}"
+              for type_name, kind in _KINDS.items()}
 
 CONGRUENCE_CSV_HEADER = ",".join(_CONGRUENCE.csv)
 DISCOVERY_CSV_HEADER = ",".join(_DISCOVERY.csv)
 _digit_limit_lock = threading.Lock()
 
 
-def serialize_report(report: CongruenceReport | DiscoveryResult | ScanRecord, fmt: str = "json") -> str:
+def serialize_report(
+    report: arith.CongruenceReport | conjectures.DiscoveryResult | ScanRecord, fmt: str = "json"
+) -> str:
     """One serialized record, without trailing newline.
 
     JSON records are single-line objects; rationals render as exact "num/den"
@@ -252,14 +243,15 @@ def serialize_report(report: CongruenceReport | DiscoveryResult | ScanRecord, fm
         if limit:  # lifted so that integers of any length print, and restored on return
             sys.set_int_max_str_digits(0)
         try:
-            kind = _KINDS[type(report)]
+            type_name = type(report).__name__
+            kind = _KINDS[type_name]
             if fmt == "json" and kind.json_slots:
-                return _JSON_ROWS[type(report)] % kind.json_slots(report)
+                return _JSON_ROWS[type_name] % kind.json_slots(report)
             fields = report._asdict()
             fields.update(kind.derived(fields))
             if fmt == "json":
                 texts = [_JSON_TEXT[type(v)](v) for v in map(fields.__getitem__, kind.json)]
-                return _JSON_ROWS[type(report)] % tuple(texts)
+                return _JSON_ROWS[type_name] % tuple(texts)
             fields = {name: _plain(value) for name, value in fields.items()}
             if fmt == "csv":
                 return ",".join(_csv_cell(fields[c]) for c in kind.csv)
@@ -329,7 +321,7 @@ def _table_weights(text: str) -> tuple[int, ...]:
     """Type of lemma/table --m: _weights with a closed form each."""
     m_values = _weights(text)
     for m in m_values:
-        require_lemma_args(m)
+        lemma.require_lemma_args(m)
     return m_values
 
 
@@ -338,11 +330,11 @@ def _check_ids(text: str) -> tuple[str, ...]:
     """Type of --checks: comma-separated registered ids, or 'all'; a repeated
     id counts once."""
     if text == "all":
-        return DEFAULT_CHECK_IDS
+        return checks.DEFAULT_CHECK_IDS
     ids = tuple(dict.fromkeys(x.strip() for x in text.split(",") if x.strip()))
     if not ids:
         raise ValueError("no check ids given")
-    unknown = [c for c in ids if c not in CHECKS]
+    unknown = [c for c in ids if c not in checks.CHECKS]
     if unknown:
         raise ValueError(f"unknown check ids: {', '.join(unknown)}")
     return ids
@@ -360,7 +352,7 @@ def _row(task: Callable[[], Any], fmt: str) -> tuple[str, bool]:
     """task()'s record as its output line in fmt and whether it passes: the
     one renderer, run by whichever worker runs the task."""
     record = task()
-    return serialize_report(record, fmt), _KINDS[type(record)].passes(record)
+    return serialize_report(record, fmt), _KINDS[type(record).__name__].passes(record)
 
 
 def _share(tasks: Sequence[Callable[[], Any]], start: int, step: int) -> tuple[list, tuple | None]:
@@ -457,14 +449,14 @@ def _scan(
     return ScanRecord(check_id, scope, count, first_failure)
 
 
-def _cmd_verify(args: argparse.Namespace) -> list[Callable[[], CongruenceReport]]:
+def _cmd_verify(args: argparse.Namespace) -> list[Callable[[], arith.CongruenceReport]]:
     lo, hi = args.primes
-    primes = primes_in_range(lo, hi)
+    primes = arith.primes_in_range(lo, hi)
     # in (check_id, p) order, the output order; check marks informational only p below the floor
     tasks = [
-        functools.partial(check, check_id, p, informational=args.include_p3)
+        functools.partial(checks.check, check_id, p, informational=args.include_p3)
         for check_id in sorted(args.checks) for p in primes
-        if p >= CHECKS[check_id].floor or (args.include_p3 and p == 3)
+        if p >= checks.CHECKS[check_id].floor or (args.include_p3 and p == 3)
     ]
     if not tasks:
         raise ValueError(f"no selected check applies to a prime in {lo}..{hi}")
@@ -476,26 +468,26 @@ def _cmd_lemma(args: argparse.Namespace) -> list[Callable[[], ScanRecord]]:
     # the six scans of --m 3,5,7 share one walk per n
     return [
         functools.partial(_scan, check_id, f"m={m},n={lo}..{hi}", scan, hi - lo + 1, "n={}")
-        for check_id, m, scan in lemma_scans(tuple(sorted(args.m)), lo, hi)
+        for check_id, m, scan in lemma.lemma_scans(tuple(sorted(args.m)), lo, hi)
     ]
 
 
 def _cmd_wz(args: argparse.Namespace) -> list[Callable[[], ScanRecord]]:
     (t_lo, t_hi), (b_lo, b_hi) = args.telescope, args.boundary
-    primes = primes_in_range(t_lo, t_hi)
+    primes = arith.primes_in_range(t_lo, t_hi)
     return [functools.partial(_scan, *scan) for scan in (
-        ("wz_relation", f"1<=k<=n<={args.grid}", wz_relation_scan(args.grid),
+        ("wz_relation", f"1<=k<=n<={args.grid}", series.wz_relation_scan(args.grid),
          args.grid * (args.grid + 1) // 2, "n={},k={}"),
         ("wz_telescoped", f"primes {t_lo}..{t_hi}",
-         (((p,), check_telescoped_identity(p)) for p in primes), len(primes), "p={}"),
-        ("wz_boundary", f"odd p {b_lo}..{b_hi}", boundary_scan(b_lo, b_hi),
+         (((p,), series.check_telescoped_identity(p)) for p in primes), len(primes), "p={}"),
+        ("wz_boundary", f"odd p {b_lo}..{b_hi}", series.boundary_scan(b_lo, b_hi),
          len(range(max(b_lo | 1, 3), b_hi + 1, 2)), "p={}"),
     )]
 
 
-def _cmd_discover(args: argparse.Namespace) -> list[Callable[[], DiscoveryResult]]:
+def _cmd_discover(args: argparse.Namespace) -> list[Callable[[], conjectures.DiscoveryResult]]:
     lo, hi = args.primes
-    primes = primes_in_range(max(lo, 5), hi)
+    primes = arith.primes_in_range(max(lo, 5), hi)
     if not primes:
         raise ValueError(f"no usable primes in {lo}..{hi}")
     # One walk of p^r summands per prime serves every weight.  2^bit_length >
@@ -508,17 +500,18 @@ def _cmd_discover(args: argparse.Namespace) -> list[Callable[[], DiscoveryResult
             f" exceeds the cap {PRIME_CAP}"
         )
     family = args.family.upper()
-    ms = sorted(args.m or FAMILIES[family].default_m)  # args.m None: --m all
+    ms = sorted(args.m or conjectures.FAMILIES[family].default_m)  # args.m None: --m all
     # The walks are the work: one task per prime, ascending, so the stride
     # puts neighbouring primes, the costly top ones too, on different
     # workers.  A failed cell is held in its table, not raised, so the lift
     # of the first failing weight raises its first failing prime's error.
-    walks = [functools.partial(residue_table, family, ms, p, args.r, args.variant) for p in primes]
+    walks = [functools.partial(conjectures.residue_table, family, ms, p, args.r, args.variant)
+             for p in primes]
     tables = dict(zip(primes, _map_tasks(walks, args.jobs)))
     # Each lift takes well under a millisecond: run() lifts and renders them
     # in this process, with no second round of forks.
     args.jobs = 1
-    return [functools.partial(discover_constant, family, m, primes, r=args.r,
+    return [functools.partial(conjectures.discover_constant, family, m, primes, r=args.r,
                               variant=args.variant, tables=tables) for m in ms]
 
 
@@ -528,13 +521,17 @@ def _cmd_table(args: argparse.Namespace) -> list[Callable[[], _TableRow]]:
 
 
 def _declare(
-    sub, name: str, handler: Callable, kind: _Kind, help: str, *arguments: tuple[str, dict],
-    jobs: bool = False,
+    sub, command: str | None, name: str, handler: Callable, kind: _Kind, help: str,
+    *arguments: tuple[str, dict], jobs: bool = False,
 ) -> None:
     """One subcommand: its (flag, add_argument options) pairs, then --format
     and, where its tasks may fan out to processes, --jobs; run() runs and
-    renders the tasks handler(args) returns, one per record of this kind."""
+    renders the tasks handler(args) returns, one per record of this kind.
+    Unless it is command, or command is None, it is declared with its name
+    and help alone."""
     cmd = sub.add_parser(name, help=help)
+    if command not in (None, name):
+        return
     for flag, options in arguments:
         cmd.add_argument(flag, **options)
     cmd.add_argument("--format", choices=FORMATS, default="text")
@@ -544,12 +541,15 @@ def _declare(
     cmd.set_defaults(handler=handler, kind=kind, jobs=1)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, with the arguments of command alone,
+    or of each subcommand when command is None."""
     parser = argparse.ArgumentParser(
         prog="supercong",
         description="Exact-arithmetic congruence verification and constant discovery.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    declare = functools.partial(_declare, sub, command)
     primes = ("--primes", dict(type=_int_range("prime", "--primes", PRIME_CAP), default="5..199",
                                help="prime range lo..hi (default %(default)s)"))
     verify_primes = ("--primes", dict(primes[1], type=_int_range("prime", "--primes", VERIFY_CAP)))
@@ -558,63 +558,90 @@ def _build_parser() -> argparse.ArgumentParser:
     n_range = dict(type=_int_range("n", "--n", N_CAP, least=2),
                    help="n range lo..hi (default %(default)s)")
 
-    _declare(sub, "verify", _cmd_verify, _CONGRUENCE,
-             "scan named congruence checks over a prime range",
-             ("--checks", dict(type=_check_ids, default="all", help="comma-separated check ids,"
-                               " or 'all' (default; excludes lemma_sun1_printed, morley"
-                               " and wolstenholme)")),
-             verify_primes,
-             ("--include-p3", dict(action="store_true", help="emit informational p=3 rows"
-                                   " (pass=null) for checks floored at p>=5")),
-             jobs=True)
-    _declare(sub, "lemma", _cmd_lemma, _SCAN, "exact closed-form lemma scans",
-             weights, ("--n", dict(n_range, default="2..50")))
-    _declare(sub, "wz", _cmd_wz, _SCAN,
-             "telescoping pair relation, telescoped identity, boundary form",
-             ("--grid", dict(type=_at_least_one("--grid", GRID_CAP), default=60,
-                             help="check the pair relation for 1<=k<=n<=GRID")),
-             ("--telescope", dict(type=_int_range("telescope", "--telescope", TELESCOPE_CAP),
-                                  default="3..97",
-                                  help="prime range for the telescoped identity")),
-             ("--boundary", dict(type=_int_range("boundary", "--boundary", BOUNDARY_CAP),
-                                 default="3..199",
-                                 help="odd range for the boundary closed form")))
-    _declare(sub, "discover", _cmd_discover, _DISCOVERY,
-             "rediscover family constants via CRT over a prime range",
-             ("--family", dict(choices=[f.lower() for f in FAMILIES], required=True)),
-             ("--m", dict(type=lambda text: None if text == "all" else _weights(text),
-                          default="all", help="comma-separated odd weights, or 'all'")),
-             primes,
-             ("--r", dict(type=_at_least_one("--r"), default=1,
-                          help="power of p in the truncation depth (default %(default)s)")),
-             ("--variant", dict(choices=("half", "full", "both"), default="both")),
-             jobs=True)
-    _declare(sub, "table", _cmd_table, _TABLE, "print the closed-form table values",
-             weights, ("--n", dict(n_range, default="2..10")))
+    declare("verify", _cmd_verify, _CONGRUENCE,
+            "scan named congruence checks over a prime range",
+            ("--checks", dict(type=_check_ids, default="all", help="comma-separated check ids,"
+                              " or 'all' (default; excludes lemma_sun1_printed, morley"
+                              " and wolstenholme)")),
+            verify_primes,
+            ("--include-p3", dict(action="store_true", help="emit informational p=3 rows"
+                                  " (pass=null) for checks floored at p>=5")),
+            jobs=True)
+    declare("lemma", _cmd_lemma, _SCAN, "exact closed-form lemma scans",
+            weights, ("--n", dict(n_range, default="2..50")))
+    declare("wz", _cmd_wz, _SCAN,
+            "telescoping pair relation, telescoped identity, boundary form",
+            ("--grid", dict(type=_at_least_one("--grid", GRID_CAP), default=60,
+                            help="check the pair relation for 1<=k<=n<=GRID")),
+            ("--telescope", dict(type=_int_range("telescope", "--telescope", TELESCOPE_CAP),
+                                 default="3..97",
+                                 help="prime range for the telescoped identity")),
+            ("--boundary", dict(type=_int_range("boundary", "--boundary", BOUNDARY_CAP),
+                                default="3..199",
+                                help="odd range for the boundary closed form")))
+    declare("discover", _cmd_discover, _DISCOVERY,
+            "rediscover family constants via CRT over a prime range",
+            # conjectures.FAMILIES' keys, lower-cased: a literal, so that
+            # declaring the flag runs no layer (a test holds the two equal)
+            ("--family", dict(choices=("c", "d"), required=True)),
+            ("--m", dict(type=lambda text: None if text == "all" else _weights(text),
+                         default="all", help="comma-separated odd weights, or 'all'")),
+            primes,
+            ("--r", dict(type=_at_least_one("--r"), default=1,
+                         help="power of p in the truncation depth (default %(default)s)")),
+            ("--variant", dict(choices=("half", "full", "both"), default="both")),
+            jobs=True)
+    declare("table", _cmd_table, _TABLE, "print the closed-form table values",
+            weights, ("--n", dict(n_range, default="2..10")))
     return parser
+
+
+def _write(text: str) -> None:
+    """text to stdout in slices of _BATCH characters.  Where stdout's text
+    layer sits on a raw, unbuffered file (as under PYTHONUNBUFFERED), which
+    takes what the kernel takes and drops the rest unreported, each slice is
+    encoded and written to the file itself, the rest again after a short
+    write, and a write that takes nothing raises."""
+    out = sys.stdout
+    unbuffered = isinstance(getattr(out, "buffer", None), io.RawIOBase) and os.linesep == "\n"
+    out.flush()
+    for start in range(0, len(text), _BATCH):
+        batch = text[start:start + _BATCH]
+        if not unbuffered:
+            out.write(batch)
+            continue
+        data = memoryview(batch.encode(out.encoding, out.errors))
+        while data:
+            written = out.buffer.write(data)
+            if not written:  # None: a non-blocking stdout is full
+                raise OSError(f"stdout took none of {len(data)} bytes")
+            data = data[written:]
 
 
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse arguments, run one command and write its records to stdout;
     returns the process exit code."""
+    argv = sys.argv[1:] if argv is None else argv
+    # only the named subcommand gets its arguments; an argv that names none
+    # (a help, a missing or unknown subcommand) is parsed with every one's
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(command).parse_args(argv)
     except SystemExit as exc:  # argparse already reported the usage error
         return 0 if exc.code in (0, None) else 2
     try:
         tasks = args.handler(args)  # discover's handler forks itself and sets jobs to 1
         rows = _map_tasks([functools.partial(_row, task, args.format) for task in tasks], args.jobs)
-    except (ValuationTooLow, InconsistentInput) as exc:  # ValueErrors, so caught first
-        print(f"counterexample candidate: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
+        # the two counterexample errors are looked up only when a ValueError arrives
+        if isinstance(exc, (conjectures.ValuationTooLow, arith.InconsistentInput)):
+            print(f"counterexample candidate: {exc}", file=sys.stderr)
+            return 1
         print(f"error: {exc}", file=sys.stderr)
         return 2
     header = {"csv": ",".join(args.kind.csv), "text": args.kind.text_header}.get(args.format)
-    if header is not None:
-        sys.stdout.write(header + "\n")
-    for line, _ in rows:
-        sys.stdout.write(line + "\n")
+    text = "".join(f"{line}\n" for line, _ in rows)
+    _write(text if header is None else f"{header}\n{text}")
     return 0 if all(passes for _, passes in rows) else 1
 
 

@@ -10,9 +10,10 @@ import math
 import operator
 import threading
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
-from .arith import Rational
+if TYPE_CHECKING:  # an annotation only: the lemma and table commands never run arith
+    from .arith import Rational
 
 # Every growing exact sequence of the package, keyed by name: the values
 # computed so far and the iterator that yields the rest.

@@ -263,7 +263,7 @@ class TestLemmaIntegerWalk:
         ("7", "2..40", (7,)),  # a single weight walks that weight alone
     ])
     def test_a_lemma_scan_walks_each_n_once(self, monkeypatch, capsys, weights, n_range, walked):
-        from supercong import checks, cli
+        from supercong import cli, lemma
 
         walks = []
 
@@ -273,7 +273,7 @@ class TestLemmaIntegerWalk:
             cells = [(table1_f(m, n), table1_g(m, n)) for m in ms]
             return [((f.numerator, f.denominator), (g.numerator, g.denominator)) for f, g in cells]
 
-        monkeypatch.setattr(checks, "_lemma_walk", closed_form_walk)
+        monkeypatch.setattr(lemma, "_lemma_walk", closed_form_walk)
         assert cli.run(["lemma", "--m", weights, "--n", n_range, "--format", "csv"]) == 0
         lo, hi = map(int, n_range.split(".."))
         assert walks == [(walked, n) for n in range(lo, hi + 1)]

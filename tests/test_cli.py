@@ -3,6 +3,7 @@
 import contextlib
 import functools
 import hashlib
+import io
 import json
 import os
 import signal
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 import supercong
 from supercong.arith import INFINITE, CongruenceReport, make_report
 from supercong.checks import check
-from supercong import checks, cli, conjectures, series
+from supercong import arith, checks, cli, conjectures, lemma, series
 from supercong.cli import (
     CONGRUENCE_CSV_HEADER,
     DISCOVERY_CSV_HEADER,
@@ -243,7 +244,7 @@ class TestLongIntegers:
             return DiscoveryResult(family, m, r, LONG, ((5, 0, 125),), consistent)
 
         _usable_cpus(monkeypatch, 2)
-        monkeypatch.setattr(cli, "discover_constant", discover)
+        monkeypatch.setattr(conjectures, "discover_constant", discover)
         got = run_cli(capsys, "discover", "--family", "d", "--m", "1,3", "--format", "csv",
                       "--jobs", jobs)
         _assert_no_child_left()
@@ -384,7 +385,7 @@ class TestVerifyCommand:
         def no_sieve(lo, hi):
             raise AssertionError(f"sieve asked for {lo}..{hi}")
 
-        monkeypatch.setattr(cli, "primes_in_range", no_sieve)
+        monkeypatch.setattr(arith, "primes_in_range", no_sieve)
         code, out, err = run_cli(capsys, "verify", "--primes", "5..10000000000")
         assert code == 2 and out == ""
         assert "--primes upper end 10000000000 exceeds the cap 2000\n" in err
@@ -406,7 +407,7 @@ class TestVerifyCommand:
         def no_sieve(lo, hi):
             raise AssertionError(f"sieve asked for {lo}..{hi}")
 
-        monkeypatch.setattr(cli, "primes_in_range", no_sieve)
+        monkeypatch.setattr(arith, "primes_in_range", no_sieve)
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "") and "exceeds the cap 2000" in err
 
@@ -454,9 +455,9 @@ class TestVerifyCommand:
 
     def test_discover_work_above_cap_exits_two_before_any_sum(self, capsys, monkeypatch):
         def stub(family, ms, p, r, variant):
-            raise cli.ValuationTooLow(f"stub reached at p={p}, r={r}")
+            raise conjectures.ValuationTooLow(f"stub reached at p={p}, r={r}")
 
-        monkeypatch.setattr(cli, "residue_table", stub)
+        monkeypatch.setattr(conjectures, "residue_table", stub)
         for primes, r in (("5..3163", "2"), ("5..3162", "2"), ("5..577", "2"), ("5..251", "3"),
                           ("5..7", "1000000000")):
             code, out, err = run_cli(capsys, "discover", "--family", "c", "--primes", primes, "--r", r)
@@ -535,8 +536,8 @@ class TestOtherCommands:
         (conjectures.ValuationTooLow, 1, "counterexample candidate: n=3 fails\n"),
     ])
     @pytest.mark.parametrize("argv,module", [
-        (["table", "--m", "5", "--n", "2..4"], cli),
-        (["lemma", "--m", "3,5", "--n", "2..4"], checks),
+        (["table", "--m", "5", "--n", "2..4"], lemma),
+        (["lemma", "--m", "3,5", "--n", "2..4"], lemma),
     ])
     def test_a_failing_table_or_lemma_task_ends_the_run(
         self, capsys, monkeypatch, error, code, shown, argv, module
@@ -620,8 +621,8 @@ class TestOtherCommands:
             lifts.append((family, m))
             return discover_constant(family, m, primes, **kwargs)
 
-        monkeypatch.setattr(cli, "residue_table", walking)
-        monkeypatch.setattr(cli, "discover_constant", lifting)
+        monkeypatch.setattr(conjectures, "residue_table", walking)
+        monkeypatch.setattr(conjectures, "discover_constant", lifting)
         code, out, _ = run_cli(
             capsys, "discover", "--family", "c", "--m", "5,5", "--primes", "5..13", "--format", "json"
         )
@@ -706,13 +707,13 @@ class TestForkedWorkers:
     def test_earliest_failing_task_decides_stderr_and_exit_code(
         self, capsys, monkeypatch, error, failing
     ):
-        def check(check_id, p, informational=False, _real=cli.check):
+        def check(check_id, p, informational=False, _real=checks.check):
             i = FORK_TASKS.index((check_id, p))
             if i in failing:
                 raise error(f"task {i} fails")
             return _real(check_id, p, informational=informational)
 
-        monkeypatch.setattr(cli, "check", check)
+        monkeypatch.setattr(checks, "check", check)
         serial = run_cli(capsys, *FORK_ARGV, "--jobs", "1")
         assert run_cli(capsys, *FORK_ARGV, "--jobs", "2") == serial
         code, out, err = serial
@@ -734,14 +735,14 @@ class TestForkedWorkers:
         """Failed cells at (m, p), walked by either worker, end the run with
         the error of the first failing weight, in sorted order, at its first
         failing prime: the cell a run of one task per weight stopped on."""
-        def walk(family, ms, p, r, variant, _real=cli.residue_table):
+        def walk(family, ms, p, r, variant, _real=conjectures.residue_table):
             table = _real(family, ms, p, r, variant)
             for m in ms:
                 if (m, p) in failing:
                     table[m] = error(f"cell m={m} p={p} fails")
             return table
 
-        monkeypatch.setattr(cli, "residue_table", walk)
+        monkeypatch.setattr(conjectures, "residue_table", walk)
         serial = run_cli(capsys, *DISCOVER_ARGV, "--jobs", "1")
         assert run_cli(capsys, *DISCOVER_ARGV, "--jobs", "2") == serial
         m, p = min(failing)
@@ -788,13 +789,13 @@ class TestForkedWorkers:
     ):
         parent = os.getpid()
 
-        def check(check_id, p, informational=False, _real=cli.check):
+        def check(check_id, p, informational=False, _real=checks.check):
             if os.getpid() != parent:
                 die()
             return _real(check_id, p, informational=informational)
 
-        monkeypatch.setattr(cli, "check", check)
-        tasks = [functools.partial(cli.check, c, p) for c, p in FORK_TASKS]
+        monkeypatch.setattr(checks, "check", check)
+        tasks = [functools.partial(checks.check, c, p) for c, p in FORK_TASKS]
         with pytest.raises(ChildProcessError, match=f"wait status {status}\\)"):
             cli._map_tasks(tasks, 2)
 
@@ -806,10 +807,10 @@ class TestForkedWorkers:
                 raise KeyboardInterrupt
             time.sleep(60)  # a child left running would hold up the reaping
 
-        monkeypatch.setattr(cli, "check", check)
+        monkeypatch.setattr(checks, "check", check)
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
-            cli._map_tasks([functools.partial(cli.check, c, p) for c, p in FORK_TASKS], 2)
+            cli._map_tasks([functools.partial(checks.check, c, p) for c, p in FORK_TASKS], 2)
         assert time.monotonic() - start < 30
 
 
@@ -927,3 +928,145 @@ def test_an_exception_inside_run_prints_its_traceback(entry):
     code, _, err = _console(entry, ["verify", "--checks", "thm1", "--primes", "5..7"], prelude)
     assert code == 1
     assert err.startswith(b"Traceback") and b"ZeroDivisionError" in err.splitlines()[-1]
+
+
+# The names the package root re-exported before its layers ran lazily, and
+# the layer modules it bound then: every one still resolves from the root.
+ROOT_NAMES = (
+    "CHECKS", "CongruenceReport", "DEFAULT_CHECK_IDS", "DiscoveryResult", "INFINITE",
+    "InconsistentInput", "IndexOutOfRange", "InvalidPrime", "NonInvertibleDenominator",
+    "PreconditionViolated", "PrimePower", "PrimeTooSmall", "SumSpec", "ValuationTooLow",
+    "boundary_closed_form", "check", "check_boundary_closed_form", "check_lemma_f",
+    "check_lemma_g", "check_lemma_sun3", "check_ratio_expansion", "check_telescoped_identity",
+    "check_wz_relation", "congruent", "conj_sum", "crt_lift", "discover_constant", "euler_number",
+    "extract_residue", "h2", "inv_pochhammer_int", "is_odd_prime", "make_report", "partial_sum",
+    "pochhammer", "pochhammer_ratio_product", "primes_in_range", "reduce_mod", "residue_table",
+    "table1_f", "table1_g", "table1_g_parts", "term_value", "verify_conjecture", "vp", "wz_F",
+    "wz_G",
+)
+ROOT_LAYERS = ("arith", "checks", "conjectures", "series", "special")
+
+
+class TestLazyLayers:
+    # An atexit handler, which main runs before it ends the process, lists
+    # the supercong layers that ran: a layer not yet run is still an
+    # instance of LazyLoader's module subclass.
+    PRELUDE = ("import atexit, sys, types\n"
+               "atexit.register(lambda: print(sorted(name.partition('.')[2] for name, module in "
+               "list(sys.modules.items()) if name.startswith('supercong.') and name != "
+               "'supercong.cli' and type(module) is types.ModuleType), file=sys.stderr))")
+
+    @pytest.mark.parametrize("argv,layers", [
+        (["verify", "--primes", "5..13"], ["arith", "checks", "lemma", "series", "special"]),
+        (["discover", "--family", "c", "--m", "1,3,5", "--primes", "5..13"],
+         ["arith", "conjectures", "series", "special"]),
+        (["lemma", "--n", "2..5"], ["lemma", "special"]),
+        (["table", "--n", "2..4"], ["lemma", "special"]),
+        (["wz", "--grid", "3", "--telescope", "3..7", "--boundary", "3..9"],
+         ["arith", "series", "special"]),
+        (["--help"], []),
+    ])
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_a_command_runs_the_layers_it_uses_and_no_other(self, entry, argv, layers):
+        code, _, err = _console(entry, argv, self.PRELUDE)
+        assert (code, err.decode()) == (0, f"{layers}\n")
+
+    def test_every_name_of_the_package_root_resolves_from_its_layer(self):
+        namespace = {}
+        exec("from supercong import *", namespace)
+        layers = [sys.modules[f"supercong.{layer}"] for layer in (*ROOT_LAYERS, "lemma")]
+        for name in ROOT_NAMES:
+            value = getattr(supercong, name)
+            assert namespace[name] is value
+            assert any(vars(layer).get(name) is value for layer in layers)
+        for layer in ROOT_LAYERS:
+            assert namespace[layer] is getattr(supercong, layer) is sys.modules[f"supercong.{layer}"]
+        assert set(dir(supercong)) >= {*ROOT_NAMES, *ROOT_LAYERS}
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            supercong.no_such_name
+
+    def test_importing_the_package_registers_every_layer_and_runs_none(self):
+        code = ("import sys, types, supercong; print(sorted((name, type(module) is types.ModuleType) "
+                "for name, module in list(sys.modules.items()) if name.startswith('supercong.')))")
+        layers = ("arith", "checks", "conjectures", "lemma", "series", "special")
+        assert _python(code) == repr([(f"supercong.{layer}", False) for layer in layers])
+
+
+class TestSubcommandParser:
+    """run() builds the arguments of the subcommand argv names alone; its
+    help, usage errors and exit codes are those of the parser that declares
+    every subcommand's arguments."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], *([command, "--help"] for command in cli.COMMANDS),
+        [], ["bogus"], ["-h", "verify"], ["--", "verify"], ["--format", "json", "verify"],
+        ["verify", "--primes", "9..1"], ["verify", "--primes", "5..x"], ["verify", "--checks", "nope"],
+        ["verify", "--jobs", "0"], ["verify", "--format", "xml"], ["verify", "--include-p3=1"],
+        ["verify", "--bogus"], ["verify", "extra"],
+        ["lemma", "--m", "4"], ["lemma", "--n", "1..3"], ["lemma", "--format", "x"],
+        ["wz", "--grid", "0"], ["wz", "--telescope", "9..1"], ["wz", "--boundary", "3..x"],
+        ["discover"], ["discover", "--family", "x"], ["discover", "--family", "c", "--m", "2"],
+        ["discover", "--family", "c", "--primes", "9..1"], ["discover", "--family", "c", "--r", "0"],
+        ["discover", "--family", "c", "--variant", "x"], ["discover", "--family", "c", "--jobs", "x"],
+        ["table", "--m", "4"], ["table", "--n", "9..3"], ["table", "--jobs", "2"],
+    ])
+    def test_help_and_usage_errors_match_the_full_parser(self, capsys, argv):
+        got = run_cli(capsys, *argv)
+        try:
+            cli._build_parser().parse_args(argv)
+        except SystemExit as exc:
+            code = 0 if exc.code in (0, None) else 2
+        else:
+            code = None
+        assert got == (code, *capsys.readouterr())
+
+    def test_the_commands_run_dispatches_on_are_the_parsers_subcommands(self, capsys):
+        assert run_cli(capsys, "bogus")[2].endswith(
+            f"(choose from {', '.join(map(repr, cli.COMMANDS))})\n")
+
+    def test_the_family_choices_are_the_discovery_families(self, capsys):
+        families = ", ".join(repr(family.lower()) for family in conjectures.FAMILIES)
+        assert run_cli(capsys, "discover", "--family", "x")[2].endswith(
+            f"(choose from {families})\n")
+
+
+class _RawStdout(io.RawIOBase):
+    """A raw, unbuffered file as stdout sits on under PYTHONUNBUFFERED: each
+    write takes at most `take` bytes (None takes nothing, as a full
+    non-blocking file does) and is counted."""
+
+    def __init__(self, take):
+        self.take, self.data, self.writes = take, bytearray(), 0
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.writes += 1
+        if self.take is None:
+            return None
+        taken = bytes(b[:self.take])
+        self.data += taken
+        return len(taken)
+
+
+class TestUnbufferedOutput:
+    ARGV = ["verify", "--primes", "5..199", "--format", "json"]
+
+    def _run_on(self, monkeypatch, raw):
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, "utf-8", write_through=True))
+        return cli.run(self.ARGV)
+
+    @pytest.mark.parametrize("take", [10**9, 4096, 1])
+    def test_short_writes_lose_nothing_and_slices_are_few(self, capsys, monkeypatch, take):
+        code, out, _ = run_cli(capsys, *self.ARGV)
+        raw = _RawStdout(take)
+        assert self._run_on(monkeypatch, raw) == code
+        assert bytes(raw.data) == out.encode()
+        if take == 10**9:  # one write per 64 KiB of output, not one per row
+            assert raw.writes == -(-len(out) // 2**16) < len(out.splitlines())
+
+    @pytest.mark.parametrize("take", [0, None])
+    def test_a_write_that_takes_nothing_raises(self, monkeypatch, take):
+        with pytest.raises(OSError, match="stdout took none of"):
+            self._run_on(monkeypatch, _RawStdout(take))

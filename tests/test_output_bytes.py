@@ -15,7 +15,7 @@ import io
 
 import pytest
 
-from supercong import checks, cli, series
+from supercong import cli, lemma, series
 
 CASES = {
     "verify": ["verify", "--checks", "lemma_sun1_printed,thm1,van_hamme", "--primes", "3..7",
@@ -111,11 +111,11 @@ def _relation_fails_at_3_2(monkeypatch, built):
 def test_failing_scan_bytes_and_no_evaluation_after_first_failure(capsys, monkeypatch, fmt):
     calls = []
 
-    def fails_at_4(m, n, _real=checks.table1_f):
+    def fails_at_4(m, n, _real=lemma.table1_f):
         calls.append((m, n))
         return _real(m, n) + (n == 4)
 
-    monkeypatch.setattr(checks, "table1_f", fails_at_4)
+    monkeypatch.setattr(lemma, "table1_f", fails_at_4)
     assert _run(capsys, CASES["lemma"] + ["--format", fmt]) == (1, FAILING_SCAN[fmt])
     # the rows still count n = 5, 6, but never evaluate them
     assert calls == [(m, n) for m in (3, 5) for n in (2, 3, 4)]
