@@ -13,7 +13,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .special import h2
+from .special import cached_prefix, h2
 
 TABLE1_WEIGHTS = (3, 5, 7)
 
@@ -39,7 +39,8 @@ def table1_f(m: int, n: int) -> Fraction:
 
 
 def table1_g_parts(m: int, n: int) -> tuple[Fraction, Fraction]:
-    """(rational part, coefficient of H_n^(2)) of the weighted closed form."""
+    """(rational part, coefficient of H_n^(2)) of the weighted closed form;
+    the coefficient is an integer."""
     require_lemma_args(m, n)
     den = 4 * n * n * (n - 1) ** 2
     if m == 3:
@@ -73,6 +74,15 @@ def _shifted_steps() -> Iterator[tuple[int, int, int]]:
         yield c * d, c - d, d * d
 
 
+def _lemma_steps(ms: tuple[int, ...]) -> Iterator[tuple[int, int, int, int, int, tuple[int, ...]]]:
+    """Row k = 1, 2, ... of the lemma walk's step table for the weights ms:
+    (c, d, cd, c - d, d^2, ((4k-1)^m for m in ms)) with c = (2k-3)^2 and
+    d = (2k)^2 as in _shifted_steps.  No entry depends on n, so every n
+    reads a prefix of one table."""
+    for k, (cd, c_d, d2) in enumerate(_shifted_steps(), 1):
+        yield (2 * k - 3) ** 2, 4 * k * k, cd, c_d, d2, tuple((4 * k - 1) ** m for m in ms)
+
+
 def _lemma_walk(ms: tuple[int, ...], n: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """For each weight m of ms, the sums over k = 0..n of the terminating
     lemma summand
@@ -83,31 +93,42 @@ def _lemma_walk(ms: tuple[int, ...], n: int) -> list[tuple[tuple[int, int], tupl
     (numerator, denominator) pairs over one denominator, from one walk along
     k for every m.  The walk keeps the term without its (4k-1)^m factor as
     (p0 + e p1)/q, its ratio's (2k-3)^2/(2k)^2 factor taken from
-    _shifted_steps, so p1/q is the term times w_k.  Each m keeps its own two
-    running sums over q, by walk_total's recurrence.
+    _shifted_steps, so p1/q is the term times w_k.  With E = (2n-1)^2, the
+    rest of the ratio at k is x/(d - E), x = c - E = 4(k-1-n)(n+k-2), over
+    the table rows k = 1..n of _lemma_steps(ms), kept per ms.  Each m keeps
+    its own two running sums over q, by walk_total's recurrence.
     """
+    e = (2 * n - 1) ** 2
     p0 = q = 1
     p1 = 0
     plain = [-1] * len(ms)  # k = 0: term (-1)^m = -1, weight 0
     weighted = [0] * len(ms)
-    for k, (cd, c_d, d2) in zip(range(1, n + 1), _shifted_steps()):
-        x = 4 * (k - 1 - n) * (n + k - 2)  # (2k-3)^2/k^2 = 4c/d
-        b = d2 * (2 * n + 2 * k - 1) * (2 * k - 2 * n + 1)
-        p0, p1 = p0 * cd * x, (p1 * cd + p0 * c_d) * x
+    for c, d, cd, c_d, d2, powers in cached_prefix(("lemma steps", ms), lambda: _lemma_steps(ms), n):
+        x = c - e
+        b = d2 * (d - e)
+        cdx = cd * x
+        p0, p1 = p0 * cdx, p1 * cdx + p0 * (c_d * x)
         q *= b
-        for i, m in enumerate(ms):
-            c = (4 * k - 1) ** m
-            plain[i] = plain[i] * b + c * p0
-            weighted[i] = weighted[i] * b + c * p1
+        for i, w in enumerate(powers):
+            plain[i] = plain[i] * b + w * p0
+            weighted[i] = weighted[i] * b + w * p1
     return [((x, q), (y, q)) for x, y in zip(plain, weighted)]
 
 
 def _lemma_holds(sums: tuple[tuple[int, int], ...], m: int, n: int, weighted: bool) -> bool:
     """Whether the weighted (else the plain) sum of one _lemma_walk cell at
-    weight m and index n equals its closed form, by one cross-multiplication."""
-    closed = table1_g(m, n) if weighted else table1_f(m, n)
+    weight m and index n equals its closed form, by one cross-multiplication
+    of integers: the weighted closed form r + c H, H = h2(n) and c an
+    integer, is (r_num H_den + c H_num r_den)/(r_den H_den)."""
     num, den = sums[weighted]
-    return num * closed.denominator == closed.numerator * den
+    if not weighted:
+        closed = table1_f(m, n)
+        return num * closed.denominator == closed.numerator * den
+    rational, coeff = table1_g_parts(m, n)
+    h = h2(n)
+    r_num, r_den = rational.numerator, rational.denominator
+    return (num * r_den * h.denominator
+            == den * (r_num * h.denominator + coeff.numerator * h.numerator * r_den))
 
 
 def check_lemma_f(m: int, n: int) -> bool:

@@ -181,72 +181,45 @@ def _wz_G_ratios(n: int) -> Iterator[tuple[int, int]]:
     return ((-2 * (2 * n + 2 * k - 3) * (n - k), (2 * k - 1) ** 2) for k in itertools.count(1))
 
 
-def _wz_row_starts(n: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """F(n, 0) and G(n, 1) as unreduced integer pairs (num, den).  With
-    c = 2^n (-1/2)_n = (-1)(1)(3)...(2n-3), they are
+def _wz_G_tail_sum(n: int) -> tuple[int, int]:
+    """sum_{k=1..n-1} G(n, k) for n >= 2 as an unreduced integer pair
+    (num, den), one walk_total along the G ratios.  With
+    c = 2^n (-1/2)_n = (-1)(1)(3)...(2n-3),
 
-        F(n, 0) = (-1)^n (4n-1) c^3 / (8^n n!^3)
-        G(n, 1) = (-1)^(n+1) 8 c^3 / (8^n (n-1)!^3),  and G(0, 1) = 0."""
-    cube = math.prod(range(-1, 2 * n - 2, 2)) ** 3
-    sign = -1 if n % 2 else 1
-    f = (sign * (4 * n - 1) * cube, math.factorial(n) ** 3 << 3 * n)
-    return f, ((-sign * 8 * cube, math.factorial(n - 1) ** 3 << 3 * n) if n else (0, 1))
+        G(n, 1) = (-1)^(n+1) 8 c^3 / (8^n (n-1)!^3)."""
+    num = (8 if n % 2 else -8) * math.prod(range(-1, 2 * n - 2, 2)) ** 3
+    steps = ((a, b, 1) for a, b in itertools.islice(_wz_G_ratios(n), n - 2))
+    return walk_total(steps, num, num, math.factorial(n - 1) ** 3 << 3 * n)
 
 
 def wz_G_tail(n: int) -> Fraction:
     """sum_{k=1..n-1} G(n, k) for n >= 2, one walk along the G ratios."""
     if n < 2:
         raise PreconditionViolated(f"the G-tail is stated for n >= 2, got n={n}")
-    num, den = _wz_row_starts(n)[1]
-    steps = ((a, b, 1) for a, b in itertools.islice(_wz_G_ratios(n), n - 2))
-    return Fraction(*walk_total(steps, num, num, den))
+    return Fraction(*_wz_G_tail_sum(n))
 
 
-_Row = tuple[list[int], int]  # integer numerators over one denominator
+def _wz_row(n: int) -> Iterator[tuple[int, int, int]]:
+    """(F(n, k), G(n, k+1), G(n+1, k+1)) times D/F(n, 0) for k = 0, 1, 2, ...
+    without end, D = (4n-1) prod_{j=1..n} (2j-1)^2.  F(n, 0) is never zero,
+    and G(n, 1)/F(n, 0) = -8n^3/(4n-1), G(n+1, 1)/F(n, 0) = (2n-1)^3/(4n-1),
+    so the three start at (4n-1), -8n^3 and (2n-1)^3 times the product.
+    Each steps along k by its ratio a/b with one multiplication and one
+    division, and every division is exact: up to a row's first a = 0 its
+    b's multiply to a divisor of the product, and after it the row is 0."""
+    odd = math.prod(range(1, 2 * n, 2)) ** 2
+    f, g, g_next = (4 * n - 1) * odd, -8 * n**3 * odd, (2 * n - 1) ** 3 * odd
+    yield f, g, g_next
+    for (a, b), (c, d), (e, q) in zip(_wz_F_ratios(n), _wz_G_ratios(n), _wz_G_ratios(n + 1)):
+        f, g, g_next = f * a // b, g * c // d, g_next * e // q
+        yield f, g, g_next
 
 
-def _integer_row(num: int, den: int, ratios: list[tuple[int, int]]) -> _Row:
-    """(nums, den) with nums[i]/den = num/den times the first i ratios a/b,
-    for i = 0..len(ratios), then one 0 for the value after the row; no a is
-    0.  Numerator i is num times the product of the first i a's and of the
-    other b's, over den times every b.  It is read off numerator i+1 by one
-    exact division, last numerator first, so each step multiplies and
-    divides by small integers only."""
-    num = math.prod((a for a, _ in ratios), start=num)
-    nums = [0, num]
-    for a, b in reversed(ratios):
-        num = num * b // a
-        nums.append(num)
-    nums.reverse()
-    return nums, den * math.prod(b for _, b in ratios)
-
-
-def _wz_rows(n: int) -> tuple[_Row, _Row]:
-    """(F(n, 0..n+1), G(n, 1..n+1)): every value of row n that is not zero,
-    then one zero."""
-    f, g = _wz_row_starts(n)
-    return (_integer_row(*f, list(itertools.islice(_wz_F_ratios(n), n))),
-            _integer_row(*g, list(itertools.islice(_wz_G_ratios(n), max(n - 1, 0)))))
-
-
-def _wz_pair(
-    n: int, rows: tuple[_Row, _Row], next_rows: tuple[_Row, _Row]
-) -> tuple[list[int], ...]:
-    """The numerators of F(n, 0..n+2), G(n, 1..n+2) and G(n+1, 1..n+2) over
-    one common denominator, the lcm of their rows' denominators, from
-    rows = _wz_rows(n) and next_rows = _wz_rows(n+1)."""
-    rows = (*rows, next_rows[1])
-    lcm = math.lcm(*(den for _, den in rows))
-    # each row ends in its first zero, and every later value is zero too
-    return tuple(
-        (nums if den == lcm else [x * (lcm // den) for x in nums]) + [0] * (n + 3 - len(nums))
-        for nums, den in rows
-    )
-
-
-def _wz_holds(pair: tuple[list[int], ...], k: int) -> bool:
-    f, g, g_next = pair
-    return f[k - 1] - f[k] == g_next[k - 1] - g[k - 1]
+def _wz_relation_row(n: int) -> Iterator[bool]:
+    """check_wz_relation(n, k) for k = 1, 2, ... without end, each one
+    comparison of _wz_row's integers as k advances."""
+    for (f, g, g_next), (f_k, _, _) in itertools.pairwise(_wz_row(n)):
+        yield f - f_k == g_next - g
 
 
 def check_wz_relation(n: int, k: int) -> bool:
@@ -257,37 +230,19 @@ def check_wz_relation(n: int, k: int) -> bool:
     if k < 1:
         raise PreconditionViolated(f"the pair relation is stated for k >= 1, got k={k}")
     # from k = n+2 on, all four values are zero
-    return _wz_holds(_wz_pair(n, _wz_rows(n), _wz_rows(n + 1)), min(k, n + 2))
+    return next(itertools.islice(_wz_relation_row(n), min(k, n + 2) - 1, None))
 
 
 def wz_relation_scan(grid: int) -> Iterator[tuple[tuple[int, int], bool]]:
-    """((n, k), check_wz_relation(n, k)) for 1 <= k <= n <= grid, n-major.
-    The scan keeps rows n and n+1, so it builds each row once and brings
-    the rows of each n to one denominator once."""
-    rows = _wz_rows(1)
+    """((n, k), check_wz_relation(n, k)) for 1 <= k <= n <= grid, n-major,
+    each row n streamed once, as far as it is read."""
     for n in range(1, grid + 1):
-        next_rows = _wz_rows(n + 1)
-        pair = _wz_pair(n, rows, next_rows)
-        for k in range(1, n + 1):
-            yield (n, k), _wz_holds(pair, k)
-        rows = next_rows
+        yield from zip(((n, k) for k in range(1, n + 1)), _wz_relation_row(n))
 
 
 def _require_odd(p: int) -> None:
     if p < 3 or p % 2 == 0:
         raise PreconditionViolated(f"p must be odd and >= 3, got {p}")
-
-
-def check_telescoped_identity(p: int) -> bool:
-    """Exact telescoped identity for odd p >= 3, with h = (p+1)/2:
-
-        sum_{n=0..h} F(n,0) == F(h,h) + sum_{k=1..h} G(h+1, k)
-
-    The terms are the lhs of thm1 (F(n,0): A at m = 1), boundary_mod and tail_congruence.
-    """
-    _require_odd(p)
-    h = (p + 1) // 2
-    return family_sum("A", 1, h) == wz_F(h, h) + wz_G_tail(h + 1)
 
 
 def boundary_closed_form(p: int) -> tuple[Fraction, Fraction]:
@@ -306,12 +261,17 @@ def boundary_closed_form(p: int) -> tuple[Fraction, Fraction]:
     return wz_F(h, h), closed
 
 
+def _diagonal_ratio(p: int) -> tuple[int, int]:
+    """(a, b): from odd p to p+2, F(h,h), h = (p+1)/2, steps by a/b, the
+    product of (4h+1)(4h+3) over 4(h+1)^2."""
+    return (2 * p + 3) * (2 * p + 5), (p + 3) ** 2
+
+
 def _boundary_ratios(p: int) -> tuple[int, int, int, int]:
-    """(a, b, c, d): from odd p to p+2, F(h,h) steps by a/b, the product of
-    (4h+1)(4h+3) over 4(h+1)^2, and C(2p,p) C(p-1,(p-1)/2) by c/d, the
-    product of 4(2p+1)(2p+3)/((p+1)(p+2)) and 4p/(p+1)."""
-    return ((2 * p + 3) * (2 * p + 5), (p + 3) ** 2,
-            16 * p * (2 * p + 1) * (2 * p + 3), (p + 1) ** 2 * (p + 2))
+    """(a, b, c, d): from odd p to p+2, F(h,h) steps by _diagonal_ratio's
+    a/b, and C(2p,p) C(p-1,(p-1)/2) by c/d, the product of
+    4(2p+1)(2p+3)/((p+1)(p+2)) and 4p/(p+1)."""
+    return (*_diagonal_ratio(p), 16 * p * (2 * p + 1) * (2 * p + 3), (p + 1) ** 2 * (p + 2))
 
 
 def _boundary_walk() -> Iterator[tuple[int, tuple[int, int], tuple[int, int]]]:
@@ -335,11 +295,11 @@ def _boundary_walk() -> Iterator[tuple[int, tuple[int, int], tuple[int, int]]]:
 def boundary_term(p: int) -> Fraction:
     """F(h, h), h = (p+1)/2, for odd p >= 3, kept across calls:
     _boundary_walk's value at p = 3 stepped from p to p+2 by
-    _boundary_ratios' a/b as reduced Fractions, so each step takes gcds with
+    _diagonal_ratio's a/b as reduced Fractions, so each step takes gcds with
     small integers only."""
     def terms() -> Iterator[Fraction]:
         _, start, _ = next(_boundary_walk())
-        steps = (Fraction(*_boundary_ratios(q)[:2]) for q in itertools.count(3, 2))
+        steps = (Fraction(*_diagonal_ratio(q)) for q in itertools.count(3, 2))
         return itertools.accumulate(steps, operator.mul, initial=Fraction(*start))
     return cached("F(h,h)", terms, (p - 3) // 2)
 
@@ -358,6 +318,44 @@ def check_boundary_closed_form(p: int) -> bool:
     """operator.eq(*boundary_closed_form(p)), by boundary_scan's walk up to p."""
     _require_odd(p)
     [(_, holds)] = boundary_scan(p, p)
+    return holds
+
+
+def telescoped_scan(ps: Iterable[int]) -> Iterator[tuple[tuple[int], bool]]:
+    """((p,), check_telescoped_identity(p)) for each p of ps, odd, >= 3 and
+    ascending, read off one walk over odd p.  Each verdict compares
+
+        sum_{n=0..h} F(n,0) = N_h / 2^(6(h+1))    (A at m = 1)
+        F(h,h) + sum_{k=1..h} G(h+1, k)
+
+    by one cross-multiplication of integers, h = (p+1)/2: N_h from
+    _family_numerators, F(h,h) from boundary_term and the G-tail from
+    _wz_G_tail_sum."""
+    walk = zip(itertools.count(3, 2), itertools.islice(_family_numerators("A", 1), 2, None))
+    for p in ps:
+        for q, [a_num] in walk:
+            if q >= p:
+                break
+        if q != p:
+            raise PreconditionViolated(f"p must be odd, >= 3 and ascending, got {p}")
+        h = (p + 1) // 2
+        f = boundary_term(p)
+        g_num, g_den = _wz_G_tail_sum(h + 1)
+        yield (p,), (a_num * f.denominator * g_den
+                     == (f.numerator * g_den + g_num * f.denominator) << 6 * (h + 1))
+
+
+def check_telescoped_identity(p: int) -> bool:
+    """Exact telescoped identity for odd p >= 3, composites included, with
+    h = (p+1)/2:
+
+        sum_{n=0..h} F(n,0) == F(h,h) + sum_{k=1..h} G(h+1, k)
+
+    The terms are the lhs of thm1 (F(n,0): A at m = 1), boundary_mod and
+    tail_congruence.  Read off telescoped_scan's walk up to p.
+    """
+    _require_odd(p)
+    [(_, holds)] = telescoped_scan([p])
     return holds
 
 

@@ -46,6 +46,13 @@ def cached(key: object, make_iterator: Callable[[], Iterator], k: int):
     return entry[0][k]
 
 
+def cached_prefix(key: object, make_iterator: Callable[[], Iterator], n: int) -> list:
+    """Values 0..n-1 of the sequence cached(key, make_iterator, k) reads, as
+    one list, for n >= 1."""
+    cached(key, make_iterator, n - 1)
+    return _CACHE[key][0][:n]
+
+
 def pochhammer(a: Rational, k: int) -> Fraction:
     """Rising factorial (a)_k = a(a+1)...(a+k-1); the empty product is 1."""
     if k < 0:

@@ -1,12 +1,14 @@
 """Exact identities that no command runs, kept beside the tests that hold
 them: the terminating 6F5(-1) <-> 3F2(1) transformation, the Gamma-ratio
-shift and the two-term 3F2(1) value.  Gamma ratios are never evaluated as
+shift and the two-term 3F2(1) value; and the lemma sums by a walk that
+builds each step from n and k alone, the oracle of the lemma step table.  Gamma ratios are never evaluated as
 Gamma values: each reduces to a quotient of rising factorials through
 Gamma(x+1) = x*Gamma(x)."""
 
 import math
 from fractions import Fraction
 
+from supercong.lemma import _shifted_steps
 from supercong.series import walk_total
 from supercong.special import pochhammer
 
@@ -74,3 +76,23 @@ def f32_top_minus_one(d, e, lower):
     -1 and whose two lower parameters both equal `lower`."""
     d, e, lower = Fraction(d), Fraction(e), Fraction(lower)
     return 1 - d * e / lower**2  # lower = 0 raises ZeroDivisionError
+
+
+def lemma_walk_per_n(ms, n):
+    """lemma._lemma_walk(ms, n) with each step's factors built from n and k
+    alone, no table: (2k-3)^2 - (2n-1)^2 = 4(k-1-n)(n+k-2) and
+    (2k)^2 - (2n-1)^2 = (2n+2k-1)(2k-2n+1)."""
+    p0 = q = 1
+    p1 = 0
+    plain = [-1] * len(ms)
+    weighted = [0] * len(ms)
+    for k, (cd, c_d, d2) in zip(range(1, n + 1), _shifted_steps()):
+        x = 4 * (k - 1 - n) * (n + k - 2)
+        b = d2 * (2 * n + 2 * k - 1) * (2 * k - 2 * n + 1)
+        p0, p1 = p0 * cd * x, (p1 * cd + p0 * c_d) * x
+        q *= b
+        for i, m in enumerate(ms):
+            c = (4 * k - 1) ** m
+            plain[i] = plain[i] * b + c * p0
+            weighted[i] = weighted[i] * b + c * p1
+    return [((x, q), (y, q)) for x, y in zip(plain, weighted)]

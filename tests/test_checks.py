@@ -29,6 +29,8 @@ from supercong.checks import (
 from supercong.series import pochhammer_ratio_product
 from supercong.special import h2, pochhammer
 
+from oracles import lemma_walk_per_n
+
 HALF = Fraction(1, 2)
 
 
@@ -278,6 +280,34 @@ class TestLemmaIntegerWalk:
         lo, hi = map(int, n_range.split(".."))
         assert walks == [(walked, n) for n in range(lo, hi + 1)]
         assert capsys.readouterr().out.count("\n") == 1 + 2 * len(walked)
+
+
+class TestLemmaStepTable:
+    """_lemma_walk reads a prefix of one step table kept per weight tuple;
+    the walk that builds each step from n and k alone is its oracle."""
+
+    @pytest.mark.parametrize("ms", [(3, 5, 7), (7,), (3, 5)])
+    def test_table_walk_pairs_equal_the_per_n_walk(self, ms):
+        from supercong.lemma import _lemma_walk
+
+        for n in range(2, 301):
+            assert _lemma_walk(ms, n) == lemma_walk_per_n(ms, n)
+
+    def test_every_n_reads_a_prefix_of_one_table(self, monkeypatch):
+        from supercong import lemma, special
+
+        rows = []
+
+        def recording_steps(ms, _real=lemma._lemma_steps):
+            for row in _real(ms):
+                rows.append(ms)
+                yield row
+
+        monkeypatch.setattr(lemma, "_lemma_steps", recording_steps)
+        monkeypatch.setattr(special, "_CACHE", {})
+        scans = lemma.lemma_scans((3, 5), 2, 40)
+        assert all(holds for _, _, scan in scans for _, holds in scan)
+        assert rows == [(3, 5)] * 40
 
 
 class TestLemmaSun3:

@@ -542,13 +542,26 @@ class TestOtherCommands:
     def test_a_failing_table_or_lemma_task_ends_the_run(
         self, capsys, monkeypatch, error, code, shown, argv, module
     ):
-        def fails_at_3(m, n, _real=module.table1_g):
+        # table1_g and the weighted lemma cells both read table1_g_parts
+        def fails_at_3(m, n, _real=module.table1_g_parts):
             if n == 3:
                 raise error(f"n={n} fails")
             return _real(m, n)
 
-        monkeypatch.setattr(module, "table1_g", fails_at_3)
+        monkeypatch.setattr(module, "table1_g_parts", fails_at_3)
         assert run_cli(capsys, *argv) == (code, "", shown)
+
+    @pytest.mark.parametrize("base", [conjectures.ValuationTooLow, conjectures.InconsistentInput])
+    def test_a_counterexample_is_known_by_its_class_chain(self, capsys, monkeypatch, base):
+        class Shortfall(base):
+            pass
+
+        def fails(m, n):
+            raise Shortfall(f"n={n} fails")
+
+        monkeypatch.setattr(lemma, "table1_g_parts", fails)
+        assert run_cli(capsys, "table", "--m", "5", "--n", "2..4") == (
+            1, "", "counterexample candidate: n=2 fails\n")
 
     def test_lemma_rejects_bad_weight(self, capsys):
         code, _, err = run_cli(capsys, "lemma", "--m", "4", "--n", "2..5")
@@ -970,6 +983,19 @@ class TestLazyLayers:
     def test_a_command_runs_the_layers_it_uses_and_no_other(self, entry, argv, layers):
         code, _, err = _console(entry, argv, self.PRELUDE)
         assert (code, err.decode()) == (0, f"{layers}\n")
+
+    # An error exit tells a counterexample by its class's module and name,
+    # so it runs no layer to do so.
+    @pytest.mark.parametrize("argv,message,layers", [
+        (["verify", "--primes", "200..210"], "no selected check applies to a prime in 200..210",
+         ["arith", "checks", "lemma", "series", "special"]),
+        (["wz", "--telescope", "24..28"], "wz_telescoped: no instances in primes 24..28",
+         ["arith", "series", "special"]),
+    ])
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_an_error_exit_leaves_conjectures_unrun(self, entry, argv, message, layers):
+        code, out, err = _console(entry, argv, self.PRELUDE)
+        assert (code, out, err.decode()) == (2, b"", f"error: {message}\n{layers}\n")
 
     def test_every_name_of_the_package_root_resolves_from_its_layer(self):
         namespace = {}

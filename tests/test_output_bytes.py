@@ -98,7 +98,7 @@ def test_stdout_bytes_at_two_workers(capsys, monkeypatch, command, fmt):
 def _relation_fails_at_3_2(monkeypatch, built):
     """Make the pair relation first fail at (n, k) = (3, 2): the F ratio of
     row 3 at k = 2 steps one off, so F(3, k) is wrong from k = 2 on.  Each
-    row n built is appended to built."""
+    row n streamed is appended to built."""
 
     def f_ratios(n, _real=series._wz_F_ratios):
         built.append(n)
@@ -126,9 +126,9 @@ def test_failing_wz_scan_bytes_and_no_row_after_first_failure(capsys, monkeypatc
     built = []
     _relation_fails_at_3_2(monkeypatch, built)
     assert _run(capsys, CASES["wz"] + ["--format", fmt]) == (1, FAILING_WZ_SCAN[fmt])
-    # (3, 1) was the last instance evaluated and read rows 3 and 4; each row
-    # was built once and none past row 4
-    assert built == [1, 2, 3, 4]
+    # (3, 2), the first failure, was the last instance evaluated and read
+    # row 3 alone; each row was streamed once and none past row 3
+    assert built == [1, 2, 3]
 
 
 @pytest.mark.parametrize("fmt", sorted(FAILING_BOUNDARY_SCAN))

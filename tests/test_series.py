@@ -258,30 +258,48 @@ class TestTermWalk:
             assert q == start[2] * math.prod(b for _, b, _ in steps[:i])
 
 
+def row_scale(n):
+    # F(n, 0)/D, D = (4n-1) prod_{j<=n} (2j-1)^2: times it, _wz_row's
+    # integers are the values of F and G
+    return wz_F(n, 0) / ((4 * n - 1) * math.prod(range(1, 2 * n, 2)) ** 2)
+
+
 class TestWZRows:
-    """check_wz_relation reads F and G off integer rows over one denominator
-    per row, stepped along k, and brings each row pair to one common
-    denominator; the direct factorial formulas are the oracle."""
+    """check_wz_relation reads F(n, .), G(n, .) and G(n+1, .) off one stream
+    of integers per row n, over one denominator in closed form and stepped
+    along k; the direct factorial formulas are the oracle."""
 
     def test_rows_equal_direct_values(self):
         for n in range(0, 61):
-            (f, f_den), (g, g_den) = series._wz_rows(n)
-            assert all(type(x) is int for x in f + g)
-            assert [Fraction(x, f_den) for x in f] == [wz_F(n, k) for k in range(0, n + 2)]
-            assert [Fraction(x, g_den) for x in g] == [wz_G(n, k) for k in range(1, len(g) + 1)]
-            assert len(g) == max(n, 1) + 1  # at n = 0 the row is G(0, 1) = 0, then one zero
-            assert f[-1] == g[-1] == 0
+            scale = row_scale(n)
+            row = list(itertools.islice(series._wz_row(n), n + 3))
+            assert all(type(x) is int for values in row for x in values)
+            for k, (f, g, g_next) in enumerate(row):  # k = 0..n+2
+                assert f * scale == wz_F(n, k)
+                assert g * scale == wz_G(n, k + 1)
+                assert g_next * scale == wz_G(n + 1, k + 1)
+            assert row[-1] == (0, 0, 0)
 
     def test_pair_rows_share_one_denominator(self):
+        # the three rows start at D, D G(n, 1)/F(n, 0) and D G(n+1, 1)/F(n, 0)
         for n in range(0, 61):
-            rows, next_rows = series._wz_rows(n), series._wz_rows(n + 1)
-            f, g, g_next = series._wz_pair(n, rows, next_rows)
-            den = math.lcm(*(d for _, d in (*rows, next_rows[1])))
-            for k in range(0, n + 3):
-                assert Fraction(f[k], den) == wz_F(n, k)
-                if k >= 1:
-                    assert Fraction(g[k - 1], den) == wz_G(n, k)
-                    assert Fraction(g_next[k - 1], den) == wz_G(n + 1, k)
+            odd = math.prod(range(1, 2 * n, 2)) ** 2
+            assert wz_G(n, 1) / wz_F(n, 0) == Fraction(-8 * n**3, 4 * n - 1)
+            assert wz_G(n + 1, 1) / wz_F(n, 0) == Fraction((2 * n - 1) ** 3, 4 * n - 1)
+            assert next(series._wz_row(n)) == (
+                (4 * n - 1) * odd, -8 * n**3 * odd, (2 * n - 1) ** 3 * odd)
+
+    def test_every_step_divides_exactly(self):
+        from supercong.cli import GRID_CAP
+
+        for n in range(0, GRID_CAP + 1):
+            row = series._wz_row(n)
+            steps = zip(series._wz_F_ratios(n), series._wz_G_ratios(n), series._wz_G_ratios(n + 1))
+            values = next(row)
+            for ratios, next_values in zip(steps, itertools.islice(row, n + 2)):
+                for x, (a, b), y in zip(values, ratios, next_values):
+                    assert 0 < b < 1 << 30 and divmod(x * a, b) == (y, 0)
+                values = next_values
 
     @settings(max_examples=25, deadline=None)
     @given(cases=st.lists(
@@ -315,13 +333,40 @@ class TestWZRows:
 
         monkeypatch.setattr(series, "_wz_F_ratios", recording_f_ratios)
         assert all(holds for _, holds in wz_relation_scan(30))
-        assert built == list(range(1, 32))
+        assert built == list(range(1, 31))
 
     def test_tail_is_a_prefix_of_the_G_row(self):
         for n in range(2, 40):
-            g, g_den = series._wz_rows(n)[1]
-            assert wz_G_tail(n) == Fraction(sum(g[: n - 1]), g_den)
+            g = [g for _, g, _ in itertools.islice(series._wz_row(n), n - 1)]
+            assert wz_G_tail(n) == Fraction(*series._wz_G_tail_sum(n)) == sum(g) * row_scale(n)
             assert wz_G_tail(n) == sum((wz_G(n, k) for k in range(1, n)), Fraction(0))
+
+
+class TestTelescopedScan:
+    """telescoped_scan and check_telescoped_identity compare the A/m=1
+    numerator, F(h, h) and the G-tail pair by one cross-multiplication; the
+    Fraction identity over family_sum, wz_F and wz_G_tail is the oracle."""
+
+    def test_scan_equals_the_fraction_identity(self):
+        ps = [*range(3, 401, 2), 1499]
+        scan = list(series.telescoped_scan(ps))
+        assert [case for case, _ in scan] == [(p,) for p in ps]
+        for (p,), holds in scan:
+            h = (p + 1) // 2
+            direct = series.family_sum("A", 1, h) == wz_F(h, h) + wz_G_tail(h + 1)
+            assert holds is direct is True
+
+    def test_check_reads_the_scan_at_p_composites_included(self):
+        for p in (3, 9, 15, 21, 97, 99):
+            assert check_telescoped_identity(p)
+        for p in (-1, 1, 2, 4):
+            with pytest.raises(PreconditionViolated):
+                check_telescoped_identity(p)
+
+    @pytest.mark.parametrize("ps", [[4], [1], [5, 3], [7, 7]])
+    def test_a_scan_rejects_an_even_small_or_repeated_p(self, ps):
+        with pytest.raises(PreconditionViolated, match="ascending"):
+            list(series.telescoped_scan(ps))
 
 
 class TestBoundaryClosedForm:

@@ -403,12 +403,17 @@ class TestTelescopedIdentity:
                 p**3 * (2 - sgn - euler_number(p - 3)), 4)
 
     def test_a_tail_without_its_last_term_fails(self, monkeypatch):
-        def short_tail(n, _real=series.wz_G_tail):
-            return _real(n) - wz_G(n, n - 1)
+        # wz_G_tail and the telescoped scan read one G-tail pair
+        def short_tail(n, _real=series._wz_G_tail_sum):
+            num, den = _real(n)
+            last = wz_G(n, n - 1)
+            return num * last.denominator - last.numerator * den, den * last.denominator
 
-        monkeypatch.setattr(series, "wz_G_tail", short_tail)
-        for p in primes_in_range(3, 31):
+        monkeypatch.setattr(series, "_wz_G_tail_sum", short_tail)
+        primes = [*primes_in_range(3, 31), 1499]
+        for p in primes:
             assert not series.check_telescoped_identity(p)
+        assert not any(holds for _, holds in series.telescoped_scan(primes))
 
 
 def test_each_check_builds_one_report_through_make_report(monkeypatch):
