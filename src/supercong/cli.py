@@ -17,6 +17,7 @@ import atexit
 import functools
 import io
 import itertools
+import marshal
 import math
 import operator
 import os
@@ -376,17 +377,14 @@ def _map_tasks(tasks: Sequence[Callable[[], Any]], jobs: int) -> list:
     """task() for every zero-argument task, in task order.
 
     Up to `jobs` workers share the tasks by stride: this process runs
-    tasks[0::n] and each of n - 1 forked children runs tasks[j::n] and
-    pickles its results back through its own pipe.  Each worker stops at its
-    first failing task, so the failing task that comes first in task order
-    is the one raised here, as it is at one worker.  Every child is reaped
-    before this returns or raises; on an exception in this process,
+    tasks[0::n] and each of n - 1 forked children runs tasks[j::n] and sends
+    its results back through its own pipe (see _child).  Each worker stops
+    at its first failing task, so the failing task that comes first in task
+    order is the one raised here, as it is at one worker.  Every child is
+    reaped before this returns or raises; on an exception in this process,
     including KeyboardInterrupt, the children are killed first.
     """
     n = _worker_count(jobs, len(tasks))
-    if n > 1:  # only a parallel run pays for these imports
-        import pickle
-        import signal
     pids, read_ends, payloads = [], [], []
     try:
         for j in range(1, n):
@@ -404,8 +402,11 @@ def _map_tasks(tasks: Sequence[Callable[[], Any]], jobs: int) -> list:
             with open(read_end, "rb", closefd=False) as pipe:
                 payloads.append(pipe.read())
     except BaseException:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
+        if pids:
+            import signal
+
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
         raise
     finally:
         for read_end in read_ends:
@@ -414,7 +415,7 @@ def _map_tasks(tasks: Sequence[Callable[[], Any]], jobs: int) -> list:
     for pid, status, payload in zip(pids, statuses, payloads):
         if status:
             raise ChildProcessError(f"worker {pid} ended without a result (wait status {status})")
-        shares.append(pickle.loads(payload))
+        shares.append(_loads(payload))
     failures = [failure for _, failure in shares if failure is not None]
     if failures:
         raise min(failures, key=operator.itemgetter(0))[1]
@@ -424,17 +425,39 @@ def _map_tasks(tasks: Sequence[Callable[[], Any]], jobs: int) -> list:
     return results
 
 
-def _child(write_end: int, tasks: Sequence[Callable[[], Any]], start: int, step: int) -> None:
-    """A forked worker's whole life: pickle _share's result for its share
-    into write_end and leave by os._exit, with exit status 0 only if the
-    result was written whole.  os._exit runs none of the parent's cleanup
-    (finally blocks, atexit handlers, buffered stdout) a second time."""
+def _dumps(share: tuple[list, tuple | None]) -> bytes:
+    """share as bytes for _loads: by marshal, which the import system has
+    already loaded, or by pickle where marshal refuses a value (any instance
+    of a class of its own, such as a Fraction, a NamedTuple or an exception),
+    each behind a byte that names it."""
+    try:
+        return b"m" + marshal.dumps(share)
+    except ValueError:
+        import pickle
+
+        return b"p" + pickle.dumps(share)
+
+
+def _loads(payload: bytes) -> tuple[list, tuple | None]:
+    """The share that _dumps wrote as payload."""
+    data = memoryview(payload)[1:]
+    if payload[:1] == b"m":
+        return marshal.loads(data)
     import pickle
 
+    return pickle.loads(data)
+
+
+def _child(write_end: int, tasks: Sequence[Callable[[], Any]], start: int, step: int) -> None:
+    """A forked worker's whole life: write _share's result for its share
+    into write_end, as _dumps gives it, and leave by os._exit, with exit
+    status 0 only if the result was written whole.  os._exit runs none of
+    the parent's cleanup (finally blocks, atexit handlers, buffered stdout)
+    a second time."""
     status = 1
     try:
         with open(write_end, "wb") as pipe:
-            pickle.dump(_share(tasks, start, step), pipe)
+            pipe.write(_dumps(_share(tasks, start, step)))
         status = 0
     finally:
         os._exit(status)
@@ -464,6 +487,18 @@ def _cmd_verify(args: argparse.Namespace) -> list[Callable[[], arith.CongruenceR
     ]
     if not tasks:
         raise ValueError(f"no selected check applies to a prime in {lo}..{hi}")
+    if _worker_count(args.jobs, len(tasks)) > 1:
+        # Fill the shared tables (family sums, Euler numbers, harmonic sums
+        # and the like) to the window's top before run() forks, so every
+        # worker inherits them whole.  A warm-up that raises is dropped: the
+        # task that raises first in task order still decides the error.
+        for task in tasks:
+            check_id, p = task.args
+            if p == primes[-1]:
+                try:
+                    checks.CHECKS[check_id].values(p)
+                except Exception:
+                    pass
     return tasks
 
 

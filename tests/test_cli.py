@@ -1,5 +1,6 @@
 """Command-line surface: record schemas, exit codes, determinism."""
 
+import ast
 import contextlib
 import functools
 import hashlib
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 import supercong
 from supercong.arith import INFINITE, CongruenceReport, make_report
 from supercong.checks import check
-from supercong import arith, checks, cli, conjectures, lemma, series
+from supercong import arith, checks, cli, conjectures, lemma, series, special
 from supercong.cli import (
     CONGRUENCE_CSV_HEADER,
     DISCOVERY_CSV_HEADER,
@@ -715,23 +716,84 @@ class TestForkedWorkers:
         yield
         _assert_no_child_left()
 
+    @pytest.mark.parametrize("via", ["check", "values"])
     @pytest.mark.parametrize("error", [conjectures.ValuationTooLow, ValueError])
-    @pytest.mark.parametrize("failing", [[0], [1], [5], [2, 5], [3, 6], [1, 2]])
+    @pytest.mark.parametrize("failing", [
+        [0], [1], [5], [2, 5], [3, 6], [1, 2], [1, 3], [0, 7], [2, 3, 7], [7],
+    ])
     def test_earliest_failing_task_decides_stderr_and_exit_code(
-        self, capsys, monkeypatch, error, failing
+        self, capsys, monkeypatch, via, error, failing
     ):
-        def check(check_id, p, informational=False, _real=checks.check):
+        """Tasks 3 and 7 are at the window's top prime, whose values the
+        parent evaluates once before it forks.  A failure injected through a
+        check's values reaches that warm-up too, where it is dropped: a
+        failing task at the top prime decides the error only when no earlier
+        task fails."""
+        def fail(check_id, p):
             i = FORK_TASKS.index((check_id, p))
             if i in failing:
                 raise error(f"task {i} fails")
-            return _real(check_id, p, informational=informational)
 
-        monkeypatch.setattr(checks, "check", check)
+        if via == "check":
+            def check(check_id, p, informational=False, _real=checks.check):
+                fail(check_id, p)
+                return _real(check_id, p, informational=informational)
+
+            monkeypatch.setattr(checks, "check", check)
+        else:
+            for check_id in {c for c, _ in FORK_TASKS}:
+                spec = checks.CHECKS[check_id]
+
+                def values(p, check_id=check_id, _real=spec.values):
+                    fail(check_id, p)
+                    return _real(p)
+
+                monkeypatch.setitem(checks.CHECKS, check_id, spec._replace(values=values))
         serial = run_cli(capsys, *FORK_ARGV, "--jobs", "1")
         assert run_cli(capsys, *FORK_ARGV, "--jobs", "2") == serial
         code, out, err = serial
         assert (code, out) == ((1 if error is conjectures.ValuationTooLow else 2), "")
         assert err.endswith(f"task {min(failing)} fails\n")
+
+    def test_forked_workers_inherit_the_tables_filled_up_to_the_top_prime(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        """From cold caches, a forked worker of `verify --primes 5..61`
+        starts no special._CACHE sequence that tasks at two primes read: only
+        the worst-k walk of one prime below the top, which no other prime's
+        task reads.  The parent evaluates each check's values at the top
+        once before it forks; at one worker each values call is a task's."""
+        parent, started = os.getpid(), tmp_path / "started"
+
+        class Cache(dict):
+            def setdefault(self, key, default):
+                if key not in self and os.getpid() != parent:
+                    with open(started, "a") as log:
+                        log.write(f"{key!r}\n")
+                return super().setdefault(key, default)
+
+        calls = []
+        for check_id in checks.DEFAULT_CHECK_IDS:
+            spec = checks.CHECKS[check_id]
+
+            def values(p, _real=spec.values):
+                calls.append(p)
+                return _real(p)
+
+            monkeypatch.setitem(checks.CHECKS, check_id, spec._replace(values=values))
+        argv = ["verify", "--primes", "5..61", "--format", "json"]
+        monkeypatch.setattr(special, "_CACHE", Cache())
+        serial = run_cli(capsys, *argv, "--jobs", "1")
+        rows = serial[1].splitlines()
+        assert serial[0] == 0 and calls == [json.loads(row)["p"] for row in rows]
+        calls.clear()
+        monkeypatch.setattr(special, "_CACHE", Cache())
+        assert run_cli(capsys, *argv, "--jobs", "2") == serial
+        top_calls = len(checks.DEFAULT_CHECK_IDS)
+        assert calls[:top_calls] == [61] * top_calls
+        assert len(calls) == top_calls + (len(rows) + 1) // 2  # the warm-up, then worker 0's tasks
+        keys = [ast.literal_eval(line) for line in started.read_text().splitlines()]
+        assert keys and all(key[0] == "ratio_expansion" and key[1] < 61 for key in keys)
 
     @pytest.mark.parametrize("error,shown,code", [
         (conjectures.ValuationTooLow, "counterexample candidate", 1),
@@ -880,6 +942,19 @@ def test_a_run_never_imports_the_process_pool(jobs):
         "print(code, [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
     )
     assert _python(code) == "0 []"
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_a_passing_forked_run_imports_neither_pickle_nor_signal(entry):
+    # the rows of a passing run come back by marshal, and only a run that
+    # kills its workers imports signal
+    prelude = ("import atexit, os, sys\nforks = []\n"
+               "os.sched_getaffinity = lambda pid: {0, 1}\n"
+               "os.fork = lambda _fork=os.fork: forks.append(1) or _fork()\n"
+               "atexit.register(lambda: print(len(forks), [m for m in ('pickle', 'signal') "
+               "if m in sys.modules], file=sys.stderr))")
+    code, out, err = _console(entry, ["verify", "--primes", "5..61", "--jobs", "2"], prelude)
+    assert (code, err.decode()) == (0, "1 []\n") and out.startswith(b"check_id")
 
 
 def test_no_run_imports_json():
