@@ -24,7 +24,7 @@ import os
 import sys
 import threading
 from fractions import Fraction
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, Collection, Iterable, NamedTuple, Sequence
 
 # Each layer runs on the first read of one of its attributes (see the
 # package root), so a command runs the layers it uses and no other.
@@ -347,8 +347,9 @@ def _check_ids(text: str) -> tuple[str, ...]:
 
 def _worker_count(jobs: int, tasks: int) -> int:
     """--jobs clamped to the CPUs this process may run on (its affinity set,
-    where the platform has one) and to the number of tasks, so no worker is
-    idle; 1 where the platform has no os.fork, so --jobs runs serially there."""
+    where the platform has one) and to tasks, the number of lots to deal
+    (see _deal), so no worker is idle; 1 where the platform has no os.fork,
+    so --jobs runs serially there."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return max(1, min(jobs, cpus, tasks)) if hasattr(os, "fork") else 1
 
@@ -360,12 +361,34 @@ def _row(task: Callable[[], Any], fmt: str) -> tuple[str, bool]:
     return serialize_report(record, fmt), _KINDS[type(record).__name__].passes(record)
 
 
-def _share(tasks: Sequence[Callable[[], Any]], start: int, step: int) -> tuple[list, tuple | None]:
-    """(results, failure) of the share tasks[start::step]: the result of each
-    task in order up to the first that raises, and failure = (its index, the
-    exception), or None when every task succeeds."""
+def _deal(lots: Sequence[tuple[Any, int]], jobs: int) -> list[list[int]]:
+    """The task indices each worker runs, in task order, where lots[i] is the
+    (lot, cost) of task i: the tasks of one lot go to one worker, and a
+    lot's cost is its tasks' sum.  There are as many workers as
+    _worker_count gives for jobs and the number of lots, and the lots go
+    out largest cost first (in task order among equals), each to the least
+    loaded worker (the lowest-numbered among equals): Graham's LPT rule.
+    Lots of equal cost are dealt by stride."""
+    costs: dict[Any, int] = {}
+    for lot, cost in lots:
+        costs[lot] = costs.get(lot, 0) + cost
+    loads = [0] * _worker_count(jobs, len(costs))
+    worker = {}
+    for lot in sorted(costs, key=costs.__getitem__, reverse=True):  # stable
+        worker[lot] = j = loads.index(min(loads))
+        loads[j] += costs[lot]
+    shares: list[list[int]] = [[] for _ in loads]
+    for i, (lot, _) in enumerate(lots):
+        shares[worker[lot]].append(i)
+    return shares
+
+
+def _share(tasks: Sequence[Callable[[], Any]], indices: list[int]) -> tuple[list, tuple | None]:
+    """(results, failure) of the tasks at indices, run in that order: the
+    result of each task up to the first that raises, and failure = (its
+    index, the exception), or None when every task succeeds."""
     results = []
-    for i in range(start, len(tasks), step):
+    for i in indices:
         try:
             results.append(tasks[i]())
         except Exception as exc:  # re-raised by _map_tasks in the parent
@@ -373,31 +396,54 @@ def _share(tasks: Sequence[Callable[[], Any]], start: int, step: int) -> tuple[l
     return results, None
 
 
-def _map_tasks(tasks: Sequence[Callable[[], Any]], jobs: int) -> list:
+def _pin(cpus: Collection[int]) -> None:
+    """Let this process run on cpus alone, if any; where the platform has no
+    os.sched_setaffinity or refuses the set (OSError), it runs on as before."""
+    if cpus and hasattr(os, "sched_setaffinity"):
+        try:
+            os.sched_setaffinity(0, cpus)
+        except OSError:
+            pass
+
+
+def _map_tasks(tasks: Sequence[Callable[[], Any]], jobs: int,
+               lots: Sequence[tuple[Any, int]] | None = None) -> list:
     """task() for every zero-argument task, in task order.
 
-    Up to `jobs` workers share the tasks by stride: this process runs
-    tasks[0::n] and each of n - 1 forked children runs tasks[j::n] and sends
-    its results back through its own pipe (see _child).  Each worker stops
-    at its first failing task, so the failing task that comes first in task
-    order is the one raised here, as it is at one worker.  Every child is
-    reaped before this returns or raises; on an exception in this process,
-    including KeyboardInterrupt, the children are killed first.
+    Up to `jobs` workers share the tasks as _deal deals them by lots, one
+    (lot, cost) per task; without lots each task is a lot of its own and
+    equal cost, so worker j of n runs tasks j, j + n, j + 2n, ...  This
+    process is worker 0, and each of the n - 1 forked children sends its
+    results back through its own pipe (see _child).  Each worker runs its
+    tasks in task order and stops at its first failing task, so the failing
+    task that comes first in task order is the one raised here, as it is at
+    one worker.
+
+    With n > 1 workers, worker j runs on the j-th CPU of this process's
+    affinity set alone: where the kernel balances no load across CPUs (a
+    cpuset with sched_load_balance = 0), a forked child would otherwise
+    share its parent's CPU.  This process gets its affinity set back before
+    this returns or raises.  Every child is reaped before then too; on an
+    exception in this process, including KeyboardInterrupt, the children
+    are killed first.
     """
-    n = _worker_count(jobs, len(tasks))
+    shares = _deal([(i, 1) for i in range(len(tasks))] if lots is None else lots, jobs)
+    mask = os.sched_getaffinity(0) if len(shares) > 1 and hasattr(os, "sched_getaffinity") else ()
+    cpus = sorted(mask)
     pids, read_ends, payloads = [], [], []
     try:
-        for j in range(1, n):
+        for j in range(1, len(shares)):
             read_end, write_end = os.pipe()
             read_ends.append(read_end)
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _child(write_end, tasks, j, n)
+                    _child(write_end, tasks, shares[j], cpus[j:j + 1])
             finally:
                 os.close(write_end)
             pids.append(pid)
-        shares = [_share(tasks, 0, n)]
+        _pin(cpus[:1])
+        done = [_share(tasks, shares[0])]
         for read_end in read_ends:
             with open(read_end, "rb", closefd=False) as pipe:
                 payloads.append(pipe.read())
@@ -409,19 +455,21 @@ def _map_tasks(tasks: Sequence[Callable[[], Any]], jobs: int) -> list:
                 os.kill(pid, signal.SIGKILL)
         raise
     finally:
+        _pin(mask)
         for read_end in read_ends:
             os.close(read_end)
         statuses = [os.waitpid(pid, 0)[1] for pid in pids]
     for pid, status, payload in zip(pids, statuses, payloads):
         if status:
             raise ChildProcessError(f"worker {pid} ended without a result (wait status {status})")
-        shares.append(_loads(payload))
-    failures = [failure for _, failure in shares if failure is not None]
+        done.append(_loads(payload))
+    failures = [failure for _, failure in done if failure is not None]
     if failures:
         raise min(failures, key=operator.itemgetter(0))[1]
     results: list = [None] * len(tasks)
-    for j, (share, _) in enumerate(shares):
-        results[j::n] = share
+    for indices, (share, _) in zip(shares, done):
+        for i, result in zip(indices, share):
+            results[i] = result
     return results
 
 
@@ -448,16 +496,18 @@ def _loads(payload: bytes) -> tuple[list, tuple | None]:
     return pickle.loads(data)
 
 
-def _child(write_end: int, tasks: Sequence[Callable[[], Any]], start: int, step: int) -> None:
-    """A forked worker's whole life: write _share's result for its share
-    into write_end, as _dumps gives it, and leave by os._exit, with exit
-    status 0 only if the result was written whole.  os._exit runs none of
-    the parent's cleanup (finally blocks, atexit handlers, buffered stdout)
-    a second time."""
+def _child(write_end: int, tasks: Sequence[Callable[[], Any]], indices: list[int],
+           cpus: Sequence[int]) -> None:
+    """A forked worker's whole life: pin itself to cpus, write _share's
+    result for the tasks at indices into write_end, as _dumps gives it, and
+    leave by os._exit, with exit status 0 only if the result was written
+    whole.  os._exit runs none of the parent's cleanup (finally blocks,
+    atexit handlers, buffered stdout) a second time."""
     status = 1
     try:
+        _pin(cpus)
         with open(write_end, "wb") as pipe:
-            pipe.write(_dumps(_share(tasks, start, step)))
+            pipe.write(_dumps(_share(tasks, indices)))
         status = 0
     finally:
         os._exit(status)
@@ -487,7 +537,10 @@ def _cmd_verify(args: argparse.Namespace) -> list[Callable[[], arith.CongruenceR
     ]
     if not tasks:
         raise ValueError(f"no selected check applies to a prime in {lo}..{hi}")
-    if _worker_count(args.jobs, len(tasks)) > 1:
+    # Every check at one prime runs on one worker, so a walk that a prime's
+    # checks share (the two ratio-expansion orders read one) runs once.
+    args.lots = [(task.args[1], 1) for task in tasks]
+    if len(_deal(args.lots, args.jobs)) > 1:
         # Fill the shared tables (family sums, Euler numbers, harmonic sums
         # and the like) to the window's top before run() forks, so every
         # worker inherits them whole.  A warm-up that raises is dropped: the
@@ -540,13 +593,13 @@ def _cmd_discover(args: argparse.Namespace) -> list[Callable[[], conjectures.Dis
         )
     family = args.family.upper()
     ms = sorted(args.m or conjectures.FAMILIES[family].default_m)  # args.m None: --m all
-    # The walks are the work: one task per prime, ascending, so the stride
-    # puts neighbouring primes, the costly top ones too, on different
-    # workers.  A failed cell is held in its table, not raised, so the lift
-    # of the first failing weight raises its first failing prime's error.
+    # The walks are the work: one task per prime, dealt to the workers by its
+    # cost, p^r summands.  A failed cell is held in its table, not raised, so
+    # the lift of the first failing weight raises its first failing prime's
+    # error.
     walks = [functools.partial(conjectures.residue_table, family, ms, p, args.r, args.variant)
              for p in primes]
-    tables = dict(zip(primes, _map_tasks(walks, args.jobs)))
+    tables = dict(zip(primes, _map_tasks(walks, args.jobs, [(p, p**r) for p in primes])))
     # Each lift takes well under a millisecond: run() lifts and renders them
     # in this process, with no second round of forks.
     args.jobs = 1
@@ -577,7 +630,7 @@ def _declare(
     if jobs:
         cmd.add_argument("--jobs", type=_at_least_one("--jobs"), default=1, help="worker processes "
                          "(default %(default)s; at most the CPUs this process may run on)")
-    cmd.set_defaults(handler=handler, kind=kind, jobs=1)
+    cmd.set_defaults(handler=handler, kind=kind, jobs=1, lots=None)
 
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -669,8 +722,10 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already reported the usage error
         return 0 if exc.code in (0, None) else 2
     try:
-        tasks = args.handler(args)  # discover's handler forks itself and sets jobs to 1
-        rows = _map_tasks([functools.partial(_row, task, args.format) for task in tasks], args.jobs)
+        # discover's handler forks itself and sets jobs to 1; verify's sets lots
+        tasks = args.handler(args)
+        rows = _map_tasks([functools.partial(_row, task, args.format) for task in tasks], args.jobs,
+                          args.lots)
     except ValueError as exc:
         # known by name, so an error exit runs no layer to recognise them
         if any((cls.__module__, cls.__qualname__) in _COUNTEREXAMPLES for cls in type(exc).__mro__):

@@ -67,6 +67,31 @@ def _usable_cpus(monkeypatch, n):
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
+# The affinity set as the kernel reports it, whatever a test fakes.
+_AFFINITY = getattr(os, "sched_getaffinity", None)
+
+
+@pytest.fixture(autouse=True)
+def _cpus_kept():
+    """Each test ends on the CPUs it started on: a run under a faked
+    affinity set gives this process the faked set back at its end."""
+    before = _AFFINITY(0) if _AFFINITY else None
+    yield
+    if before is not None and _AFFINITY(0) != before:
+        os.sched_setaffinity(0, before)
+
+
+def _own_cpus(monkeypatch):
+    """This process's affinity set as the kernel reports it, with any fake
+    undone; the test is skipped where that set has fewer than two CPUs."""
+    if _AFFINITY is None or not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no affinity mask")
+    monkeypatch.setattr(os, "sched_getaffinity", _AFFINITY)
+    if len(_AFFINITY(0)) < 2:
+        pytest.skip("one CPU to run on")
+    return _AFFINITY(0)
+
+
 class TestSerializeReport:
     def test_json_record_matches_contract(self):
         rep = check("thm1", 5)
@@ -372,6 +397,22 @@ class TestVerifyCommand:
                 "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
                 "print(cli._worker_count(4, 100))")
         assert _python(code) == "1"
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity mask")
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--primes", "5..61", "--format", "json"],
+        ["discover", "--family", "d", "--primes", "5..60"],
+    ])
+    def test_under_a_one_cpu_affinity_set_jobs_2_forks_nothing(self, argv):
+        """As `taskset -c 0` runs it: the same stdout, stderr and exit code
+        as --jobs 1, a failing discovery included, and no fork."""
+        prelude = ("import atexit, os, sys\nforks = []\n"
+                   "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+                   "os.fork = lambda _fork=os.fork: forks.append(1) or _fork()\n"
+                   "atexit.register(lambda: print('forks', len(forks), file=sys.stderr))")
+        serial = _console("main", [*argv, "--jobs", "1"])
+        code, out, err = _console("main", [*argv, "--jobs", "2"], prelude)
+        assert (code, out, err) == (serial[0], serial[1], serial[2] + b"forks 0\n")
 
     def test_jobs_clamped_to_task_count(self, monkeypatch):
         _usable_cpus(monkeypatch, 8)
@@ -696,8 +737,8 @@ class TestOtherCommands:
 # (check_id, p) tasks in task order: thm2 and van_hamme at 5, 7, 11, 13.
 FORK_ARGV = ["verify", "--checks", "thm2,van_hamme", "--primes", "5..13", "--format", "json"]
 FORK_TASKS = [(c, p) for c in ("thm2", "van_hamme") for p in (5, 7, 11, 13)]
-# discover's tasks are its primes' walks, in ascending order: at two workers
-# the parent walks 5 and 11 and the child 7 and 13.
+# discover's tasks are its primes' walks, in ascending order, dealt by their
+# cost p: at two workers the parent walks 13 and 5 and the child 11 and 7.
 DISCOVER_ARGV = ["discover", "--family", "c", "--m", "1,3,5", "--primes", "5..13", "--format", "json"]
 
 
@@ -707,8 +748,9 @@ def _assert_no_child_left():
 
 
 class TestForkedWorkers:
-    """At two workers, the parent runs the even tasks and a forked child the
-    odd ones; a monkeypatch made here is inherited by the child."""
+    """At two workers, the parent runs the (check, p) tasks of FORK_ARGV at
+    5 and 11 (the even tasks) and a forked child those at 7 and 13 (the odd
+    ones); a monkeypatch made here is inherited by the child."""
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
@@ -755,21 +797,25 @@ class TestForkedWorkers:
         assert (code, out) == ((1 if error is conjectures.ValuationTooLow else 2), "")
         assert err.endswith(f"task {min(failing)} fails\n")
 
+    @pytest.mark.parametrize("lo", [5, 7])
     def test_forked_workers_inherit_the_tables_filled_up_to_the_top_prime(
-        self, capsys, monkeypatch, tmp_path
+        self, capsys, monkeypatch, tmp_path, lo
     ):
-        """From cold caches, a forked worker of `verify --primes 5..61`
-        starts no special._CACHE sequence that tasks at two primes read: only
-        the worst-k walk of one prime below the top, which no other prime's
-        task reads.  The parent evaluates each check's values at the top
-        once before it forks; at one worker each values call is a task's."""
+        """From cold caches, a forked worker of `verify --primes 5..61` or
+        `7..61` starts no special._CACHE sequence that tasks at two primes
+        read: only the worst-k walk of one prime below the top, which no
+        other prime's task reads, and which one process alone starts, even
+        over the odd number of primes of 7..61.  The parent evaluates each
+        check's values at the top once before it forks, and then runs the
+        tasks of every other prime from the first; at one worker each values
+        call is a task's."""
         parent, started = os.getpid(), tmp_path / "started"
 
         class Cache(dict):
             def setdefault(self, key, default):
-                if key not in self and os.getpid() != parent:
+                if key not in self:
                     with open(started, "a") as log:
-                        log.write(f"{key!r}\n")
+                        log.write(f"{os.getpid()} {key!r}\n")
                 return super().setdefault(key, default)
 
         calls = []
@@ -781,19 +827,24 @@ class TestForkedWorkers:
                 return _real(p)
 
             monkeypatch.setitem(checks.CHECKS, check_id, spec._replace(values=values))
-        argv = ["verify", "--primes", "5..61", "--format", "json"]
+        argv = ["verify", "--primes", f"{lo}..61", "--format", "json"]
         monkeypatch.setattr(special, "_CACHE", Cache())
         serial = run_cli(capsys, *argv, "--jobs", "1")
-        rows = serial[1].splitlines()
-        assert serial[0] == 0 and calls == [json.loads(row)["p"] for row in rows]
+        rows = [json.loads(row)["p"] for row in serial[1].splitlines()]
+        assert serial[0] == 0 and calls == rows
         calls.clear()
+        started.unlink()
         monkeypatch.setattr(special, "_CACHE", Cache())
         assert run_cli(capsys, *argv, "--jobs", "2") == serial
         top_calls = len(checks.DEFAULT_CHECK_IDS)
         assert calls[:top_calls] == [61] * top_calls
-        assert len(calls) == top_calls + (len(rows) + 1) // 2  # the warm-up, then worker 0's tasks
-        keys = [ast.literal_eval(line) for line in started.read_text().splitlines()]
+        # the warm-up, then worker 0's tasks
+        assert calls[top_calls:] == [p for p in rows if p in arith.primes_in_range(lo, 61)[::2]]
+        starts = [line.split(" ", 1) for line in started.read_text().splitlines()]
+        keys = [ast.literal_eval(key) for pid, key in starts if int(pid) != parent]
         assert keys and all(key[0] == "ratio_expansion" and key[1] < 61 for key in keys)
+        walks = [key for _, key in starts if key.startswith("('ratio_expansion'")]
+        assert len(walks) == len(set(walks)) == len(set(rows))
 
     @pytest.mark.parametrize("error,shown,code", [
         (conjectures.ValuationTooLow, "counterexample candidate", 1),
@@ -854,6 +905,70 @@ class TestForkedWorkers:
         pids = cli._map_tasks([os.getpid] * 7, 3)
         assert pids == pids[:3] * 2 + pids[:1]
         assert pids[0] == os.getpid() and len(set(pids)) == 3
+
+    def test_a_lot_goes_whole_to_one_worker_and_the_costliest_lots_first(self, monkeypatch):
+        """Verify's lots are its primes, one per task at cost 1, so every
+        check at one prime runs on one worker and the primes go out by
+        stride; discover's are its primes at cost p^r, largest first, each
+        to the least loaded worker.  Each worker runs its tasks in task
+        order."""
+        _usable_cpus(monkeypatch, 3)
+        verify = [(p, 1) for _ in ("thm2", "van_hamme") for p in (5, 7, 11, 13, 17)]
+        assert cli._deal(verify, 2) == [[0, 2, 4, 5, 7, 9], [1, 3, 6, 8]]
+        assert cli._deal(verify, 3) == [[0, 3, 5, 8], [1, 4, 6, 9], [2, 7]]
+        assert cli._deal([(p, p) for p in (5, 7, 11, 13)], 2) == [[0, 3], [1, 2]]
+        # over 5..61 at r = 2 the workers walk the same number of summands,
+        # where the stride gave one of them 54.6% of them
+        primes = arith.primes_in_range(5, 61)
+        shares = cli._deal([(p, p**2) for p in primes], 2)
+        assert [sum(primes[i] ** 2 for i in share) for share in shares] == [10232, 10232]
+        assert sorted(shares[0] + shares[1]) == list(range(len(primes)))
+        assert all(share == sorted(share) for share in shares)
+        assert cli._deal([], 2) == [[]] and cli._deal([("p", 1)] * 5, 2) == [[0, 1, 2, 3, 4]]
+
+    def test_each_worker_runs_on_its_own_cpu_of_the_affinity_set(self, monkeypatch):
+        """Worker j runs on the j-th CPU of the parent's affinity set alone,
+        and the parent has its whole set back when the run ends."""
+        mask = _own_cpus(monkeypatch)
+        cpus, n = sorted(mask), min(len(mask), 3)
+        seen = cli._map_tasks([functools.partial(os.sched_getaffinity, 0)] * (2 * n), n)
+        assert seen == [{cpus[i % n]} for i in range(2 * n)]
+        assert os.sched_getaffinity(0) == mask
+
+    @pytest.mark.parametrize("ending", ["pass", "parent fails", "child fails", "interrupt"])
+    def test_the_parent_gets_its_affinity_set_back(self, monkeypatch, ending):
+        mask, parent = _own_cpus(monkeypatch), os.getpid()
+
+        def task(i):
+            if i == 0 and ending == "interrupt":
+                raise KeyboardInterrupt
+            if ending == "parent fails" and os.getpid() == parent:
+                raise ValueError(f"task {i} fails")
+            if ending == "child fails" and os.getpid() != parent:
+                raise ValueError(f"task {i} fails")
+            return os.sched_getaffinity(0)
+
+        tasks = [functools.partial(task, i) for i in range(4)]
+        expected = {"pass": contextlib.nullcontext(), "interrupt": pytest.raises(KeyboardInterrupt),
+                    "parent fails": pytest.raises(ValueError, match="task 0 fails"),
+                    "child fails": pytest.raises(ValueError, match="task 1 fails")}[ending]
+        with expected:
+            assert cli._map_tasks(tasks, 2) == [{min(mask)}, {sorted(mask)[1]}] * 2
+        assert os.sched_getaffinity(0) == mask
+
+    @pytest.mark.parametrize("argv,code", [
+        (FORK_ARGV, 0), (DISCOVER_ARGV, 0), (["discover", "--family", "d", "--primes", "5..60"], 1),
+    ])
+    def test_an_affinity_set_with_cpus_the_machine_lacks_gives_the_same_bytes(
+        self, capsys, monkeypatch, argv, code
+    ):
+        """Workers 1 and 2 get CPUs the machine does not have: each runs
+        where it may."""
+        serial = run_cli(capsys, *argv, "--jobs", "1")
+        assert serial[0] == code
+        n = os.cpu_count() or 1
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, n, n + 1}, raising=False)
+        assert run_cli(capsys, *argv, "--jobs", "3") == serial
 
     @pytest.mark.parametrize("die,status", [
         (lambda: os._exit(3), 3 << 8),
