@@ -38,6 +38,10 @@ class InconsistentInput(ValueError):
     """CRT input violates its contract (residue out of range, moduli not coprime)."""
 
 
+class PreconditionViolated(ValueError):
+    """An operation was called outside its stated domain."""
+
+
 def is_odd_prime(p: int) -> bool:
     """Deterministic primality by trial division; even numbers (incl. 2) fail."""
     if p < 3 or p % 2 == 0:

@@ -25,32 +25,34 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
+from . import series
 from .arith import (
     CongruenceReport,
     InconsistentInput,
+    PreconditionViolated,
     crt_lift,
     make_report,
     require_prime,
     split_power,
 )
-from .series import PreconditionViolated, SumSpec, partial_sum, summand_factors
+from .families import _FAMILY, summand_factors
 
 VARIANTS = ("half", "full")
 
 
 class Family(NamedTuple):
-    """A conjectured family: its sum of series family `summand` is claimed
-    mod p^(r + residue_exponent), with sign (-1)^((p-1)r/2) if alternating."""
+    """A conjectured family: its sum of summand family `summand` is claimed
+    mod p^(r + residue_exponent), with sign (-1)^((p-1)r/2) if that
+    summand family alternates."""
 
     summand: str
     residue_exponent: int
-    alternating: bool
     default_m: tuple[int, ...]  # the weights discovery scans by default
 
 
 FAMILIES = {
-    "C": Family("A", 2, True, (1, 3, 5, 7, 9, 11)),
-    "D": Family("B", 3, False, (1, 3, 5, 7, 9, 11, 13, 15)),
+    "C": Family("A", 2, (1, 3, 5, 7, 9, 11)),
+    "D": Family("B", 3, (1, 3, 5, 7, 9, 11, 13, 15)),
 }
 
 
@@ -79,8 +81,8 @@ def _validate(
 
 
 def _unit_sign(family: str, p: int, r: int) -> int:
-    """(-1)^((p-1)r/2) for an alternating family; +1 otherwise."""
-    return -1 if FAMILIES[family].alternating and ((p - 1) // 2 * r) % 2 else 1
+    """(-1)^((p-1)r/2) for a family whose summands alternate; +1 otherwise."""
+    return -1 if _FAMILY[FAMILIES[family].summand].alternating and ((p - 1) // 2 * r) % 2 else 1
 
 
 def _upper(p: int, r: int, variant: str) -> int:
@@ -91,7 +93,7 @@ def conj_sum(family: str, m: int, p: int, r: int, variant: str) -> Fraction:
     """Exact truncated sum of the family's summand at prime p and depth r,
     with upper limit (p^r+1)/2 (half) or p^r - 1 (full)."""
     _validate(family, (m,), p, r, variant)
-    return partial_sum(SumSpec(FAMILIES[family].summand, m, _upper(p, r, variant)))
+    return series.partial_sum(series.SumSpec(FAMILIES[family].summand, m, _upper(p, r, variant)))
 
 
 def verify_conjecture(
@@ -283,3 +285,11 @@ def discover_constant(
     constant = _stabilized_lift(evidence)
     consistent = all(constant % mod == res for _, res, mod in evidence)
     return DiscoveryResult(family, m, r, constant, tuple(evidence), consistent)
+
+
+def __getattr__(name: str):
+    # callers may read series' partial_sum and SumSpec here; they resolve on
+    # first read, so a run that reads neither never runs series
+    if name in ("partial_sum", "SumSpec"):
+        return getattr(series, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,11 +1,6 @@
 """Truncated hypergeometric sums and the telescoping F/G pair, all in exact
-rational arithmetic.
-
-Summand families (the weight exponent m is always odd):
-
-    A: (-1)^k (4k-1)^m (-1/2)_k^3 / k!^3
-    B:        (4k-1)^m (-1/2)_k^4 / k!^4
-    V: (-1)^k (4k+1)^m (1/2)_k^3  / k!^3
+rational arithmetic.  The summand families A, B and V, and the integer
+factors each summand steps by, are defined in `families`.
 
 Summation is sequential left-to-right; exactness makes the order irrelevant
 and the result deterministic.
@@ -19,11 +14,9 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
+from .arith import PreconditionViolated
+from .families import _FAMILY, _Family, summand_factors  # noqa: F401  (re-exported)
 from .special import cached, inv_pochhammer_int, poch_neg_half, pochhammer
-
-
-class PreconditionViolated(ValueError):
-    """An operation was called outside its stated domain."""
 
 
 class SumSpec(NamedTuple("SumSpec", [("family", str), ("m", int), ("upper", int)])):
@@ -41,23 +34,6 @@ class SumSpec(NamedTuple("SumSpec", [("family", str), ("m", int), ("upper", int)
         return super().__new__(cls, family, m, upper)
 
 
-class _Family(NamedTuple):
-    """One summand family: sign (-1)^k if alternating, times (4k + shift)^m u_k^power,
-    where u_k = (half_base/2)_k / k!."""
-
-    half_base: int
-    power: int
-    alternating: bool
-    shift: int
-
-
-_FAMILY = {
-    "A": _Family(-1, 3, True, -1),
-    "B": _Family(-1, 4, False, -1),
-    "V": _Family(1, 3, True, 1),
-}
-
-
 def term_value(spec: SumSpec, k: int) -> Fraction:
     """The exact k-th summand of the family (defined for every k >= 0)."""
     if k < 0:
@@ -66,21 +42,6 @@ def term_value(spec: SumSpec, k: int) -> Fraction:
     u = pochhammer(Fraction(fam.half_base, 2), k) / math.factorial(k)
     sign = -1 if fam.alternating and k % 2 else 1
     return sign * (4 * k + fam.shift) ** spec.m * u**fam.power
-
-
-def summand_factors(family: str) -> Iterator[tuple[int, int, int, int]]:
-    """The integer factors of the family's summands for k = 0, 1, 2, ...
-    without end: (sign, w, a, b) with summand k = sign * w^m * U_k, where
-    U_0 = 1 and U_k = U_(k-1) * a/b = u_k^power.  So w = 4k + shift, and a/b
-    is the step (2k - 2 + half_base)/(2k) of u_k raised to the power."""
-    fam = _FAMILY[family]
-    sign = 1
-    yield sign, fam.shift, 1, 1
-    for k in itertools.count(1):
-        if fam.alternating:
-            sign = -sign
-        a, b = 2 * k - 2 + fam.half_base, 2 * k
-        yield sign, 4 * k + fam.shift, a**fam.power, b**fam.power
 
 
 def summands(family: str, m: int) -> Iterator[Fraction]:

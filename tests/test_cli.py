@@ -1148,6 +1148,8 @@ ROOT_NAMES = (
     "wz_G",
 )
 ROOT_LAYERS = ("arith", "checks", "conjectures", "series", "special")
+# The layers a discovery runs: not series or special, whatever its flags.
+DISCOVER_LAYERS = ["arith", "conjectures", "families"]
 
 
 class TestLazyLayers:
@@ -1160,27 +1162,39 @@ class TestLazyLayers:
                "'supercong.cli' and type(module) is types.ModuleType), file=sys.stderr))")
 
     @pytest.mark.parametrize("argv,layers", [
-        (["verify", "--primes", "5..13"], ["arith", "checks", "lemma", "series", "special"]),
-        (["discover", "--family", "c", "--m", "1,3,5", "--primes", "5..13"],
-         ["arith", "conjectures", "series", "special"]),
+        (["verify", "--primes", "5..13"],
+         ["arith", "checks", "families", "lemma", "series", "special"]),
+        (["discover", "--family", "c", "--m", "1,3,5", "--primes", "5..13"], DISCOVER_LAYERS),
         (["lemma", "--n", "2..5"], ["lemma", "special"]),
         (["table", "--n", "2..4"], ["lemma", "special"]),
         (["wz", "--grid", "3", "--telescope", "3..7", "--boundary", "3..9"],
-         ["arith", "series", "special"]),
+         ["arith", "families", "series", "special"]),
         (["--help"], []),
+        (["discover", "--family", "c", "--m", "1,3", "--primes", "5..31", "--jobs", "2"],
+         DISCOVER_LAYERS),
+        (["discover", "--family", "c", "--r", "2", "--primes", "5..13", "--variant", "half"],
+         DISCOVER_LAYERS),
     ])
     @pytest.mark.parametrize("entry", ENTRIES)
     def test_a_command_runs_the_layers_it_uses_and_no_other(self, entry, argv, layers):
         code, _, err = _console(entry, argv, self.PRELUDE)
         assert (code, err.decode()) == (0, f"{layers}\n")
 
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_a_failing_discovery_runs_the_discovery_layers_alone(self, entry):
+        code, out, err = _console(entry, ["discover", "--family", "d", "--primes", "5..60"],
+                                  self.PRELUDE)
+        assert (code, err.decode()) == (1, f"{DISCOVER_LAYERS}\n")
+        assert out.splitlines()[-1].startswith(b"family D  m=15 r=1") and b"consistent=FALSE" in out
+
     # An error exit tells a counterexample by its class's module and name,
     # so it runs no layer to do so.
     @pytest.mark.parametrize("argv,message,layers", [
         (["verify", "--primes", "200..210"], "no selected check applies to a prime in 200..210",
-         ["arith", "checks", "lemma", "series", "special"]),
+         ["arith", "checks", "families", "lemma", "series", "special"]),
         (["wz", "--telescope", "24..28"], "wz_telescoped: no instances in primes 24..28",
-         ["arith", "series", "special"]),
+         ["arith", "families", "series", "special"]),
+        (["discover", "--family", "c", "--primes", "3..3"], "no usable primes in 3..3", ["arith"]),
     ])
     @pytest.mark.parametrize("entry", ENTRIES)
     def test_an_error_exit_leaves_conjectures_unrun(self, entry, argv, message, layers):
@@ -1204,8 +1218,14 @@ class TestLazyLayers:
     def test_importing_the_package_registers_every_layer_and_runs_none(self):
         code = ("import sys, types, supercong; print(sorted((name, type(module) is types.ModuleType) "
                 "for name, module in list(sys.modules.items()) if name.startswith('supercong.')))")
-        layers = ("arith", "checks", "conjectures", "lemma", "series", "special")
+        layers = ("arith", "checks", "conjectures", "families", "lemma", "series", "special")
         assert _python(code) == repr([(f"supercong.{layer}", False) for layer in layers])
+
+    def test_the_domain_error_from_the_package_root_runs_arith_alone(self):
+        code = ("import sys, types; from supercong import PreconditionViolated; print(sorted("
+                "name for name, module in list(sys.modules.items()) if name.startswith('supercong.') "
+                "and type(module) is types.ModuleType), PreconditionViolated.__module__)")
+        assert _python(code) == "['supercong.arith'] supercong.arith"
 
 
 class TestSubcommandParser:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from supercong import arith, conjectures, families, series
 from supercong.arith import InvalidPrime, primes_in_range, vp
 from supercong.checks import check
 from supercong.conjectures import (
@@ -262,3 +263,28 @@ class TestDepthTwo:
         assert verify_conjecture("C", 1, 5, 2, -1, "half").passed
         assert verify_conjecture("C", 3, 7, 2, 3, "full").passed
         assert verify_conjecture("D", 5, 7, 2, 16, "half").passed
+
+
+class TestSummandFamilies:
+    """The summand families are defined once, in `families`, and the domain
+    error in `arith`; series and conjectures bind the same objects."""
+
+    # (-1)^((p-1)r/2) for C, whose A summands alternate; +1 for D, whose B summands do not
+    @pytest.mark.parametrize("p,r,c_sign", [
+        (5, 1, 1), (5, 2, 1), (5, 3, 1), (13, 1, 1), (13, 2, 1), (13, 3, 1),
+        (7, 1, -1), (7, 2, 1), (7, 3, -1), (11, 1, -1), (11, 2, 1), (11, 3, -1),
+    ])
+    def test_unit_sign_follows_the_summand_family(self, p, r, c_sign):
+        assert (conjectures._unit_sign("C", p, r), conjectures._unit_sign("D", p, r)) == (c_sign, 1)
+
+    def test_one_error_class_and_one_factor_stream(self):
+        assert series.PreconditionViolated is conjectures.PreconditionViolated
+        assert conjectures.PreconditionViolated is arith.PreconditionViolated
+        assert series.summand_factors is conjectures.summand_factors is families.summand_factors
+        assert series._FAMILY is families._FAMILY
+
+    def test_the_series_names_conjectures_bound_resolve_from_series(self):
+        assert conjectures.partial_sum is series.partial_sum
+        assert conjectures.SumSpec is series.SumSpec
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            conjectures.no_such_name
