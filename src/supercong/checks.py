@@ -24,6 +24,7 @@ from .lemma import (
     TABLE1_WEIGHTS,
     _lemma_walk,
     _shifted_steps,
+    _table1_g_pair,
     check_lemma_f,
     check_lemma_g,
     lemma_scans,
@@ -143,13 +144,11 @@ def _central_binomial_sum(p: int) -> Fraction:
 
 def _combined(m: int, p: int) -> tuple[Fraction, Fraction, None]:
     """combined_m<m>'s values at p: the B sum and table1_f(m, h) - p^2
-    table1_g(m, h), h = (p+1)/2, built as one Fraction from the integers of
-    table1_g_parts and of H_h^(2)."""
+    table1_g(m, h), h = (p+1)/2, built as one Fraction from the integer
+    table1_f and the integer pair of table1_g."""
     h = (p + 1) // 2
-    (rational, coeff), harmonic = table1_g_parts(m, h), h2(h)
-    a, b, c, d = rational.numerator, rational.denominator, harmonic.numerator, harmonic.denominator
-    num = table1_f(m, h).numerator * b * d - p * p * (a * d + coeff.numerator * c * b)
-    return _sum_b(m, p), Fraction(num, b * d), None
+    g_num, g_den = _table1_g_pair(m, h)
+    return _sum_b(m, p), Fraction(table1_f(m, h).numerator * g_den - p * p * g_num, g_den), None
 
 
 #: The worst-k searches read valuations off residues mod p^WORST_K_DIGITS.

@@ -56,10 +56,18 @@ def table1_g_parts(m: int, n: int) -> tuple[Fraction, Fraction]:
     return Fraction((2 * n - 1) * poly, den), Fraction(coeff)
 
 
+def _table1_g_pair(m: int, n: int) -> tuple[int, int]:
+    """table1_g(m, n) as an unreduced integer pair: with r and the integer
+    c from table1_g_parts and H = h2(n), r + c H is
+    (r_num H_den + c H_num r_den, r_den H_den)."""
+    (rational, coeff), h = table1_g_parts(m, n), h2(n)
+    r_den, h_den = rational.denominator, h.denominator
+    return rational.numerator * h_den + coeff.numerator * h.numerator * r_den, r_den * h_den
+
+
 def table1_g(m: int, n: int) -> Fraction:
     """Weighted closed form: rational part + H-coefficient * H_n^(2)."""
-    rational, coeff = table1_g_parts(m, n)
-    return rational + coeff * h2(n)
+    return Fraction(*_table1_g_pair(m, n))
 
 
 def _shifted_steps() -> Iterator[tuple[int, int, int]]:
@@ -118,17 +126,10 @@ def _lemma_walk(ms: tuple[int, ...], n: int) -> list[tuple[tuple[int, int], tupl
 def _lemma_holds(sums: tuple[tuple[int, int], ...], m: int, n: int, weighted: bool) -> bool:
     """Whether the weighted (else the plain) sum of one _lemma_walk cell at
     weight m and index n equals its closed form, by one cross-multiplication
-    of integers: the weighted closed form r + c H, H = h2(n) and c an
-    integer, is (r_num H_den + c H_num r_den)/(r_den H_den)."""
+    of integers, the weighted closed form read as _table1_g_pair."""
     num, den = sums[weighted]
-    if not weighted:
-        closed = table1_f(m, n)
-        return num * closed.denominator == closed.numerator * den
-    rational, coeff = table1_g_parts(m, n)
-    h = h2(n)
-    r_num, r_den = rational.numerator, rational.denominator
-    return (num * r_den * h.denominator
-            == den * (r_num * h.denominator + coeff.numerator * h.numerator * r_den))
+    c_num, c_den = _table1_g_pair(m, n) if weighted else table1_f(m, n).as_integer_ratio()
+    return num * c_den == c_num * den
 
 
 def check_lemma_f(m: int, n: int) -> bool:

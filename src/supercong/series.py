@@ -228,51 +228,37 @@ def _diagonal_ratio(p: int) -> tuple[int, int]:
     return (2 * p + 3) * (2 * p + 5), (p + 3) ** 2
 
 
-def _boundary_ratios(p: int) -> tuple[int, int, int, int]:
-    """(a, b, c, d): from odd p to p+2, F(h,h) steps by _diagonal_ratio's
-    a/b, and C(2p,p) C(p-1,(p-1)/2) by c/d, the product of
-    4(2p+1)(2p+3)/((p+1)(p+2)) and 4p/(p+1)."""
-    return (*_diagonal_ratio(p), 16 * p * (2 * p + 1) * (2 * p + 3), (p + 1) ** 2 * (p + 2))
-
-
-def _boundary_walk() -> Iterator[tuple[int, tuple[int, int], tuple[int, int]]]:
-    """(p, F(h,h), closed form) for odd p = 3, 5, 7, ..., h = (p+1)/2, each
-    side of boundary_closed_form as an unreduced integer pair (num, den):
-
-        F(h,h) = -(4h-1)!! / (4^h h!^2)
-        closed = -2p(2p+1) C(2p,p) C(p-1,(p-1)/2) / (4^p (p+1)^2)
-
-    Each step multiplies by small integers, and the binomial product, an
-    integer, is stepped by one exact division."""
-    f_num, f_den, binomials = -105, 64, 40  # at p = 3: -7!!, 4^2 2!^2, C(6,3) C(2,1)
-    for p in itertools.count(3, 2):
-        yield p, (f_num, f_den), (-2 * p * (2 * p + 1) * binomials, (p + 1) ** 2 << 2 * p)
-        a, b, c, d = _boundary_ratios(p)
-        f_num *= a
-        f_den *= b
-        binomials = binomials * c // d
-
-
 def boundary_term(p: int) -> Fraction:
-    """F(h, h), h = (p+1)/2, for odd p >= 3, kept across calls:
-    _boundary_walk's value at p = 3 stepped from p to p+2 by
-    _diagonal_ratio's a/b as reduced Fractions, so each step takes gcds with
-    small integers only."""
+    """F(h, h), h = (p+1)/2, for odd p >= 3, kept across calls for both wz
+    scans and for boundary_mod and tail_congruence: F(2, 2) = -105/64
+    stepped from p to p+2 by _diagonal_ratio's a/b as reduced Fractions, so
+    each step takes gcds with small integers only."""
     def terms() -> Iterator[Fraction]:
-        _, start, _ = next(_boundary_walk())
         steps = (Fraction(*_diagonal_ratio(q)) for q in itertools.count(3, 2))
-        return itertools.accumulate(steps, operator.mul, initial=Fraction(*start))
+        return itertools.accumulate(steps, operator.mul, initial=Fraction(-105, 64))
     return cached("F(h,h)", terms, (p - 3) // 2)
+
+
+def _boundary_walk() -> Iterator[tuple[int, tuple[int, int]]]:
+    """(p, closed form) for odd p = 3, 5, 7, ..., the closed side
+    -2p(2p+1) C(2p,p) C(p-1,(p-1)/2) / (4^p (p+1)^2) of boundary_closed_form
+    as an unreduced integer pair (num, den).  The binomial product, an
+    integer, steps from p to p+2 by one exact division, by
+    4(2p+1)(2p+3)/((p+1)(p+2)) times 4p/(p+1)."""
+    binomials = 40  # C(6,3) C(2,1)
+    for p in itertools.count(3, 2):
+        yield p, (-2 * p * (2 * p + 1) * binomials, (p + 1) ** 2 << 2 * p)
+        binomials = binomials * 16 * p * (2 * p + 1) * (2 * p + 3) // ((p + 1) ** 2 * (p + 2))
 
 
 def boundary_scan(lo: int, hi: int) -> Iterator[tuple[tuple[int], bool]]:
     """((p,), operator.eq(*boundary_closed_form(p))) for odd p >= 3 in
-    lo..hi, read off one _boundary_walk: each verdict is one
-    cross-multiplication, with no gcd and no Fraction."""
-    walk = itertools.islice(_boundary_walk(), max((hi - 1) // 2, 0))  # p = 3..hi
-    for p, (f_num, f_den), (c_num, c_den) in walk:
+    lo..hi: the closed side off one _boundary_walk, F(h,h) from
+    boundary_term, each verdict one cross-multiplication."""
+    for p, (c_num, c_den) in itertools.islice(_boundary_walk(), max((hi - 1) // 2, 0)):
         if p >= lo:
-            yield (p,), f_num * c_den == c_num * f_den
+            f = boundary_term(p)
+            yield (p,), f.numerator * c_den == c_num * f.denominator
 
 
 def check_boundary_closed_form(p: int) -> bool:
@@ -283,27 +269,24 @@ def check_boundary_closed_form(p: int) -> bool:
 
 
 def telescoped_scan(ps: Iterable[int]) -> Iterator[tuple[tuple[int], bool]]:
-    """((p,), check_telescoped_identity(p)) for each p of ps, odd, >= 3 and
-    ascending, read off one walk over odd p.  Each verdict compares
+    """((p,), check_telescoped_identity(p)) for each p of ps, odd and >= 3,
+    in any order, h = (p+1)/2:
 
-        sum_{n=0..h} F(n,0) = N_h / 2^(6(h+1))    (A at m = 1)
-        F(h,h) + sum_{k=1..h} G(h+1, k)
+        sum_{n=0..h} F(n,0) = family_sum("A", 1, h)
+        F(h,h) + sum_{k=1..h} G(h+1, k) = boundary_term(p) + _wz_G_tail_sum(h+1)
 
-    by one cross-multiplication of integers, h = (p+1)/2: N_h from
-    _family_numerators, F(h,h) from boundary_term and the G-tail from
-    _wz_G_tail_sum."""
-    walk = zip(itertools.count(3, 2), itertools.islice(_family_numerators("A", 1), 2, None))
+    Each verdict compares A - F(h,h) with the G-tail by one
+    cross-multiplication of integers, the A sum's power-of-two denominator
+    applied as a shift.  The A sum and F(h,h) are the cached values thm1,
+    boundary_mod and tail_congruence read."""
     for p in ps:
-        for q, [a_num] in walk:
-            if q >= p:
-                break
-        if q != p:
-            raise PreconditionViolated(f"p must be odd, >= 3 and ascending, got {p}")
+        _require_odd(p)
         h = (p + 1) // 2
-        f = boundary_term(p)
+        a, f = family_sum("A", 1, h), boundary_term(p)
         g_num, g_den = _wz_G_tail_sum(h + 1)
-        yield (p,), (a_num * f.denominator * g_den
-                     == (f.numerator * g_den + g_num * f.denominator) << 6 * (h + 1))
+        shift = a.denominator.bit_length() - 1
+        a_less_f = a.numerator * f.denominator - (f.numerator << shift)  # over 2^shift f.den
+        yield (p,), a_less_f * g_den == g_num * f.denominator << shift
 
 
 def check_telescoped_identity(p: int) -> bool:
@@ -313,9 +296,7 @@ def check_telescoped_identity(p: int) -> bool:
         sum_{n=0..h} F(n,0) == F(h,h) + sum_{k=1..h} G(h+1, k)
 
     The terms are the lhs of thm1 (F(n,0): A at m = 1), boundary_mod and
-    tail_congruence.  Read off telescoped_scan's walk up to p.
-    """
-    _require_odd(p)
+    tail_congruence.  One step of telescoped_scan."""
     [(_, holds)] = telescoped_scan([p])
     return holds
 

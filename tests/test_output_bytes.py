@@ -75,6 +75,16 @@ FAILING_BOUNDARY_SCAN = {
 }
 
 
+# `wz` at both caps' largest inputs: the boundary scan reads the F(h, h)
+# values that the telescoped scan filled.
+CAPS = ["wz", "--grid", "1", "--telescope", "3..1500", "--boundary", "3..3001"]
+CAPS_BYTES = {
+    "text": "30b6f00b02f4f5ed6601db9a42a67ac2904bbf205ff36c992284af705c746d64",
+    "csv": "a88728a6555f9201f13810acb5bf8e5bd251c61e7d1c549cfe9fc697047976f2",
+    "json": "a31d9d14cb87d28ab01d0ea75c635ff1eb32726966172d27bcdc4064976b1600",
+}
+
+
 def _run(capsys, argv):
     code = cli.run(argv)
     return code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
@@ -83,6 +93,11 @@ def _run(capsys, argv):
 @pytest.mark.parametrize("command,fmt", sorted(EXPECTED))
 def test_stdout_bytes(capsys, command, fmt):
     assert _run(capsys, CASES[command] + ["--format", fmt]) == EXPECTED[command, fmt]
+
+
+@pytest.mark.parametrize("fmt", sorted(CAPS_BYTES))
+def test_stdout_bytes_at_the_wz_caps(capsys, fmt):
+    assert _run(capsys, CAPS + ["--format", fmt]) == (0, CAPS_BYTES[fmt])
 
 
 @pytest.mark.parametrize(
@@ -135,16 +150,18 @@ def test_failing_wz_scan_bytes_and_no_row_after_first_failure(capsys, monkeypatc
 def test_failing_boundary_scan_bytes_and_no_step_after_first_failure(capsys, monkeypatch, fmt):
     stepped = []
 
-    def bad_step_from_9(p, _real=series._boundary_ratios):
-        stepped.append(p)
-        a, b, c, d = _real(p)
-        return (a + (p == 9), b, c, d)
+    def bad_step_from_9(_real=series._boundary_walk):
+        # the closed side's step from p = 9 to 11 is twice too large, so
+        # every closed value from p = 11 on is doubled
+        for p, (num, den) in _real():
+            stepped.append(p)
+            yield p, (num << (p > 9), den)
 
-    monkeypatch.setattr(series, "_boundary_ratios", bad_step_from_9)
+    monkeypatch.setattr(series, "_boundary_walk", bad_step_from_9)
     assert _run(capsys, CASES["wz"] + ["--format", fmt]) == (1, FAILING_BOUNDARY_SCAN[fmt])
     # p = 11 is the first value off the bad step; the row still counts 13
     # and 15, but the walk never steps past 11
-    assert stepped == [3, 5, 7, 9]
+    assert stepped == [3, 5, 7, 9, 11]
 
 
 @pytest.mark.parametrize("command", sorted(CASES))

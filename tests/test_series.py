@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from supercong import series
+from supercong import series, special
 from supercong.series import (
     PreconditionViolated,
     SumSpec,
@@ -363,10 +363,17 @@ class TestTelescopedScan:
             with pytest.raises(PreconditionViolated):
                 check_telescoped_identity(p)
 
-    @pytest.mark.parametrize("ps", [[4], [1], [5, 3], [7, 7]])
-    def test_a_scan_rejects_an_even_small_or_repeated_p(self, ps):
-        with pytest.raises(PreconditionViolated, match="ascending"):
+    @pytest.mark.parametrize("ps", [[4], [1]])
+    def test_a_scan_rejects_an_even_or_small_p(self, ps):
+        with pytest.raises(PreconditionViolated, match="odd and >= 3"):
             list(series.telescoped_scan(ps))
+
+    @pytest.mark.parametrize("ps", [[5, 3], [7, 7]])
+    def test_a_scan_takes_its_primes_in_any_order_and_repeated(self, ps):
+        # the scan keeps no walk of its own: each p reads the shared caches
+        special._CACHE.clear()
+        scan = list(series.telescoped_scan(ps))
+        assert scan == [((p,), check_telescoped_identity(p)) for p in ps] == [((p,), True) for p in ps]
 
 
 class TestBoundaryClosedForm:
@@ -381,18 +388,17 @@ class TestBoundaryClosedForm:
 
 
 class TestBoundaryWalk:
-    """boundary_scan and check_boundary_closed_form read both sides of the
-    boundary form off one integer walk over odd p, compared by one
-    cross-multiplication; the Fraction boundary_closed_form and wz_F are
-    the oracle."""
+    """boundary_scan and check_boundary_closed_form read the closed side of
+    the boundary form off one integer walk over odd p and F(h, h) off
+    boundary_term, compared by one cross-multiplication; the Fraction
+    boundary_closed_form and wz_F are the oracle."""
 
     def test_walk_pairs_equal_fraction_path(self):
         walk = itertools.islice(series._boundary_walk(), 150)
-        for p, f, c in walk:
-            direct, closed = boundary_closed_form(p)
-            assert all(type(x) is int for x in f + c)
-            assert Fraction(*f) == wz_F((p + 1) // 2, (p + 1) // 2) == direct
-            assert Fraction(*c) == closed
+        for p, c in walk:
+            assert all(type(x) is int for x in c)
+            assert Fraction(*c) == boundary_closed_form(p)[1]
+            assert series.boundary_term(p) == wz_F((p + 1) // 2, (p + 1) // 2)
 
     @settings(max_examples=30, deadline=None)
     @given(lo=st.integers(0, 160), width=st.integers(0, 40), rnd=st.randoms(use_true_random=False))

@@ -383,11 +383,36 @@ class TestTelescopedIdentity:
                 check("boundary_mod", p).lhs + check("tail_congruence", p).lhs
             )
 
+    @pytest.mark.parametrize("telescope,boundary", [((3, 61), (3, 15)), ((3, 13), (3, 41))])
+    def test_one_wz_run_fills_the_caches_the_checks_read(self, capsys, monkeypatch, telescope,
+                                                         boundary):
+        # both wz scans read F(h, h) off boundary_term's one walk, so from
+        # cold caches each step runs once, up to the larger window's top,
+        # and the telescoped scan leaves the A/m=1 sums of thm1 reduced in
+        # their cache
+        stepped = []
+
+        def recording_ratio(p, _real=series._diagonal_ratio):
+            stepped.append(p)
+            return _real(p)
+
+        monkeypatch.setattr(series, "_diagonal_ratio", recording_ratio)
+        special._CACHE.clear()
+        argv = ["wz", "--grid", "1", "--telescope", "{}..{}".format(*telescope),
+                "--boundary", "{}..{}".format(*boundary)]
+        assert run(argv) == 0
+        capsys.readouterr()
+        assert stepped == list(range(3, max(primes_in_range(*telescope)[-1], boundary[1]), 2))
+        sums = special._CACHE[("A", 1)][0]
+        for p in primes_in_range(5, telescope[1]):
+            lhs = sums[(p + 1) // 2][0]
+            assert type(lhs) is Fraction and checks.CHECKS["thm1"].values(p)[0] is lhs
+
     @settings(max_examples=3, deadline=None)
     @given(order=st.permutations(primes_in_range(5, 400)))
     @example(order=primes_in_range(5, 400)[::-1])
     def test_shortcuts_match_wz_F_and_wz_G_tail_from_cold_caches(self, order):
-        # boundary_mod reads F(h, h) off the boundary walk, and
+        # boundary_mod reads F(h, h) off boundary_term's walk, and
         # tail_congruence its G-tail as thm1's lhs less that F(h, h); wz_F
         # and wz_G_tail, the wz scan's independent sides, are their oracles,
         # and with them each record is the one built from the oracle
