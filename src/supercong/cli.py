@@ -541,18 +541,27 @@ def _cmd_verify(args: argparse.Namespace) -> list[Callable[[], arith.CongruenceR
     # checks share (the two ratio-expansion orders read one) runs once.
     args.lots = [(task.args[1], 1) for task in tasks]
     if len(_deal(args.lots, args.jobs)) > 1:
-        # Fill the shared tables (family sums, Euler numbers, harmonic sums
-        # and the like) to the window's top before run() forks, so every
-        # worker inherits them whole.  A warm-up that raises is dropped: the
-        # task that raises first in task order still decides the error.
-        for task in tasks:
-            check_id, p = task.args
-            if p == primes[-1]:
-                try:
-                    checks.CHECKS[check_id].values(p)
-                except Exception:
-                    pass
+        # Run the top prime's tasks before run() forks: they fill the shared
+        # tables (family sums, Euler numbers, harmonic sums and the like) to
+        # the window's top, so every worker inherits them whole, and each
+        # keeps its outcome, so the worker that owns the top runs none again.
+        tasks = [_settled(task) if p == primes[-1] else task
+                 for task, (p, _) in zip(tasks, args.lots)]
     return tasks
+
+
+def _settled(task: Callable[[], Any]) -> Callable[[], Any]:
+    """task, run now, as a task that returns its result or raises its error
+    again, so the error still comes at its place in task order."""
+    try:
+        result = task()
+    except Exception as exc:
+        error = exc  # the name exc is unbound when this block ends
+
+        def fail():
+            raise error
+        return fail
+    return lambda: result
 
 
 def _cmd_lemma(args: argparse.Namespace) -> list[Callable[[], ScanRecord]]:

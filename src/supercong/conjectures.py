@@ -124,10 +124,11 @@ def residue_table(
     which fixes sum / p^r mod p^e exactly.  Summand k of summand_factors is
     sign * p^v * w^m * t/q, with w and the step a/b of t/q split free of p
     once for every weight, so each weight's sum is its own x over one
-    shared unit denominator q (series.walk_total's recurrence), and each cut
-    reads every weight with one inverse of q; "both" reads the half
-    truncation, a prefix of the full one, at its cut.  w^m steps from one
-    weight to the next by (w^2)^(gap/2).
+    shared unit denominator q: a step a/b takes t/q to (t a)/(q b) and x to
+    x b + c t a, c = sign p^v w^m, with no gcd.  Each cut reads every weight
+    with one inverse of q; "both" reads the half truncation, a prefix of the
+    full one, at its cut.  w^m steps from one weight to the next by
+    (w^2)^(gap/2).
     """
     ms = sorted(set(ms))
     if not ms:
@@ -285,11 +286,3 @@ def discover_constant(
     constant = _stabilized_lift(evidence)
     consistent = all(constant % mod == res for _, res, mod in evidence)
     return DiscoveryResult(family, m, r, constant, tuple(evidence), consistent)
-
-
-def __getattr__(name: str):
-    # callers may read series' partial_sum and SumSpec here; they resolve on
-    # first read, so a run that reads neither never runs series
-    if name in ("partial_sum", "SumSpec"):
-        return getattr(series, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

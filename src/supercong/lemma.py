@@ -104,7 +104,8 @@ def _lemma_walk(ms: tuple[int, ...], n: int) -> list[tuple[tuple[int, int], tupl
     _shifted_steps, so p1/q is the term times w_k.  With E = (2n-1)^2, the
     rest of the ratio at k is x/(d - E), x = c - E = 4(k-1-n)(n+k-2), over
     the table rows k = 1..n of _lemma_steps(ms), kept per ms.  Each m keeps
-    its own two running sums over q, by walk_total's recurrence.
+    its own two running sums over q: the step that takes q to q b takes the
+    plain sum x to x b + (4k-1)^m p0, and the weighted one likewise with p1.
     """
     e = (2 * n - 1) ** 2
     p0 = q = 1

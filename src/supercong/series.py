@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
 from .arith import PreconditionViolated
-from .families import _FAMILY, _Family, summand_factors  # noqa: F401  (re-exported)
+from .families import _FAMILY, summand_factors
 from .special import cached, inv_pochhammer_int, poch_neg_half, pochhammer
 
 
@@ -56,21 +56,6 @@ def summands(family: str, m: int) -> Iterator[Fraction]:
 def partial_sum(spec: SumSpec) -> Fraction:
     """Sum of term_value(spec, k) over k = 0..upper, via incremental term ratios."""
     return sum(itertools.islice(summands(spec.family, spec.m), spec.upper + 1), Fraction(0))
-
-
-def walk_total(
-    steps: Iterable[tuple[int, int, int]], x: int = 0, p: int = 1, q: int = 1
-) -> tuple[int, int]:
-    """The running sum of a term that steps by exact ratios, in integers with
-    no gcd per term.  x/q is the starting sum and p/q the starting term over
-    one unreduced denominator q; each step (a, b, c) multiplies the term by
-    a/b and adds c times the new term to the sum.  Returns the last sum as
-    the unreduced pair (x, q)."""
-    for a, b, c in steps:
-        p *= a
-        q *= b
-        x = x * b + c * p
-    return x, q
 
 
 def _family_numerators(family: str, m: int) -> Iterator[list]:
@@ -144,13 +129,21 @@ def _wz_G_ratios(n: int) -> Iterator[tuple[int, int]]:
 
 def _wz_G_tail_sum(n: int) -> tuple[int, int]:
     """sum_{k=1..n-1} G(n, k) for n >= 2 as an unreduced integer pair
-    (num, den), one walk_total along the G ratios.  With
+    (num, den), one walk along the G ratios.  With
     c = 2^n (-1/2)_n = (-1)(1)(3)...(2n-3),
 
-        G(n, 1) = (-1)^(n+1) 8 c^3 / (8^n (n-1)!^3)."""
-    num = (8 if n % 2 else -8) * math.prod(range(-1, 2 * n - 2, 2)) ** 3
-    steps = ((a, b, 1) for a, b in itertools.islice(_wz_G_ratios(n), n - 2))
-    return walk_total(steps, num, num, math.factorial(n - 1) ** 3 << 3 * n)
+        G(n, 1) = (-1)^(n+1) 8 c^3 / (8^n (n-1)!^3).
+
+    The running sum and the term are kept over one unreduced denominator,
+    as num/den and term/den: a ratio a/b steps them to (num b + term a)/(den b)
+    and term a/(den b), with no gcd per term."""
+    num = term = (8 if n % 2 else -8) * math.prod(range(-1, 2 * n - 2, 2)) ** 3
+    den = math.factorial(n - 1) ** 3 << 3 * n
+    for a, b in itertools.islice(_wz_G_ratios(n), n - 2):
+        term *= a
+        den *= b
+        num = num * b + term
+    return num, den
 
 
 def wz_G_tail(n: int) -> Fraction:
@@ -233,6 +226,8 @@ def boundary_term(p: int) -> Fraction:
     scans and for boundary_mod and tail_congruence: F(2, 2) = -105/64
     stepped from p to p+2 by _diagonal_ratio's a/b as reduced Fractions, so
     each step takes gcds with small integers only."""
+    _require_odd(p)
+
     def terms() -> Iterator[Fraction]:
         steps = (Fraction(*_diagonal_ratio(q)) for q in itertools.count(3, 2))
         return itertools.accumulate(steps, operator.mul, initial=Fraction(-105, 64))

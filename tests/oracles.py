@@ -1,15 +1,15 @@
 """Exact identities that no command runs, kept beside the tests that hold
-them: the terminating 6F5(-1) <-> 3F2(1) transformation, the Gamma-ratio
-shift and the two-term 3F2(1) value; and the lemma sums by a walk that
-builds each step from n and k alone, the oracle of the lemma step table.  Gamma ratios are never evaluated as
-Gamma values: each reduces to a quotient of rising factorials through
-Gamma(x+1) = x*Gamma(x)."""
+them: the terminating 6F5(-1) <-> 3F2(1) transformation, summed by the
+generic integer walk walk_total, the Gamma-ratio shift and the two-term
+3F2(1) value; and the lemma sums by a walk that builds each step from n and
+k alone, the oracle of the lemma step table.  Gamma ratios are never
+evaluated as Gamma values: each reduces to a quotient of rising factorials
+through Gamma(x+1) = x*Gamma(x)."""
 
 import math
 from fractions import Fraction
 
 from supercong.lemma import _shifted_steps
-from supercong.series import walk_total
 from supercong.special import pochhammer
 
 
@@ -20,6 +20,19 @@ class ParameterSingularity(ValueError):
 def _vanishes_within(base, count):
     # (x)_k = 0 for some 1 <= k <= count iff x is an integer in [-(count-1), 0]
     return base.denominator == 1 and -(count - 1) <= base.numerator <= 0
+
+
+def walk_total(steps, x=0, p=1, q=1):
+    """The running sum of a term that steps by exact ratios, in integers with
+    no gcd per term.  x/q is the starting sum and p/q the starting term over
+    one unreduced denominator q; each step (a, b, c) multiplies the term by
+    a/b and adds c times the new term to the sum.  Returns the last sum as
+    the unreduced pair (x, q)."""
+    for a, b, c in steps:
+        p *= a
+        q *= b
+        x = x * b + c * p
+    return x, q
 
 
 def terminating_sum(tops, bottoms, sign, N):

@@ -11,14 +11,9 @@ import time
 from fractions import Fraction
 
 from supercong.arith import PrimePower, congruent, primes_in_range, reduce_mod
-from supercong.checks import (
-    check,
-    check_lemma_f,
-    check_lemma_g,
-    check_lemma_sun3,
-    check_ratio_expansion,
-)
+from supercong.checks import check, check_lemma_sun3, check_ratio_expansion
 from supercong.conjectures import discover_constant, verify_conjecture
+from supercong.lemma import check_lemma_f, check_lemma_g
 from supercong.series import (
     boundary_closed_form,
     check_telescoped_identity,

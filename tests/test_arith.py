@@ -294,7 +294,7 @@ class TestRequirePrime:
 
     def test_hierarchy_and_reexports(self):
         assert issubclass(PrimeTooSmall, InvalidPrime)
-        assert checks.PrimeTooSmall is supercong.PrimeTooSmall is PrimeTooSmall
+        assert supercong.PrimeTooSmall is PrimeTooSmall
         require_prime(3, "x")
         require_prime(5, "x", floor=5)
 

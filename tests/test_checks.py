@@ -9,18 +9,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from supercong.arith import InvalidPrime, PrimePower, primes_in_range, reduce_mod
+from supercong.arith import InvalidPrime, PrimePower, PrimeTooSmall, primes_in_range, reduce_mod
 from supercong.checks import (
     CHECKS,
     DEFAULT_CHECK_IDS,
-    TABLE1_WEIGHTS,
     IndexOutOfRange,
-    PrimeTooSmall,
     check,
-    check_lemma_f,
-    check_lemma_g,
     check_lemma_sun3,
     check_ratio_expansion,
+)
+from supercong.lemma import (
+    TABLE1_WEIGHTS,
+    check_lemma_f,
+    check_lemma_g,
     lemma_scans,
     table1_f,
     table1_g,
@@ -101,7 +102,7 @@ class TestLemmaClosedForms:
         assert total == Fraction(135, 16) == table1_g(3, 2)
 
     def test_incremental_terms_match_direct(self):
-        from supercong.checks import _lemma_walk
+        from supercong.lemma import _lemma_walk
 
         for n in (2, 3, 7, 12):
             for m, (plain, weighted) in zip((3, 5, 7), _lemma_walk((3, 5, 7), n)):
@@ -193,7 +194,7 @@ class TestLemmaIntegerWalk:
     @example(m=3, n=2)  # f = 0
     @example(m=7, n=120)
     def test_walk_sums_equal_fraction_sums(self, m, n):
-        from supercong.checks import _lemma_walk
+        from supercong.lemma import _lemma_walk
 
         [(plain, weighted)] = _lemma_walk((m,), n)
         assert Fraction(*plain) == table1_f(m, n)
@@ -208,7 +209,7 @@ class TestLemmaIntegerWalk:
     @example(ms=(3, 5, 7), n=2)
     @example(ms=(3, 5, 7), n=120)
     def test_every_cell_equals_the_direct_sum(self, ms, n):
-        from supercong.checks import _lemma_walk
+        from supercong.lemma import _lemma_walk
 
         # the summand at m = 1, from rising factorials at each k, carries m
         # through (4k-1)^(m-1); the weight is summed at each k too

@@ -766,11 +766,10 @@ class TestForkedWorkers:
     def test_earliest_failing_task_decides_stderr_and_exit_code(
         self, capsys, monkeypatch, via, error, failing
     ):
-        """Tasks 3 and 7 are at the window's top prime, whose values the
-        parent evaluates once before it forks.  A failure injected through a
-        check's values reaches that warm-up too, where it is dropped: a
-        failing task at the top prime decides the error only when no earlier
-        task fails."""
+        """Tasks 3 and 7 are at the window's top prime, which the parent runs
+        before it forks.  Each keeps its outcome, a failure too, which is
+        raised again at its task's place: a failing task at the top prime
+        decides the error only when no earlier task fails."""
         def fail(check_id, p):
             i = FORK_TASKS.index((check_id, p))
             if i in failing:
@@ -805,10 +804,10 @@ class TestForkedWorkers:
         `7..61` starts no special._CACHE sequence that tasks at two primes
         read: only the worst-k walk of one prime below the top, which no
         other prime's task reads, and which one process alone starts, even
-        over the odd number of primes of 7..61.  The parent evaluates each
-        check's values at the top once before it forks, and then runs the
-        tasks of every other prime from the first; at one worker each values
-        call is a task's."""
+        over the odd number of primes of 7..61.  The parent runs each task at
+        the top once before it forks, and then the tasks of every other prime
+        from the first, less the top, which neither worker evaluates again;
+        at one worker each values call is a task's."""
         parent, started = os.getpid(), tmp_path / "started"
 
         class Cache(dict):
@@ -838,13 +837,39 @@ class TestForkedWorkers:
         assert run_cli(capsys, *argv, "--jobs", "2") == serial
         top_calls = len(checks.DEFAULT_CHECK_IDS)
         assert calls[:top_calls] == [61] * top_calls
-        # the warm-up, then worker 0's tasks
-        assert calls[top_calls:] == [p for p in rows if p in arith.primes_in_range(lo, 61)[::2]]
+        # the warm-up, then worker 0's tasks but those at the top
+        worker_0 = arith.primes_in_range(lo, 61)[::2]
+        assert calls[top_calls:] == [p for p in rows if p in worker_0 and p != 61]
         starts = [line.split(" ", 1) for line in started.read_text().splitlines()]
         keys = [ast.literal_eval(key) for pid, key in starts if int(pid) != parent]
         assert keys and all(key[0] == "ratio_expansion" and key[1] < 61 for key in keys)
         walks = [key for _, key in starts if key.startswith("('ratio_expansion'")]
         assert len(walks) == len(set(walks)) == len(set(rows))
+
+    @pytest.mark.parametrize("lo", [5, 7])
+    def test_each_top_prime_value_runs_once_across_the_workers(
+        self, capsys, monkeypatch, tmp_path, lo
+    ):
+        """The parent runs the top prime's tasks before it forks, and the
+        worker that owns them, the child over the 16 primes of
+        `verify --primes 5..61` and the parent over the 15 of `7..61`, runs
+        none again: each check's values at 61 run once in all, in the
+        parent."""
+        log = tmp_path / "values"
+        for check_id in checks.DEFAULT_CHECK_IDS:
+            spec = checks.CHECKS[check_id]
+
+            def values(p, check_id=check_id, _real=spec.values):
+                with open(log, "a") as out:
+                    out.write(f"{os.getpid()} {check_id} {p}\n")
+                return _real(p)
+
+            monkeypatch.setitem(checks.CHECKS, check_id, spec._replace(values=values))
+        assert run_cli(capsys, "verify", "--primes", f"{lo}..61", "--jobs", "2")[0] == 0
+        calls = [line.split() for line in log.read_text().splitlines()]
+        assert len({pid for pid, _, _ in calls}) == 2  # the parent and one child
+        top = [(int(pid), check_id) for pid, check_id, p in calls if p == "61"]
+        assert sorted(top) == [(os.getpid(), c) for c in sorted(checks.DEFAULT_CHECK_IDS)]
 
     @pytest.mark.parametrize("error,shown,code", [
         (conjectures.ValuationTooLow, "counterexample candidate", 1),
@@ -1148,6 +1173,14 @@ ROOT_NAMES = (
     "wz_G",
 )
 ROOT_LAYERS = ("arith", "checks", "conjectures", "series", "special")
+# Names once bound a second time where they lived before they moved, and
+# the hook that served two of them: each name now has one home alone.
+RETIRED = (
+    ("checks", "PrimeTooSmall"), ("checks", "_lemma_walk"), ("checks", "lemma_scans"),
+    ("checks", "table1_g"), ("checks", "table1_g_parts"), ("series", "_Family"),
+    ("series", "walk_total"), ("conjectures", "SumSpec"), ("conjectures", "partial_sum"),
+    ("conjectures", "__getattr__"),
+)
 # The layers a discovery runs: not series or special, whatever its flags.
 DISCOVER_LAYERS = ["arith", "conjectures", "families"]
 
@@ -1214,6 +1247,10 @@ class TestLazyLayers:
         assert set(dir(supercong)) >= {*ROOT_NAMES, *ROOT_LAYERS}
         with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
             supercong.no_such_name
+
+    @pytest.mark.parametrize("layer,name", RETIRED)
+    def test_a_retired_binding_is_gone(self, layer, name):
+        assert not hasattr(getattr(supercong, layer), name)
 
     def test_importing_the_package_registers_every_layer_and_runs_none(self):
         code = ("import sys, types, supercong; print(sorted((name, type(module) is types.ModuleType) "

@@ -33,7 +33,13 @@ from supercong.series import (
 )
 from supercong.special import euler_number, h2, poch_neg_half, pochhammer
 
-from oracles import ParameterSingularity, f32_top_minus_one, terminating_sum, whipple_terminating
+from oracles import (
+    ParameterSingularity,
+    f32_top_minus_one,
+    terminating_sum,
+    walk_total,
+    whipple_terminating,
+)
 
 HALF = Fraction(1, 2)
 
@@ -253,7 +259,7 @@ class TestTermWalk:
             total += c * term
             expected.append(total)
         for i in range(len(steps) + 1):
-            x, q = series.walk_total(steps[:i], *start)
+            x, q = walk_total(steps[:i], *start)
             assert Fraction(x, q) == expected[i]
             assert q == start[2] * math.prod(b for _, b, _ in steps[:i])
 
@@ -445,6 +451,12 @@ class TestBoundaryWalk:
         for fn in (check_boundary_closed_form, boundary_closed_form):
             with pytest.raises(PreconditionViolated):
                 fn(p)
+
+    @pytest.mark.parametrize("p", [1, 2, 4, 6])
+    def test_boundary_term_rejects_a_p_not_odd_and_at_least_3(self, p):
+        # without the check, p = 4 and 6 read F(2, 2) and F(3, 3), the values of p = 3 and 5
+        with pytest.raises(PreconditionViolated, match=f"odd and >= 3, got {p}"):
+            series.boundary_term(p)
 
 
 def whipple_sides_per_k(a, b, c, d, N):
