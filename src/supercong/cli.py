@@ -109,9 +109,14 @@ _JSON_TEXT: dict[type, Callable[[Any], str]] = {
     int: int.__repr__,
     Fraction: lambda value: f'"{value.numerator}/{value.denominator}"',  # nothing to escape
     str: lambda value: '"' + value.translate(_JSON_ESCAPES) + '"',
-    list: lambda values: "[" + ",".join([_JSON_TEXT[type(v)](v) for v in values]) + "]",
+    list: lambda values: "[" + ",".join(map(_json, values)) + "]",
 }
 _JSON_TEXT[tuple] = _JSON_TEXT[list]
+
+
+def _json(value) -> str:
+    """value as JSON text, as _JSON_TEXT writes its type."""
+    return _JSON_TEXT[type(value)](value)
 
 
 def _csv_cell(value) -> str:
@@ -120,7 +125,7 @@ def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     text = str(value)
-    if any(c in text for c in ',"\n'):  # RFC 4180: quote only where needed
+    if any(c in text for c in ',"\r\n'):  # RFC 4180: quote only where needed
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -134,18 +139,16 @@ def _short(s: str, width: int = 30) -> str:
 
 class _Kind(NamedTuple):
     """How one record kind renders.  Its named fields are the record's own
-    attributes followed by those derived from them, and for text rows alone
-    by text_derived's; json and csv name the fields each format carries, in
-    order (JSON rows as _JSON_TEXT shows them, or as json_slots fills them
-    straight from the record, and the others as _plain does), and text is
-    the str.format template of a text row, where None shows as "-".  A run's
-    text output starts with text_header, if any, and passes when every record does."""
+    attributes, as _plain shows them, and those derived from them; json and csv
+    name the fields each format carries, in order (JSON rows as _JSON_TEXT shows
+    them, or as json_slots fills them from the record), and text is the
+    str.format template of a text row, where None shows as "-".  A run's text
+    output starts with text_header, if any, and passes when every record does."""
 
     json: tuple[str, ...]
     csv: tuple[str, ...]
     text: str
     derived: Callable[[dict[str, Any]], dict[str, object]] = lambda fields: {}
-    text_derived: Callable[[dict[str, Any]], dict[str, object]] = lambda fields: {}
     json_slots: Callable[[Any], tuple] | None = None
     passes: Callable[[Any], bool] = lambda record: True
     text_header: str | None = None
@@ -168,18 +171,16 @@ _PASS_JSON = {True: "true", False: "false", None: 'null,"informational":true'}
 def _congruence_json(rep: arith.CongruenceReport) -> tuple:
     """The slots of a congruence record's JSON row, filled straight from the record."""
     check_id, p, lhs, rhs, required, achieved, passed, m, r, _ = rep
-    return ('"' + check_id.translate(_JSON_ESCAPES) + '"', p, "null" if m is None else m,
-            "null" if r is None else r, f'"{lhs.numerator}/{lhs.denominator}"',
-            f'"{rhs.numerator}/{rhs.denominator}"', required,
-            '"inf"' if achieved == math.inf else achieved, _PASS_JSON[passed])
+    return (_json(check_id), p, "null" if m is None else m, "null" if r is None else r,
+            _json(lhs), _json(rhs), required, _json(_plain(achieved)), _PASS_JSON[passed])
 
 
 _CONGRUENCE = _Kind(
     json=_CONGRUENCE_COLUMNS,
     csv=_CONGRUENCE_COLUMNS,
     text=_CONGRUENCE_TEXT,
-    derived=lambda f: {"pass": f["passed"]},
-    text_derived=lambda f: {
+    derived=lambda f: {
+        "pass": f["passed"],
         "lhs_short": _short(f["lhs"]),
         "rhs_short": _short(f["rhs"]),
         "status": "info" if f["passed"] is None else ("pass" if f["passed"] else "FAIL"),
@@ -198,8 +199,8 @@ _DISCOVERY = _Kind(
         "n_primes": len(f["evidence"]),
         "prime_min": min(f["evidence"])[0],
         "prime_max": max(f["evidence"])[0],
+        "consistent_text": "true" if f["consistent"] else "FALSE",
     },
-    text_derived=lambda f: {"consistent_text": "true" if f["consistent"] else "FALSE"},
     passes=lambda res: res.consistent,
 )
 _SCAN_COLUMNS = ("check_id", "scope", "instances", "pass", "first_failure")
@@ -207,8 +208,8 @@ _SCAN = _Kind(
     json=_SCAN_COLUMNS,
     csv=_SCAN_COLUMNS,
     text="{check_id:<16} {scope:<16} {instances:>6} instances  {status}",
-    derived=lambda f: {"pass": f["first_failure"] is None},
-    text_derived=lambda f: {
+    derived=lambda f: {
+        "pass": f["first_failure"] is None,
         "status": "pass" if f["first_failure"] is None else f"FAIL at {f['first_failure']}",
     },
     passes=lambda rec: rec.first_failure is None,
@@ -239,7 +240,7 @@ def serialize_report(
     JSON records are single-line objects; rationals render as exact "num/den"
     strings and an infinite valuation renders as "inf".  CSV and text rows
     use the same column order as their stream headers (emitted separately);
-    a CSV field holding a comma, quote or newline is quoted as in RFC 4180.
+    a CSV field holding a comma, quote, CR or LF is quoted as in RFC 4180.
     """
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
@@ -252,15 +253,12 @@ def serialize_report(
             kind = _KINDS[type_name]
             if fmt == "json" and kind.json_slots:
                 return _JSON_ROWS[type_name] % kind.json_slots(report)
-            fields = report._asdict()
+            fields = {name: _plain(value) for name, value in report._asdict().items()}
             fields.update(kind.derived(fields))
             if fmt == "json":
-                texts = [_JSON_TEXT[type(v)](v) for v in map(fields.__getitem__, kind.json)]
-                return _JSON_ROWS[type_name] % tuple(texts)
-            fields = {name: _plain(value) for name, value in fields.items()}
+                return _JSON_ROWS[type_name] % tuple(_json(fields[name]) for name in kind.json)
             if fmt == "csv":
                 return ",".join(_csv_cell(fields[c]) for c in kind.csv)
-            fields.update(kind.text_derived(fields))
             return kind.text.format_map({k: "-" if v is None else v for k, v in fields.items()})
         finally:
             if limit:
@@ -354,11 +352,16 @@ def _worker_count(jobs: int, tasks: int) -> int:
     return max(1, min(jobs, cpus, tasks)) if hasattr(os, "fork") else 1
 
 
-def _row(task: Callable[[], Any], fmt: str) -> tuple[str, bool]:
-    """task()'s record as its output line in fmt and whether it passes: the
-    one renderer, run by whichever worker runs the task."""
-    record = task()
-    return serialize_report(record, fmt), _KINDS[type(record).__name__].passes(record)
+def _rows(tasks: Sequence[Callable[[], Any]], fmt: str, jobs: int = 1,
+          lots: Sequence[tuple[Any, int]] | None = None) -> list[tuple[str, bool]]:
+    """Each task()'s record as its output line in fmt and whether it passes,
+    in task order, as _map_tasks runs the tasks at jobs workers dealt by
+    lots: the one renderer, run by whichever worker runs a task, and what
+    each command's handler hands run()."""
+    def row(task: Callable[[], Any]) -> tuple[str, bool]:
+        record = task()
+        return serialize_report(record, fmt), _KINDS[type(record).__name__].passes(record)
+    return _map_tasks([functools.partial(row, task) for task in tasks], jobs, lots)
 
 
 def _deal(lots: Sequence[tuple[Any, int]], jobs: int) -> list[list[int]]:
@@ -526,7 +529,7 @@ def _scan(
     return ScanRecord(check_id, scope, count, first_failure)
 
 
-def _cmd_verify(args: argparse.Namespace) -> list[Callable[[], arith.CongruenceReport]]:
+def _cmd_verify(args: argparse.Namespace) -> list[tuple[str, bool]]:
     lo, hi = args.primes
     primes = arith.primes_in_range(lo, hi)
     # in (check_id, p) order, the output order; check marks informational only p below the floor
@@ -539,15 +542,14 @@ def _cmd_verify(args: argparse.Namespace) -> list[Callable[[], arith.CongruenceR
         raise ValueError(f"no selected check applies to a prime in {lo}..{hi}")
     # Every check at one prime runs on one worker, so a walk that a prime's
     # checks share (the two ratio-expansion orders read one) runs once.
-    args.lots = [(task.args[1], 1) for task in tasks]
-    if len(_deal(args.lots, args.jobs)) > 1:
-        # Run the top prime's tasks before run() forks: they fill the shared
-        # tables (family sums, Euler numbers, harmonic sums and the like) to
-        # the window's top, so every worker inherits them whole, and each
-        # keeps its outcome, so the worker that owns the top runs none again.
-        tasks = [_settled(task) if p == primes[-1] else task
-                 for task, (p, _) in zip(tasks, args.lots)]
-    return tasks
+    lots = [(task.args[1], 1) for task in tasks]
+    if _worker_count(args.jobs, len(dict(lots))) > 1:
+        # Run the top prime's tasks before the workers fork: they fill the
+        # shared tables (family sums, Euler numbers, harmonic sums and the
+        # like) to the window's top, so every worker inherits them whole, and
+        # each keeps its outcome, so the worker that owns the top runs none again.
+        tasks = [_settled(task) if p == primes[-1] else task for task, (p, _) in zip(tasks, lots)]
+    return _rows(tasks, args.format, args.jobs, lots)
 
 
 def _settled(task: Callable[[], Any]) -> Callable[[], Any]:
@@ -564,29 +566,29 @@ def _settled(task: Callable[[], Any]) -> Callable[[], Any]:
     return lambda: result
 
 
-def _cmd_lemma(args: argparse.Namespace) -> list[Callable[[], ScanRecord]]:
+def _cmd_lemma(args: argparse.Namespace) -> list[tuple[str, bool]]:
     lo, hi = args.n
     # the six scans of --m 3,5,7 share one walk per n
-    return [
+    return _rows([
         functools.partial(_scan, check_id, f"m={m},n={lo}..{hi}", scan, hi - lo + 1, "n={}")
         for check_id, m, scan in lemma.lemma_scans(tuple(sorted(args.m)), lo, hi)
-    ]
+    ], args.format)
 
 
-def _cmd_wz(args: argparse.Namespace) -> list[Callable[[], ScanRecord]]:
+def _cmd_wz(args: argparse.Namespace) -> list[tuple[str, bool]]:
     (t_lo, t_hi), (b_lo, b_hi) = args.telescope, args.boundary
     primes = arith.primes_in_range(t_lo, t_hi)
-    return [functools.partial(_scan, *scan) for scan in (
+    return _rows([functools.partial(_scan, *scan) for scan in (
         ("wz_relation", f"1<=k<=n<={args.grid}", series.wz_relation_scan(args.grid),
          args.grid * (args.grid + 1) // 2, "n={},k={}"),
         ("wz_telescoped", f"primes {t_lo}..{t_hi}",
          series.telescoped_scan(primes), len(primes), "p={}"),
         ("wz_boundary", f"odd p {b_lo}..{b_hi}", series.boundary_scan(b_lo, b_hi),
          len(range(max(b_lo | 1, 3), b_hi + 1, 2)), "p={}"),
-    )]
+    )], args.format)
 
 
-def _cmd_discover(args: argparse.Namespace) -> list[Callable[[], conjectures.DiscoveryResult]]:
+def _cmd_discover(args: argparse.Namespace) -> list[tuple[str, bool]]:
     lo, hi = args.primes
     primes = arith.primes_in_range(max(lo, 5), hi)
     if not primes:
@@ -609,16 +611,16 @@ def _cmd_discover(args: argparse.Namespace) -> list[Callable[[], conjectures.Dis
     walks = [functools.partial(conjectures.residue_table, family, ms, p, args.r, args.variant)
              for p in primes]
     tables = dict(zip(primes, _map_tasks(walks, args.jobs, [(p, p**r) for p in primes])))
-    # Each lift takes well under a millisecond: run() lifts and renders them
-    # in this process, with no second round of forks.
-    args.jobs = 1
-    return [functools.partial(conjectures.discover_constant, family, m, primes, r=args.r,
-                              variant=args.variant, tables=tables) for m in ms]
+    # Each lift is one running CRT pass over the primes: this process lifts
+    # and renders them all, with no second round of forks.
+    return _rows([functools.partial(conjectures.discover_constant, family, m, primes, r=args.r,
+                                    variant=args.variant, tables=tables) for m in ms], args.format)
 
 
-def _cmd_table(args: argparse.Namespace) -> list[Callable[[], _TableRow]]:
+def _cmd_table(args: argparse.Namespace) -> list[tuple[str, bool]]:
     lo, hi = args.n
-    return [functools.partial(_table_row, m, n) for m in sorted(args.m) for n in range(lo, hi + 1)]
+    return _rows([functools.partial(_table_row, m, n) for m in sorted(args.m)
+                  for n in range(lo, hi + 1)], args.format)
 
 
 def _declare(
@@ -626,8 +628,8 @@ def _declare(
     *arguments: tuple[str, dict], jobs: bool = False,
 ) -> None:
     """One subcommand: its (flag, add_argument options) pairs, then --format
-    and, where its tasks may fan out to processes, --jobs; run() runs and
-    renders the tasks handler(args) returns, one per record of this kind.
+    and, where its tasks may fan out to processes, --jobs; handler(args)
+    returns its _rows, one per record of this kind, and run() writes them.
     Unless it is command, or command is None, it is declared with its name
     and help alone."""
     cmd = sub.add_parser(name, help=help)
@@ -639,7 +641,7 @@ def _declare(
     if jobs:
         cmd.add_argument("--jobs", type=_at_least_one("--jobs"), default=1, help="worker processes "
                          "(default %(default)s; at most the CPUs this process may run on)")
-    cmd.set_defaults(handler=handler, kind=kind, jobs=1, lots=None)
+    cmd.set_defaults(handler=handler, kind=kind)
 
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -731,10 +733,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already reported the usage error
         return 0 if exc.code in (0, None) else 2
     try:
-        # discover's handler forks itself and sets jobs to 1; verify's sets lots
-        tasks = args.handler(args)
-        rows = _map_tasks([functools.partial(_row, task, args.format) for task in tasks], args.jobs,
-                          args.lots)
+        rows = args.handler(args)
     except ValueError as exc:
         # known by name, so an error exit runs no layer to recognise them
         if any((cls.__module__, cls.__qualname__) in _COUNTEREXAMPLES for cls in type(exc).__mro__):

@@ -229,21 +229,21 @@ class DiscoveryResult(NamedTuple):
 def _stabilized_lift(evidence: list[tuple[int, int, int]]) -> int:
     """Symmetric CRT lift that tolerates a disagreeing minority of primes.
 
-    Lifts descending-prime prefixes until the symmetric representative stops
-    changing; the first stabilized value is the candidate.  When every
-    residue comes from one constant of small magnitude this equals the plain
-    full-pool crt_lift (the full lift of consistent residues IS that
-    constant); when a lone prime disagrees, the stabilized value is still the
-    constant the remaining primes pin down, and the re-check in
-    discover_constant flags the disagreement instead of returning an
-    artifact of the combined modulus.
+    Lifts descending-prime prefixes, each prime extending the last prefix's
+    lift x mod M by one crt_lift of the two pairs (x mod M, M) and its own,
+    until the symmetric representative stops changing; the first stabilized
+    value is the candidate.  When every residue comes from one constant of
+    small magnitude this equals the plain full-pool crt_lift (the full lift
+    of consistent residues IS that constant); when a lone prime disagrees,
+    the stabilized value is still the constant the remaining primes pin
+    down, and the re-check in discover_constant flags the disagreement
+    instead of returning an artifact of the combined modulus.
     """
-    acc: list[tuple[int, int]] = []
-    prev = None
+    x, modulus, prev = 0, 1, None
     for _, res, mod in sorted(evidence, reverse=True):
-        acc.append((res, mod))
-        x = crt_lift(acc)
-        if prev is not None and x == prev:
+        x = crt_lift([(x % modulus, modulus), (res, mod)])
+        modulus *= mod
+        if x == prev:
             return x
         prev = x
     return prev

@@ -1,14 +1,16 @@
 """Exact identities that no command runs, kept beside the tests that hold
 them: the terminating 6F5(-1) <-> 3F2(1) transformation, summed by the
 generic integer walk walk_total, the Gamma-ratio shift and the two-term
-3F2(1) value; and the lemma sums by a walk that builds each step from n and
-k alone, the oracle of the lemma step table.  Gamma ratios are never
-evaluated as Gamma values: each reduces to a quotient of rising factorials
-through Gamma(x+1) = x*Gamma(x)."""
+3F2(1) value; the lemma sums by a walk that builds each step from n and
+k alone, the oracle of the lemma step table; and discovery's stabilized CRT
+lift by re-lifting every prefix, the oracle of the running lift.  Gamma
+ratios are never evaluated as Gamma values: each reduces to a quotient of
+rising factorials through Gamma(x+1) = x*Gamma(x)."""
 
 import math
 from fractions import Fraction
 
+from supercong import arith
 from supercong.lemma import _shifted_steps
 from supercong.special import pochhammer
 
@@ -109,3 +111,18 @@ def lemma_walk_per_n(ms, n):
             plain[i] = plain[i] * b + c * p0
             weighted[i] = weighted[i] * b + c * p1
     return [((x, q), (y, q)) for x, y in zip(plain, weighted)]
+
+
+def prefix_relift(evidence):
+    """conjectures._stabilized_lift by one arith.crt_lift of every
+    descending-prime prefix, each from its first pair: the first value that
+    two prefixes in a row lift to, or the full pool's lift."""
+    acc = []
+    prev = None
+    for _, res, mod in sorted(evidence, reverse=True):
+        acc.append((res, mod))
+        x = arith.crt_lift(acc)
+        if prev is not None and x == prev:
+            return x
+        prev = x
+    return prev

@@ -5,13 +5,17 @@ Every tolerance (required valuation, exactness, prime range, runtime budget)
 is pinned here; nothing is deferred to later calibration.
 """
 
+import json
 import math
 import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from supercong.arith import PrimePower, congruent, primes_in_range, reduce_mod
 from supercong.checks import check, check_lemma_sun3, check_ratio_expansion
+from supercong.cli import run
 from supercong.conjectures import discover_constant, verify_conjecture
 from supercong.lemma import check_lemma_f, check_lemma_g
 from supercong.series import (
@@ -206,6 +210,21 @@ def test_criterion_12_constant_discovery():
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 120
     _report(12, ok, f"all 14 constants rediscovered from primes 5..199, half/full residues agreeing ({elapsed:.1f}s < 120s)")
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2: a lift that never "
+                   "stabilises over its primes is printed as a consistent discovery")
+@pytest.mark.parametrize("family,m,want", [("c", 11, C_CONSTANTS[11]), ("d", 15, D_CONSTANTS[15])])
+def test_primes_too_few_to_pin_the_constant_make_no_consistent_discovery(capsys, family, m, want):
+    """Over 5..11 neither lift stabilises, so each is the full-pool lift,
+    which reproduces every residue by construction: 51252 for c_11, whose
+    moduli multiply to less than 2 * 96973, and -11274845 for d_15, which
+    hides the p = 5 counterexample.  The run must not exit 0 with a wrong
+    constant marked consistent."""
+    code = run(["discover", "--family", family, "--m", str(m), "--primes", "5..11",
+                "--format", "json"])
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert code != 0 or not any(row["consistent"] and row["constant"] != want for row in rows)
 
 
 def test_criterion_13_depth_two_verification():

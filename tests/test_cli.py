@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import csv
 import functools
 import hashlib
 import io
@@ -16,7 +17,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import supercong
@@ -65,6 +66,18 @@ def run_cli(capsys, *argv):
 def _usable_cpus(monkeypatch, n):
     """Let this process run on n CPUs, as the --jobs clamp counts them."""
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _ci_jobs_argvs():
+    """The argvs that the CI workflow runs at --jobs 1 and --jobs 2 and
+    compares byte for byte, but verify --primes 5..2000, which is too slow
+    for tier-1 and runs in CI alone."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, ".github", "workflows", "tests.yml")) as workflow:
+        loop = workflow.read().split('for pin in "" "taskset -c 0"; do', 1)[1].split("; do", 1)[0]
+    argvs = [args.split() for args in loop.split('"')[1::2]]
+    argvs.remove(["verify", "--primes", "5..2000", "--format", "json"])
+    return argvs
 
 
 # The affinity set as the kernel reports it, whatever a test fakes.
@@ -203,6 +216,25 @@ RECORDS = st.one_of(
 @example(cli.ScanRecord("lemma_f", "m=3,n=2..50", 49, "n=7"))
 def test_json_rows_equal_the_encoder_rows(record):
     assert serialize_report(record, "json") == _encoder_row(record)
+
+
+@settings(max_examples=300, deadline=None)
+@given(RECORDS)
+@example(cli.ScanRecord("x", "a\rb", 1, None))
+@example(cli.ScanRecord('a,"b"', "\r\n", 1, "c\rd"))
+@example(DiscoveryResult("\r", 15, 1, 138480, ((5, 30, 125),), True))
+def test_csv_rows_read_back_cell_for_cell(record):
+    """csv.reader reads a CSV row back as one row, as wide as its kind's
+    columns, and each string field of the record comes back unchanged."""
+    row = serialize_report(record, "csv")
+    assume("\0" not in row or sys.version_info >= (3, 11))  # the reader refuses NUL before 3.11
+    columns = cli._KINDS[type(record).__name__].csv
+    [cells] = csv.reader([row])
+    assert len(cells) == len(columns)
+    fields = record._asdict()
+    for name, cell in zip(columns, cells):
+        if isinstance(fields.get(name), str):
+            assert cell == fields[name]
 
 
 
@@ -757,6 +789,12 @@ class TestForkedWorkers:
         _usable_cpus(monkeypatch, 2)
         yield
         _assert_no_child_left()
+
+    @pytest.mark.parametrize("argv", _ci_jobs_argvs(), ids=" ".join)
+    def test_a_ci_argv_prints_the_same_at_one_and_two_workers(self, capsys, argv):
+        serial = run_cli(capsys, *argv, "--jobs", "1")
+        assert serial[0] == 0 and serial[1]
+        assert run_cli(capsys, *argv, "--jobs", "2")[:2] == serial[:2]
 
     @pytest.mark.parametrize("via", ["check", "values"])
     @pytest.mark.parametrize("error", [conjectures.ValuationTooLow, ValueError])

@@ -5,7 +5,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import prefix_relift
 from supercong import arith, conjectures, families, series
 from supercong.arith import InvalidPrime, primes_in_range, vp
 from supercong.checks import check
@@ -135,6 +138,77 @@ class TestDiscovery:
             for p in (5, 7, 11):
                 for variant in ("half", "full"):
                     assert verify_conjecture(family, m, p, 1, res.constant, variant).passed
+
+
+def _lifted(lift, evidence):
+    """lift(evidence), or the type and text of the InconsistentInput it
+    raises, with the length of each crt_lift call it made on the way."""
+    calls = []
+
+    def counting(pairs, _real=arith.crt_lift):
+        calls.append(len(pairs))
+        return _real(pairs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arith, "crt_lift", counting)
+        patch.setattr(conjectures, "crt_lift", counting)
+        try:
+            out = lift(evidence)
+        except arith.InconsistentInput as exc:
+            out = (type(exc), str(exc))
+    return out, calls
+
+
+@st.composite
+def lift_evidence(draw):
+    """(p, residue, modulus) at distinct primes of the residues of one
+    integer c mod p^e, some of them perturbed, out of range, or taken mod a
+    power of one of the primes, which another pair's modulus may share."""
+    primes = draw(st.lists(st.sampled_from(primes_in_range(5, 60)), min_size=1, max_size=10,
+                           unique=True))
+    c = draw(st.integers(-10**15, 10**15))
+    evidence = []
+    for p in primes:
+        e = draw(st.integers(1, 3))
+        mod = p**e
+        fault = draw(st.sampled_from((None, None, None, "perturbed", "out of range", "shared")))
+        if fault == "shared":
+            mod = draw(st.sampled_from(primes)) ** e
+        res = c % mod
+        if fault == "perturbed":
+            res = (res + draw(st.integers(1, mod - 1))) % mod
+        elif fault == "out of range":
+            res, mod = draw(st.sampled_from(((-1, mod), (mod, mod), (res, 0), (0, -mod))))
+        evidence.append((p, res, mod))
+    return evidence
+
+
+class TestRunningLift:
+    """_stabilized_lift extends one running lift by a two-pair crt_lift
+    per prime; prefix_relift, which lifts every prefix from its first pair,
+    is its oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lift_evidence())
+    @example([(5, 30, 125), (7, 1, 343)])
+    @example([(5, 2, 25), (7, 3, 25)])
+    @example([(5, 125, 125)])
+    def test_equals_the_prefix_relift_and_fails_at_the_same_prime(self, evidence):
+        (got, calls), (want, oracle_calls) = (_lifted(lift, evidence)
+                                              for lift in (conjectures._stabilized_lift,
+                                                           prefix_relift))
+        assert got == want
+        assert len(calls) == len(oracle_calls)  # one call per prime consumed, either way
+
+    @pytest.mark.parametrize("family,m", [("C", 9), ("C", 11), ("D", 15), ("D", 21)])
+    def test_one_crt_lift_of_at_most_two_pairs_per_prime_consumed(self, family, m):
+        """The benchmark tracer's conjectures.lift_primes counts the
+        crt_lift calls under discover_constant: still the primes consumed."""
+        evidence = discover_constant(family, m, PRIMES_SMALL).evidence
+        (_, calls), (_, oracle_calls) = (_lifted(lift, evidence)
+                                         for lift in (conjectures._stabilized_lift, prefix_relift))
+        assert len(calls) == len(oracle_calls) >= 3
+        assert max(calls) == 2
 
 
 class TestCounterexampleFamilyD15:
