@@ -34,9 +34,8 @@ FORMATS = ("text", "csv", "json")
 COMMANDS = ("verify", "lemma", "wz", "discover", "table")
 
 #: Largest upper end accepted for --primes: the prime sieve allocates one
-#: byte per integer up to it.  It also caps discover's work, the sum of p^r
-#: over the window: the summands of its walks, one per prime, each shared by
-#: every weight.
+#: byte per integer up to it.  It also caps discover's window by the sum of
+#: p^r over it, the summands of its truncations.
 PRIME_CAP = 10**7
 #: Work caps, each set where its largest accepted input takes a few seconds
 #: (see the README): `wz --grid`, the upper end of `lemma`/`table --n`, of
@@ -253,7 +252,9 @@ def serialize_report(
             kind = _KINDS[type_name]
             if fmt == "json" and kind.json_slots:
                 return _JSON_ROWS[type_name] % kind.json_slots(report)
-            fields = {name: _plain(value) for name, value in report._asdict().items()}
+            fields = report._asdict()
+            if fmt != "json":  # JSON writes the record's own fields by their types
+                fields = {name: _plain(value) for name, value in fields.items()}
             fields.update(kind.derived(fields))
             if fmt == "json":
                 return _JSON_ROWS[type_name] % tuple(_json(fields[name]) for name in kind.json)
@@ -593,9 +594,9 @@ def _cmd_discover(args: argparse.Namespace) -> list[tuple[str, bool]]:
     primes = arith.primes_in_range(max(lo, 5), hi)
     if not primes:
         raise ValueError(f"no usable primes in {lo}..{hi}")
-    # One walk of p^r summands per prime serves every weight.  2^bit_length >
-    # PRIME_CAP, so a larger exponent cannot change the verdict, and any()
-    # stops at the cap.
+    # One walk per prime serves every weight; the cap bounds the sum of p^r,
+    # the truncations' summand counts.  2^bit_length > PRIME_CAP, so a larger
+    # exponent cannot change the verdict, and any() stops at the cap.
     r = min(args.r, PRIME_CAP.bit_length())
     if any(total > PRIME_CAP for total in itertools.accumulate(p**r for p in primes)):
         raise ValueError(
@@ -604,10 +605,9 @@ def _cmd_discover(args: argparse.Namespace) -> list[tuple[str, bool]]:
         )
     family = args.family.upper()
     ms = sorted(args.m or conjectures.FAMILIES[family].default_m)  # args.m None: --m all
-    # The walks are the work: one task per prime, dealt to the workers by its
-    # cost, p^r summands.  A failed cell is held in its table, not raised, so
-    # the lift of the first failing weight raises its first failing prime's
-    # error.
+    # The walks are the work: one task per prime, dealt to the workers by p^r,
+    # which ranks them as their cost does.  A failed cell is held in its table,
+    # not raised, so the lift of the first failing weight raises its first error.
     walks = [functools.partial(conjectures.residue_table, family, ms, p, args.r, args.variant)
              for p in primes]
     tables = dict(zip(primes, _map_tasks(walks, args.jobs, [(p, p**r) for p in primes])))

@@ -2,15 +2,18 @@
 them: the terminating 6F5(-1) <-> 3F2(1) transformation, summed by the
 generic integer walk walk_total, the Gamma-ratio shift and the two-term
 3F2(1) value; the lemma sums by a walk that builds each step from n and
-k alone, the oracle of the lemma step table; and discovery's stabilized CRT
-lift by re-lifting every prefix, the oracle of the running lift.  Gamma
+k alone, the oracle of the lemma step table; discovery's stabilized CRT
+lift by re-lifting every prefix, the oracle of the running lift; and the
+residue walk that steps through every summand, the oracle of the block
+walk.  Gamma
 ratios are never evaluated as Gamma values: each reduces to a quotient of
 rising factorials through Gamma(x+1) = x*Gamma(x)."""
 
+import itertools
 import math
 from fractions import Fraction
 
-from supercong import arith
+from supercong import arith, conjectures
 from supercong.lemma import _shifted_steps
 from supercong.special import pochhammer
 
@@ -126,3 +129,77 @@ def prefix_relift(evidence):
             return x
         prev = x
     return prev
+
+
+def stepwise_residue_walk(family, ms, p, r, variant):
+    """conjectures.residue_table by one walk through every summand up to the
+    last cut, reading conjectures.summand_factors: (cells, sums), with sums
+    mapping each cut's variant to every weight's sum mod p^(r+e), failed
+    weights' included.  Unlike the table it does not stop once every weight
+    has failed, which changes no cell: a failed cell keeps its first failure."""
+    ms = sorted(set(ms))
+    if not ms:
+        raise ValueError("need at least one weight")
+    p = conjectures._validate(family, ms, p, r, variant, conjectures.VARIANTS + ("both",))
+    e = conjectures.FAMILIES[family].residue_exponent
+    n, modulus, pr, pe = r + e, p ** (r + e), p**r, p**e
+    p_powers = [p**v for v in range(n)]
+    half_gaps = [(hi - lo) // 2 for lo, hi in zip(ms, ms[1:])]
+    cuts = [(conjectures._upper(p, r, v), v) for v in conjectures.VARIANTS if variant in (v, "both")]
+    unit_sign = conjectures._unit_sign(family, p, r)
+    factors = enumerate(conjectures.summand_factors(conjectures.FAMILIES[family].summand))
+    cells = [None] * len(ms)
+    sums = {}
+    xs, t, q, v_t, walked = [0] * len(ms), 1, 1, 0, 0
+    for cut, cut_variant in cuts:
+        for k, (sign, w, a, b) in itertools.islice(factors, cut + 1 - walked):
+            v_w = 0
+            if not w % p:
+                v_w, w = arith.split_power(w, p)
+            if not a % p:
+                v_a, a = arith.split_power(a, p)
+                v_t += v_a
+            if not b % p:
+                v_b, b = arith.split_power(b, p)
+                v_t -= v_b
+            t, q = t * a % modulus, q * b % modulus
+            if not v_w and 0 <= v_t < n:
+                term = sign * p_powers[v_t] * t * pow(w, ms[0], modulus) % modulus
+                xs[0] = (xs[0] * b + term) % modulus
+                w2 = w * w % modulus
+                for i, half in enumerate(half_gaps, 1):
+                    term = term * (w2 if half == 1 else pow(w2, half, modulus)) % modulus
+                    xs[i] = (xs[i] * b + term) % modulus
+                continue
+            for i, m in enumerate(ms):
+                v = m * v_w + v_t
+                if v >= 0:
+                    term = sign * p_powers[v] * t * pow(w, m, modulus) if v < n else 0
+                    xs[i] = (xs[i] * b + term) % modulus
+                elif not isinstance(cells[i], ValueError):
+                    cells[i] = arith.PreconditionViolated(
+                        f"family {family}, m={m}, p={p}: summand {k} has v_p < 0")
+        walked = cut + 1
+        inverse = pow(q, -1, modulus)
+        sums[cut_variant] = [x * inverse % modulus for x in xs]
+        for i, (m, cell, total) in enumerate(zip(ms, cells, sums[cut_variant])):
+            if isinstance(cell, ValueError):
+                continue
+            if total % pr:
+                cells[i] = conjectures.ValuationTooLow(
+                    f"family {family}, m={m}, p={p}, r={r} ({cut_variant}): v_p(sum) < r"
+                )
+                continue
+            read = (total // pr * unit_sign % pe, pe)
+            cells[i] = read if cell in (None, read) else conjectures.InconsistentInput(
+                f"half/full residues disagree at p={p}: {cell} vs {read}")
+    return dict(zip(ms, cells)), sums
+
+
+def stepwise_residue(family, m, p, r, variant):
+    """conjectures.extract_residue by the stepwise walk: the one weight's
+    cell, or its exception raised."""
+    cell = stepwise_residue_walk(family, (m,), p, r, variant)[0][m]
+    if isinstance(cell, ValueError):
+        raise cell
+    return cell

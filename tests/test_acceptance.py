@@ -227,6 +227,23 @@ def test_primes_too_few_to_pin_the_constant_make_no_consistent_discovery(capsys,
     assert code != 0 or not any(row["consistent"] and row["constant"] != want for row in rows)
 
 
+# c_47: the lift over 5..199 at r = 1, consistent there and over 29..199
+C47 = -3031905254207592155231132094781179527444131147769654932885
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2: a lift that never "
+                   "stabilises over its primes is printed as a consistent discovery")
+def test_depth_three_primes_too_few_to_pin_c47_make_no_consistent_discovery(capsys):
+    """At r = 3 over 5..23 the moduli p^2 multiply to about 10^15, far less
+    than 2|c_47|, so the lift never stabilises: it is the full-pool lift
+    -423235320623085, consistent by construction.  The run must not exit 0
+    with a wrong constant marked consistent."""
+    code = run(["discover", "--family", "c", "--m", "47", "--r", "3", "--primes", "5..23",
+                "--format", "json"])
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert code != 0 or not any(row["consistent"] and row["constant"] != C47 for row in rows)
+
+
 def test_criterion_13_depth_two_verification():
     pool = primes_in_range(5, 47)
     ok = True

@@ -84,6 +84,12 @@ CAPS_BYTES = {
     "json": "a31d9d14cb87d28ab01d0ea75c635ff1eb32726966172d27bcdc4064976b1600",
 }
 
+# The eight default d weights at r = 2 over 5..499, the text format.  The
+# hash was recorded from the stepwise walk, which took each prime's p^2
+# summands one by one (about 26 s), so the block walk must give its bytes.
+WIDE_DISCOVERY = ["discover", "--family", "d", "--r", "2", "--primes", "5..499"]
+WIDE_DISCOVERY_BYTES = (0, "d99f7e2eb39f222f160cc2ebcf857d0e2e0b38d2893a2be062a0e073f34c7de7")
+
 
 def _run(capsys, argv):
     code = cli.run(argv)
@@ -98,6 +104,10 @@ def test_stdout_bytes(capsys, command, fmt):
 @pytest.mark.parametrize("fmt", sorted(CAPS_BYTES))
 def test_stdout_bytes_at_the_wz_caps(capsys, fmt):
     assert _run(capsys, CAPS + ["--format", fmt]) == (0, CAPS_BYTES[fmt])
+
+
+def test_stdout_bytes_of_a_wide_depth_two_discovery(capsys):
+    assert _run(capsys, WIDE_DISCOVERY) == WIDE_DISCOVERY_BYTES
 
 
 @pytest.mark.parametrize(

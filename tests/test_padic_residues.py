@@ -1,7 +1,8 @@
 """The fixed-precision p-adic `extract_residue` against the exact path it
 replaced (`conj_sum`, `vp`, `reduce_mod`), `residue_table`'s one walk for
-several weights against both, and constant discovery at depth 2 and 3,
-which the p-adic path makes cheap."""
+several weights against both, its block walk against the stepwise walk
+it replaced (`tests/oracles.py`), and constant discovery at depth 2 and
+3, which the p-adic path makes cheap."""
 
 import itertools
 from fractions import Fraction
@@ -22,6 +23,8 @@ from supercong.conjectures import (
     residue_table,
 )
 from supercong.series import PreconditionViolated
+
+from oracles import stepwise_residue, stepwise_residue_walk
 
 C_CONSTANTS = {1: -1, 3: 3, 5: 23, 7: -5, 9: 1647, 11: -96973}
 D_CONSTANTS = {1: 0, 3: 0, 5: 16, 7: 80, 9: 192, 11: 640, 13: -3472, 15: 138480}
@@ -117,17 +120,20 @@ def test_arbitrary_factor_streams_match_exact(steps, r, variant):
     streams of factors with powers of p in w, a and b reach what the two
     families never do: sums of valuation below r, which must raise the same
     ValuationTooLow on both paths, and summands of negative valuation, which
-    the p-adic path may refuse."""
+    the p-adic path may refuse.  At r = 2 the stepwise walk stands in for
+    extract_residue: a substituted stream has no block structure to
+    extrapolate, and one block covers it only at r = 1."""
 
     def fake_factors(family):
         return itertools.chain([(1, 1, 1, 1)], itertools.cycle(steps))
 
+    walk = extract_residue if r == 1 else stepwise_residue
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(series, "summand_factors", fake_factors)
         mp.setattr(conjectures, "summand_factors", fake_factors)
         for family, m in (("C", 1), ("D", 3)):
             assert_exact_or_refused(
-                outcome(extract_residue, family, m, 5, r, variant),
+                outcome(walk, family, m, 5, r, variant),
                 outcome(exact_residue, family, m, 5, r, variant),
                 walks_integral_summands(family, m, 5, r, variant),
             )
@@ -193,13 +199,15 @@ def substituted_factors(steps):
 def test_both_variants_on_arbitrary_factor_streams_match_exact(steps, r):
     """Random factor streams reach both exceptions of the shared walk:
     ValuationTooLow at either cut and half/full residues that disagree, and
-    also summands of negative valuation, which the walk may refuse."""
+    also summands of negative valuation, which the walk may refuse.  At
+    r = 2 the stepwise walk stands in for extract_residue, as above."""
+    walk = extract_residue if r == 1 else stepwise_residue
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(series, "summand_factors", substituted_factors(steps))
         mp.setattr(conjectures, "summand_factors", substituted_factors(steps))
         for family, m in (("C", 1), ("D", 3)):
             assert_exact_or_refused(
-                outcome(extract_residue, family, m, 5, r, "both"),
+                outcome(walk, family, m, 5, r, "both"),
                 outcome(exact_both, family, m, 5, r),
                 walks_integral_summands(family, m, 5, r, "both"),
             )
@@ -327,14 +335,20 @@ def test_table_cells_on_arbitrary_factor_streams_match_each_weight_alone(steps, 
     negative valuation, a sum of valuation below r, or disagreeing
     truncations): every cell is the outcome of its weight walked alone, so
     no weight's failure moves another weight's residue, and each agrees
-    with the exact path where the exact summands are p-integral."""
+    with the exact path where the exact summands are p-integral.  At r = 2
+    the stepwise walk stands in for residue_table and extract_residue, as
+    above."""
+    if r == 1:
+        table_walk, walk = residue_table, extract_residue
+    else:
+        table_walk, walk = (lambda *args: stepwise_residue_walk(*args)[0]), stepwise_residue
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(series, "summand_factors", substituted_factors(steps))
         mp.setattr(conjectures, "summand_factors", substituted_factors(steps))
-        table = residue_table("D", ms, 5, r, variant)
+        table = table_walk("D", ms, 5, r, variant)
         for m, cell in table.items():
             got = cell_outcome(cell)
-            assert got == outcome(extract_residue, "D", m, 5, r, variant), m
+            assert got == outcome(walk, "D", m, 5, r, variant), m
             assert_exact_or_refused(
                 got, exact_cell("D", m, 5, r, variant), walks_integral_summands("D", m, 5, r, variant)
             )
@@ -345,3 +359,56 @@ def test_table_validates_every_weight_and_needs_one():
         residue_table("C", (), 5, 1, "both")
     with pytest.raises(ValueError, match="m must be an odd positive integer, got 4"):
         residue_table("C", (1, 4), 5, 1, "both")
+
+
+# (p, r) of the block walk's oracle test: r = 2 over 3 and 5..97, where the
+# first N = 4 (c) or 5 (d) blocks cover all p blocks up to p = N, so c
+# extrapolates from p = 5 and d from p = 7, and r = 3 over 3 and 5..23,
+# where every prime extrapolates its p^2 blocks
+BLOCK_DEPTHS = [(p, 2) for p in [3] + primes_in_range(5, 97)] + [
+    (p, 3) for p in [3] + primes_in_range(5, 23)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    family=st.sampled_from("CD"),
+    ms=st.sets(st.sampled_from(range(1, 80, 2)), min_size=1),
+    prime_depth=st.sampled_from(BLOCK_DEPTHS),
+    variant=st.sampled_from(VARIANTS + ("both",)),
+)
+def test_block_walk_sums_match_the_stepwise_walk(family, ms, prime_depth, variant):
+    """The sum of every weight mod p^N at every cut, and so every cell, is
+    the stepwise walk's: the extrapolated blocks hold the digits below r
+    too, which the cells alone never show."""
+    p, r = prime_depth
+    ms = sorted(ms)
+    cells, sums = stepwise_residue_walk(family, ms, p, r, variant)
+    bad, reads = conjectures._cut_sums(family, ms, p, r, variant)
+    assert bad == [None] * len(ms)
+    assert {cut_variant: totals for _, cut_variant, totals in reads} == sums
+    assert {m: cell_outcome(cell) for m, cell in residue_table(family, ms, p, r, variant).items()} == {
+        m: cell_outcome(cell) for m, cell in cells.items()}
+
+
+@pytest.mark.parametrize("family,p,r,variant", [
+    ("C", 3, 2, "both"), ("D", 5, 2, "both"), ("C", 5, 2, "half"), ("C", 7, 2, "both"),
+    ("D", 7, 2, "full"), ("C", 61, 2, "both"), ("D", 97, 2, "half"), ("C", 3, 3, "both"),
+    ("D", 5, 3, "both"), ("C", 13, 3, "full"), ("D", 23, 3, "both"),
+])
+def test_block_walk_reads_at_most_its_explicit_blocks(monkeypatch, family, p, r, variant):
+    """At r >= 2 the table reads summand_factors once and takes at most
+    min(N, p^(r-1)) blocks of p factors and one block-end step from it,
+    N = r + e, not the p^r of a stepwise walk."""
+    read = []
+
+    def counting(summand, _real=series.summand_factors):
+        read.append(0)
+        for factor in _real(summand):
+            read[-1] += 1
+            yield factor
+
+    monkeypatch.setattr(conjectures, "summand_factors", counting)
+    table = residue_table(family, conjectures.FAMILIES[family].default_m, p, r, variant)
+    n = r + conjectures.FAMILIES[family].residue_exponent
+    assert len(read) == 1 and read[0] <= min(n, p ** (r - 1)) * p + 1
+    assert table == stepwise_residue_walk(family, conjectures.FAMILIES[family].default_m, p, r, variant)[0]
