@@ -35,7 +35,7 @@ COMMANDS = ("verify", "lemma", "wz", "discover", "table")
 
 #: Largest upper end accepted for --primes: the prime sieve allocates one
 #: byte per integer up to it.  It also caps discover's window by the sum of
-#: p^r over it, the summands of its truncations.
+#: p^r over it, a stepwise walk's summands, not the block walk's steps.
 PRIME_CAP = 10**7
 #: Work caps, each set where its largest accepted input takes a few seconds
 #: (see the README): `wz --grid`, the upper end of `lemma`/`table --n`, of
@@ -595,7 +595,7 @@ def _cmd_discover(args: argparse.Namespace) -> list[tuple[str, bool]]:
     if not primes:
         raise ValueError(f"no usable primes in {lo}..{hi}")
     # One walk per prime serves every weight; the cap bounds the sum of p^r,
-    # the truncations' summand counts.  2^bit_length > PRIME_CAP, so a larger
+    # a stepwise walk's summands.  2^bit_length > PRIME_CAP, so a larger
     # exponent cannot change the verdict, and any() stops at the cap.
     r = min(args.r, PRIME_CAP.bit_length())
     if any(total > PRIME_CAP for total in itertools.accumulate(p**r for p in primes)):

@@ -16,11 +16,11 @@ verify_conjecture evaluate them exactly.  residue_table, and
 extract_residue, its call for one weight, only need the sum mod p^(r+e), so
 they work in fixed-precision p-adic arithmetic instead: each summand is p^v
 times a p-adic unit, kept mod p^(r+e), which keeps the residue exact
-(conj_sum is its oracle), and one walk per prime serves every weight.  The
-walk steps through the first min(r+e, p^(r-1)) blocks of p summands only
-and extrapolates the rest, since mod p^(r+e) each block is a polynomial of
-low degree in its index, so a prime costs about (r+e) p + p^(r-1) steps
-rather than p^r.
+(conj_sum is its oracle), and one walk per prime serves every weight and
+both truncations, whichever the variant reads.  The walk steps through the
+first min(r+e, p^(r-1)) blocks of p summands only and extrapolates the
+rest, since mod p^(r+e) each block is a polynomial of low degree in its
+index, so a prime costs about (r+e) p + p^(r-1) steps rather than p^r.
 """
 
 from __future__ import annotations
@@ -126,10 +126,11 @@ def residue_table(
     "both", half and full residues that differ with InconsistentInput.
 
     The sum is never formed exactly: _cut_sums keeps it mod p^N, N = r + e,
-    which fixes sum / p^r mod p^e exactly, and walks only the first
-    min(N, p^(r-1)) blocks of p summands.  Each cut reads every weight's sum
-    in turn; "both" reads the half truncation, a prefix of the full one,
-    first.
+    which fixes sum / p^r mod p^e exactly, walks only the first
+    min(N, p^(r-1)) blocks of p summands, and gives every weight's sum at
+    both cuts whatever the variant.  The table reads the cut or cuts its
+    variant names, every weight in turn; "both" reads the half truncation,
+    a prefix of the full one, first.
     """
     ms = sorted(set(ms))
     if not ms:
@@ -137,9 +138,12 @@ def residue_table(
     p = _validate(family, ms, p, r, variant, VARIANTS + ("both",))
     pr, pe = p**r, p ** FAMILIES[family].residue_exponent
     unit_sign = _unit_sign(family, p, r)
-    bad, reads = _cut_sums(family, ms, p, r, variant)
+    bad, sums = _cut_sums(family, ms, p, r)
     cells: list = [None] * len(ms)  # None until a cut reads the weight
-    for cut, cut_variant, totals in reads:
+    for cut_variant, totals in zip(VARIANTS, sums):
+        if variant not in (cut_variant, "both"):
+            continue
+        cut = _upper(p, r, cut_variant)
         for i, (m, cell, total, k) in enumerate(zip(ms, cells, totals, bad)):
             if isinstance(cell, ValueError):
                 continue
@@ -179,11 +183,11 @@ def _combine(rows: list[list[int]], coefficients: list[int], q: int, modulus: in
 
 
 def _cut_sums(
-    family: str, ms: list[int], p: int, r: int, variant: str
-) -> tuple[list[int | None], list[tuple[int, str, list[int]]]]:
+    family: str, ms: list[int], p: int, r: int
+) -> tuple[list[int | None], tuple[list[int], list[int]]]:
     """residue_table's walk at the validated weights ms, ascending: each
-    weight's first summand of negative valuation, or None, and for each cut
-    of the variant, ascending, (cut, its variant, every weight's sum mod p^N).
+    weight's first summand of negative valuation, or None, and every
+    weight's sum mod p^N at the half cut and at the full cut.
 
     Write summand k = p y + a, 0 <= a < p, as summand a of block y, and t_k
     for its sign times U_k of summand_factors.  Block y sums to t_(py)
@@ -192,22 +196,24 @@ def _cut_sums(
     S_m(py), the partial block sum to a = (p+1)/2 (where the half cut ends
     block (p^(r-1) - 1)/2), and the unit Q(py) of the block-end step
     t_(p(y+1)) / t_(py) = ((2y+1)/(2y+2))^power Q(py).  So the explicit pass
-    walks only the first B = min(N, p^(r-1)) blocks and records those three
-    per block, and their forward differences times binomials C(y, j) give
-    every later block.  The outer walk steps t_(py) over every block and
-    keeps its binomial moments, the sums of t_(py) C(y, j) for j < B, which
-    serve every weight: a weight's sum at a cut is one dot product with its
-    differences.  Where B covers every block the differences give back the
-    recorded values exactly, so at r = 1 the walk is one block.
+    walks only the first B = min(N, p^(r-1)) blocks, in full, and records
+    those three per block, and their forward differences times binomials
+    C(y, j) give every later block.  The outer walk steps t_(py) over all
+    p^(r-1) blocks and keeps its binomial moments, the sums of t_(py) C(y, j)
+    for j < B, which serve every weight: a weight's sum at a cut is one dot
+    product with its differences.  Where B covers every block, r = 1
+    included, the differences give back the recorded values exactly.
 
-    Within a block each summand is sign p^v w^m t/q, w and the step a/b of
-    t/q split free of p once for every weight, so each weight's block sum
-    is its own x over one shared unit denominator q: a step a/b takes t/q
-    to (t a)/(q b) and x to x b + c t a, c = sign p^v w^m, with no gcd, and
-    w^m steps from one weight to the next by (w^2)^(gap/2).  The moments
-    share one denominator the same way.  The block structure is the
-    summand families': a substituted factor stream is walked exactly only
-    while one block covers it, at r = 1.
+    Within a block each summand is sign p^v_t w^m t/q, the step a/b of t/q
+    split free of p once for every weight, so each weight's block sum is
+    its own x over one shared unit denominator q: a step a/b takes t/q to
+    (t a)/(q b) and x to x b + c t a, c = sign p^v_t w^m, with no gcd.  w
+    keeps its power of p, as w^m mod p^N is exact either way, and steps
+    from one weight to the next by (w^2)^(gap/2); p^v_t is 0 once v_t >= N.
+    Only v_t < 0, which a substituted factor stream alone gives, splits w
+    for each weight.  The moments share one denominator the same way.  A
+    substituted stream has no block structure: it is walked exactly only
+    at r = 1, where one block covers it.
     """
     summand = FAMILIES[family].summand
     power = _FAMILY[summand].power
@@ -215,36 +221,20 @@ def _cut_sums(
     # p-adic integer, and summand 0 is the unit -1: p^(r+e) is precision enough.
     n = r + FAMILIES[family].residue_exponent
     modulus = p**n
-    p_powers = [p**v for v in range(n)]  # p^v for v >= n vanishes mod p^n
     half_gaps = [(hi - lo) // 2 for lo, hi in zip(ms, ms[1:])]
-    # ascending, as the half cut never passes the full one; half first where they coincide
-    cuts = [(_upper(p, r, v), v) for v in VARIANTS if variant in (v, "both")]
     half_block, half_at = (p ** (r - 1) - 1) // 2, (p + 1) // 2
-    last_block = p ** (r - 1) - 1 if cuts[-1][1] == "full" else half_block
-    explicit = min(n, last_block + 1)
+    explicit = min(n, p ** (r - 1))
     sums: list[list[int]] = []  # per block, S_m(py) of each weight
     partials: list[list[int]] = []  # per block, the partial S_m(py) to a = half_at
     steps: list[list[int]] = []  # per block, [Q(py)]
     bad: list[int | None] = [None] * len(ms)
     factors = summand_factors(summand)
-    # the explicit blocks, up to the last cut, then the last one's end step if it is not the last
-    for y in range(min(explicit, last_block) + 1):
-        sign, w, a, b = next(factors)  # summand py, whose step a/b ends block y - 1
-        if y:
-            _, top = split_power((2 * y) ** power * t * a, p)
-            _, bottom = split_power((2 * y - 1) ** power * q * b, p)
-            steps.append([sign * start * top * pow(bottom, -1, modulus) % modulus])
-        if y == explicit:
-            break
-        start, t, q, v_t, xs, walked = sign, 1, 1, 0, [0] * len(ms), y * p
-        block = itertools.chain([(sign, w, 1, 1)], factors)
-        for end, record in (y * p + half_at, partials), (y * p + p - 1, sums):
-            if end > cuts[-1][0]:
-                break
-            for k, (sign, w, a, b) in enumerate(itertools.islice(block, end + 1 - walked), walked):
-                v_w = 0
-                if not w % p:
-                    v_w, w = split_power(w, p)
+    sign, w, _, _ = next(factors)
+    for y in range(explicit):
+        start, t, q, v_t, xs = sign, 1, 1, 0, [0] * len(ms)
+        block = enumerate(itertools.chain([(sign, w, 1, 1)], factors), y * p)
+        for count, record in (half_at + 1, partials), (p - 1 - half_at, sums):
+            for k, (sign, w, a, b) in itertools.islice(block, count):
                 if not a % p:
                     v_a, a = split_power(a, p)
                     v_t += v_a
@@ -252,32 +242,33 @@ def _cut_sums(
                     v_b, b = split_power(b, p)
                     v_t -= v_b
                 t, q = t * a % modulus, q * b % modulus
-                if not v_w and 0 <= v_t < n:  # every weight's summand has v = v_t
-                    term = sign * p_powers[v_t] * t * pow(w, ms[0], modulus) % modulus
+                if v_t >= 0:  # every weight's summand is p^v_t w^m t/q
+                    term = sign * pow(p, v_t, modulus) * t * pow(w, ms[0], modulus) % modulus
                     xs[0] = (xs[0] * b + term) % modulus
                     w2 = w * w % modulus
                     for i, half in enumerate(half_gaps, 1):
                         term = term * (w2 if half == 1 else pow(w2, half, modulus)) % modulus
                         xs[i] = (xs[i] * b + term) % modulus
                     continue
+                v_w, w = split_power(w, p)
                 for i, m in enumerate(ms):
                     v = m * v_w + v_t
                     if v >= 0:
-                        term = sign * p_powers[v] * t * pow(w, m, modulus) if v < n else 0
+                        term = sign * pow(p, v, modulus) * t * pow(w, m, modulus)
                         xs[i] = (xs[i] * b + term) % modulus
                     elif bad[i] is None:
                         bad[i] = k
-            walked = end + 1
             inverse = pow(q, -1, modulus) * start  # relative to the block's first summand
             record.append([x * inverse % modulus for x in xs])
-    if not last_block:  # one block: its records are the sums at the cuts
-        return bad, [(*cut, (partials if cut[1] == "half" else sums)[0]) for cut in cuts]
+        sign, w, a, b = next(factors)  # summand p(y+1), whose step a/b ends block y
+        _, top = split_power((2 * y + 2) ** power * t * a, p)
+        _, bottom = split_power((2 * y + 1) ** power * q * b, p)
+        steps.append([sign * start * top * pow(bottom, -1, modulus) % modulus])
     sums, partials = _differences(sums, modulus), _differences(partials, modulus)
     steps = [d for d, in _differences(steps, modulus)]
     binomials, moments = [1] + [0] * (explicit - 1), [0] * explicit
     t, q, v_t, den = 1, 1, 0, 1
-    reads = []
-    for y in range(last_block + 1):
+    for y in range(p ** (r - 1)):
         if y:  # step t_(py) by ((2y-1)/(2y))^power Q(p(y-1)), then C(y, j)
             num, den = 2 * y - 1, 2 * y
             if not num % p:
@@ -290,14 +281,12 @@ def _cut_sums(
             t = t * num**power * sum(map(operator.mul, steps, binomials)) % modulus
             q = q * den % modulus
             binomials = [1, *map(operator.add, binomials[1:], binomials)]
-        term = p_powers[v_t] * t % modulus if v_t < n else 0
-        if y == half_block and cuts[0][1] == "half":  # blocks before y, and y to a = half_at
-            coefficients = [mo * den for mo in moments[:len(sums)]] + [term * c for c in binomials]
-            reads.append((*cuts[0], _combine(sums + partials, coefficients, q, modulus)))
+        term = pow(p, v_t, modulus) * t % modulus
+        if y == half_block:  # blocks before y, and y to a = half_at
+            coefficients = [mo * den for mo in moments] + [term * c for c in binomials]
+            half = _combine(sums + partials, coefficients, q, modulus)
         moments = [(mo * den + term * c) % modulus for mo, c in zip(moments, binomials)]
-    if cuts[-1][1] == "full":
-        reads.append((*cuts[-1], _combine(sums, moments, q, modulus)))
-    return bad, reads
+    return bad, (half, _combine(sums, moments, q, modulus))
 
 
 def _residue(cell: tuple[int, int] | ValueError) -> tuple[int, int]:

@@ -671,10 +671,11 @@ class TestOtherCommands:
         rec = json.loads(out.strip())
         assert rec["constant"] == 138480 and rec["consistent"] is False
 
+    @pytest.mark.parametrize("depth", ["1", "2", "3"])
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_discover_prints_the_same_bytes_for_every_variant(self, capsys, monkeypatch, jobs):
+    def test_discover_prints_the_same_bytes_for_every_variant(self, capsys, monkeypatch, jobs, depth):
         _usable_cpus(monkeypatch, 2)
-        args = ("discover", "--family", "c", "--m", "1,3,5", "--primes", "5..31",
+        args = ("discover", "--family", "c", "--m", "1,3,5", "--primes", "5..31", "--r", depth,
                 "--format", "json", "--jobs", jobs)
         runs = [run_cli(capsys, *args, "--variant", v) for v in ("half", "full", "both")]
         assert runs == [runs[0]] * 3

@@ -377,17 +377,38 @@ BLOCK_DEPTHS = [(p, 2) for p in [3] + primes_in_range(5, 97)] + [
     variant=st.sampled_from(VARIANTS + ("both",)),
 )
 def test_block_walk_sums_match_the_stepwise_walk(family, ms, prime_depth, variant):
-    """The sum of every weight mod p^N at every cut, and so every cell, is
-    the stepwise walk's: the extrapolated blocks hold the digits below r
-    too, which the cells alone never show."""
+    """The sum of every weight mod p^N at both cuts, which the walk gives
+    whatever the variant, and so every cell of the variant, is the stepwise
+    walk's: the extrapolated blocks hold the digits below r too, which the
+    cells alone never show."""
     p, r = prime_depth
     ms = sorted(ms)
-    cells, sums = stepwise_residue_walk(family, ms, p, r, variant)
-    bad, reads = conjectures._cut_sums(family, ms, p, r, variant)
+    bad, (half, full) = conjectures._cut_sums(family, ms, p, r)
     assert bad == [None] * len(ms)
-    assert {cut_variant: totals for _, cut_variant, totals in reads} == sums
+    assert {"half": half, "full": full} == stepwise_residue_walk(family, ms, p, r, "both")[1]
     assert {m: cell_outcome(cell) for m, cell in residue_table(family, ms, p, r, variant).items()} == {
-        m: cell_outcome(cell) for m, cell in cells.items()}
+        m: cell_outcome(cell) for m, cell in stepwise_residue_walk(family, ms, p, r, variant)[0].items()}
+
+
+# (p, r) of the block walk's oracle test on summand family V: r = 2 over 3
+# and 5..61, r = 3 over 3 and 5..17
+V_DEPTHS = [(p, 2) for p in [3] + primes_in_range(5, 61)] + [
+    (p, 3) for p in [3] + primes_in_range(5, 17)]
+
+
+@pytest.mark.parametrize("p,r", V_DEPTHS)
+def test_block_walk_sums_match_the_stepwise_walk_on_family_v(monkeypatch, p, r):
+    """The block walk serves summand family V, (-1)^k (4k+1)^m (1/2)_k^3/k!^3,
+    as it stands: its block-end step has the same ((2y+1)/(2y+2))^3 factor.
+    With a V row in FAMILIES for this test alone, every odd weight below 40
+    has the stepwise walk's sums at both cuts and its cells."""
+    monkeypatch.setitem(conjectures.FAMILIES, "V", conjectures.Family("V", 2, tuple(range(1, 14, 2))))
+    ms = list(range(1, 40, 2))
+    cells, sums = stepwise_residue_walk("V", ms, p, r, "both")
+    bad, (half, full) = conjectures._cut_sums("V", ms, p, r)
+    assert bad == [None] * len(ms)
+    assert {"half": half, "full": full} == sums
+    assert residue_table("V", ms, p, r, "both") == cells
 
 
 @pytest.mark.parametrize("family,p,r,variant", [
